@@ -5,14 +5,7 @@ a complexity score and per-node data relevance feed three trained ensembles
 whose fused opinions drive a one-vs-all vote over the nodes.
 """
 
-from .allocator import (
-    AllocationDecision,
-    EnsembleBundle,
-    FusionScheme,
-    fuse,
-    ova_allocate,
-    select_top_k,
-)
+from .allocator import AllocationDecision, EnsembleBundle, FusionScheme, fuse
 from .complexity import (
     ComplexityClass,
     ComplexityClassifier,
@@ -21,21 +14,14 @@ from .complexity import (
     TrainingQueryCorpus,
     classify_complexity,
 )
-from .core import (
-    ContextVector,
-    DatasetDigest,
-    NodeState,
-    Query,
-    QueryConstraints,
-    TrainingTuple,
-    build_context_vectors,
-)
-from .relevance import IntervalVector, confidence_intervals, overlap_mismatch, relevance
+from .core import DatasetDigest, NodeState, Query, QueryConstraints
+from .relevance import confidence_intervals, overlap_mismatch, relevance_batch
 from .simulator import (
     LabelingPolicy,
     Scenario,
     ScenarioConfig,
     generate_scenario,
+    ova_allocate,
     simulate_run,
     synthesize_training_set,
 )
@@ -48,24 +34,19 @@ __all__ = [
     "FusionScheme",
     "fuse",
     "ova_allocate",
-    "select_top_k",
     "ComplexityClass",
     "ComplexityClassifier",
     "ComplexityParams",
     "ComplexityVector",
     "TrainingQueryCorpus",
     "classify_complexity",
-    "ContextVector",
     "DatasetDigest",
     "NodeState",
     "Query",
     "QueryConstraints",
-    "TrainingTuple",
-    "build_context_vectors",
-    "IntervalVector",
     "confidence_intervals",
     "overlap_mismatch",
-    "relevance",
+    "relevance_batch",
     "LabelingPolicy",
     "Scenario",
     "ScenarioConfig",

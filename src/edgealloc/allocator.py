@@ -1,11 +1,14 @@
 """The decision engine: per-node ensemble fusion plus one-vs-all voting.
 
-For each node the three trained ensembles produce a yes/no opinion on one
-shared feature vector; the opinions fuse under either a conjunctive scheme
-(all three must agree) or a majority scheme (at least two).  Voting then
-turns the per-node labels into a ranking: a positive node votes for itself,
-a negative node votes for everyone else.  Ties resolve by lowest load, then
-lowest node id.
+``decide_from_features`` takes the (N, 5) feature matrix of one query
+against N nodes.  The three trained ensembles each label every row; the
+labels fuse under either a conjunctive scheme (all three must agree) or a
+majority scheme (at least two).  Voting then turns the per-node labels into
+a ranking: a positive node votes for itself, a negative node votes for
+everyone else.  Ties resolve by lowest load, then lowest node id, and the
+first k nodes of that single ranking are the picks.  The feature matrix
+itself is assembled in ``simulator``, which is also where ``ova_allocate``
+lives.
 """
 
 from __future__ import annotations
@@ -13,11 +16,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
-
-from .core import NodeState, Query, build_context_matrix
 
 __all__ = [
     "FusionScheme",
@@ -27,8 +27,7 @@ __all__ = [
     "fuse_batch",
     "tally_votes",
     "rank_nodes",
-    "ova_allocate",
-    "select_top_k",
+    "decide_from_features",
 ]
 
 # floor applied to measured decision times; protects throughput figures
@@ -99,7 +98,8 @@ def rank_nodes(votes: np.ndarray, loads: np.ndarray, node_ids: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class AllocationDecision:
-    """Outcome of one allocation: fused labels, tallies, ranking and timing."""
+    """Outcome of one allocation: fused labels, tallies, the k picks in
+    ranking order, and timing."""
 
     node_ids: np.ndarray
     fused_labels: np.ndarray
@@ -117,13 +117,26 @@ class AllocationDecision:
         if np.any(self.votes < 0):
             raise ValueError("vote tallies must be >= 0")
 
-    def ranking(self) -> np.ndarray:
-        """All node ids in selection order."""
-        order = rank_nodes(self.votes, self.loads, self.node_ids)
-        return self.node_ids[order]
 
+def decide_from_features(
+    features: np.ndarray,
+    node_ids: np.ndarray,
+    loads: np.ndarray,
+    speeds: np.ndarray,
+    bundle: EnsembleBundle,
+    scheme: FusionScheme,
+    k: int = 1,
+    started: float | None = None,
+) -> AllocationDecision:
+    """Label, fuse, vote and rank given a prebuilt (N, 5) feature matrix.
 
-def _decide(node_ids, fused, loads, speeds, k, started) -> AllocationDecision:
+    The k picks are the first k positions of the one ranking; the decision
+    time runs from ``started`` (default: now) to the end of the ranking.
+    """
+    if started is None:
+        started = time.perf_counter()
+    labels = np.stack([m.predict_batch(features) for m in bundle.models()], axis=1)
+    fused = fuse_batch(labels, scheme)
     votes = tally_votes(fused)
     order = rank_nodes(votes, loads, node_ids)
     # the voting rule never leaves every tally at zero for N >= 2, but the
@@ -139,62 +152,3 @@ def _decide(node_ids, fused, loads, speeds, k, started) -> AllocationDecision:
         selected=selected,
         decision_ms=elapsed_ms,
     )
-
-
-def decide_from_features(
-    features: np.ndarray,
-    node_ids: np.ndarray,
-    loads: np.ndarray,
-    speeds: np.ndarray,
-    bundle: EnsembleBundle,
-    scheme: FusionScheme,
-    k: int = 1,
-    started: float | None = None,
-) -> AllocationDecision:
-    """Core decision given a prebuilt (N, 5) feature matrix.
-
-    ``ova_allocate`` and the simulator both route through here so the vote
-    logic exists exactly once.
-    """
-    if started is None:
-        started = time.perf_counter()
-    labels = np.stack([m.predict_batch(features) for m in bundle.models()], axis=1)
-    fused = fuse_batch(labels, scheme)
-    return _decide(node_ids, fused, loads, speeds, k, started)
-
-
-def ova_allocate(
-    query: Query,
-    nodes: Sequence[NodeState],
-    bundle: EnsembleBundle,
-    scheme: FusionScheme,
-    fcp,
-    *,
-    alpha: float = 1.0,
-    z: float = 1.28,
-    k: int = 1,
-) -> AllocationDecision:
-    """Allocate one query across a node snapshot.
-
-    Builds the per-node context features, applies the three ensembles,
-    fuses per node, votes, and returns the decision with wall-clock timing
-    over the whole procedure.
-    """
-    started = time.perf_counter()
-    if len(nodes) == 0:
-        raise ValueError("node list must be non-empty")
-    if not 1 <= k <= len(nodes):
-        raise ValueError(f"k must be in [1, {len(nodes)}], got {k}")
-    features, _o = build_context_matrix(query, nodes, fcp, alpha, z)
-    node_ids = np.array([n.node_id for n in nodes], dtype=int)
-    loads = features[:, 3]
-    speeds = features[:, 4]
-    return decide_from_features(features, node_ids, loads, speeds, bundle, scheme, k, started)
-
-
-def select_top_k(decision: AllocationDecision, k: int) -> list:
-    """The k best node ids by (votes desc, load asc, id asc)."""
-    n = len(decision.node_ids)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    return [int(i) for i in decision.ranking()[:k]]

@@ -1,10 +1,10 @@
 """Experiment sweep engine shared by the CLI and the verification suite.
 
-A sweep is a list of cells (scenario config + fusion scheme).  Cells that
-share their training-relevant configuration (seed, distribution, feature
-dimensionality, aggregation exponent, trace) also share one synthesized
-training set and one trained ensemble triple, since neither depends on the
-node count; this keeps N-sweeps comparable and cheap.
+A sweep is a list of cells (scenario config + fusion scheme).  Training
+depends on neither the node count nor the query count, so each cell trains
+from its config with both set to 1, and cells whose configs agree once both
+are set to 1 share one synthesized training set and one trained ensemble
+triple; this keeps N-sweeps comparable and cheap.
 """
 
 from __future__ import annotations
@@ -121,24 +121,6 @@ def train_bundle_with_report(
     return bundle, report
 
 
-def _training_key(cfg: ScenarioConfig) -> tuple:
-    # everything the training set and models can depend on; node count and
-    # query count deliberately excluded
-    return (
-        cfg.seed,
-        cfg.distribution,
-        cfg.dims,
-        cfg.alpha,
-        cfg.z,
-        cfg.deadline_max,
-        cfg.digest_sample_size,
-        cfg.data_window,
-        cfg.gaussian_sd,
-        cfg.trace_path,
-        cfg.trace_column,
-    )
-
-
 def grid_cells(
     base: ScenarioConfig,
     schemes: Sequence,
@@ -210,10 +192,9 @@ def run_cells(
             say(f"cell {label}: already complete, skipped")
             continue
         try:
-            key = _training_key(cell.config)
+            key = replace(cell.config, n_nodes=1, n_queries=1)
             if key not in bundles:
-                td_scenario = generate_scenario(replace(cell.config, n_nodes=1, n_queries=1))
-                data = synthesize_training_set(td_scenario, policy, setup.training_size)
+                data = synthesize_training_set(generate_scenario(key), policy, setup.training_size)
                 bundles[key] = train_bundle(data, setup, seed=cell.config.seed)
             scenario = generate_scenario(cell.config)
             result = simulate_run(scenario, bundles[key], cell.scheme, classifier, k=k)

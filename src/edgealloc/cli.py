@@ -18,7 +18,7 @@ import click
 import numpy as np
 import yaml
 
-from .allocator import EnsembleBundle, FusionScheme, ova_allocate, select_top_k
+from .allocator import EnsembleBundle, FusionScheme
 from .bench import BenchCell, LearnerSetup, grid_cells, run_cells, train_bundle_with_report
 from .complexity import ComplexityClassifier, ComplexityParams, load_corpus, save_corpus
 from .core import Query, QueryConstraints
@@ -32,6 +32,7 @@ from .simulator import (
     generate_scenario,
     generate_utilization_trace,
     load_scenario,
+    ova_allocate,
     save_scenario,
     synthesize_training_set,
 )
@@ -366,7 +367,7 @@ def cmd_allocate(config_path, seed, n, trace, trace_column, out, scheme, k, quer
         z=cfg.scenario.z,
         k=k,
     )
-    chosen = select_top_k(decision, k)
+    chosen = list(decision.selected)
     if fmt == "machine":
         click.echo(
             json.dumps(

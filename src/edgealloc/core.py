@@ -1,36 +1,26 @@
-"""Shared domain types and context-vector assembly.
+"""Shared domain types: queries, their constraints, node digests and states.
 
-A context vector summarises one (query, node) pair for the decision engine:
-the query's complexity score and deadline, the node's data relevance for the
-query, and the node's current load and speed.  All types here are immutable
-value objects; ``build_context_vectors`` is pure given a snapshot of node
-states.
+The decision engine sees each (query, node) pair as five features: the
+query's complexity scalar and deadline, the node's data relevance for the
+query, and the node's load and speed.  ``complexity_scalar`` collapses a
+complexity vector into the first of them; ``simulator`` assembles the
+feature matrix.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import ComplexityClass, ComplexityVector, DEFAULT_CLASSES
-from .relevance import confidence_intervals, relevance_batch
+from .complexity import ComplexityVector
 
 __all__ = [
-    "ComplexityClass",
-    "DEFAULT_CLASSES",
     "QueryConstraints",
     "Query",
     "DatasetDigest",
     "NodeState",
-    "ContextVector",
-    "TrainingTuple",
     "complexity_scalar",
-    "build_context_vectors",
-    "build_context_matrix",
 ]
 
 DEFAULT_QUEUE_CAPACITY = 100
@@ -105,10 +95,11 @@ class DatasetDigest:
 
 @dataclass
 class NodeState:
-    """A node's mutable runtime state plus its dataset digest.
+    """A node's load and speed plus its dataset digest.
 
-    Under queue dynamics, ``load`` mirrors queue occupancy / capacity; under
-    trace replay the load is dictated externally and the queue stays idle.
+    ``load`` is the snapshot ``ova_allocate`` decides on; a simulated run
+    takes its loads from the load series or its own queue occupancy and
+    leaves the node untouched.
     """
 
     node_id: int
@@ -116,7 +107,6 @@ class NodeState:
     speed: float
     digest: DatasetDigest
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
-    queue: deque = field(default_factory=deque)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.load <= 1.0:
@@ -125,49 +115,6 @@ class NodeState:
             raise ValueError(f"speed must be in [0, 1], got {self.speed}")
         if self.queue_capacity < 1:
             raise ValueError("queue capacity must be >= 1")
-
-    def sync_load_from_queue(self) -> None:
-        self.load = len(self.queue) / self.queue_capacity
-
-
-@dataclass(frozen=True)
-class ContextVector:
-    """The 5 features the classifiers see for one (query, node) pair."""
-
-    complexity: float
-    deadline: float
-    relevance: float
-    load: float
-    speed: float
-
-    def __post_init__(self) -> None:
-        for name in ("complexity", "relevance", "load", "speed"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite value in [0, 1], got {v}")
-        if not math.isfinite(self.deadline) or self.deadline < 0:
-            raise ValueError(f"deadline must be finite and >= 0, got {self.deadline}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.complexity, self.deadline, self.relevance, self.load, self.speed],
-            dtype=float,
-        )
-
-
-FEATURE_NAMES = ("complexity", "deadline", "relevance", "load", "speed")
-
-
-@dataclass(frozen=True)
-class TrainingTuple:
-    """A labelled context vector: 1 = allocate, 0 = do not allocate."""
-
-    context: ContextVector
-    label: int
-
-    def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
 
 
 def complexity_scalar(vector: ComplexityVector) -> float:
@@ -180,56 +127,3 @@ def complexity_scalar(vector: ComplexityVector) -> float:
     k = len(vector.memberships)
     best = vector.argmax()
     return vector.memberships[best] * (best + 1) / k
-
-
-def build_context_matrix(query: Query, nodes: Sequence[NodeState], fcp, alpha: float, z: float):
-    """Array-shaped variant of ``build_context_vectors``.
-
-    Returns (X, o) where X is the (N, 5) feature matrix in FEATURE_NAMES
-    order and o the query's complexity scalar.  This is the allocation hot
-    path; ``build_context_vectors`` wraps it.
-    """
-    if len(nodes) == 0:
-        raise ValueError("node list must be non-empty")
-    dims = query.constraints.dims
-    for node in nodes:
-        if node.digest.dims != dims:
-            raise ValueError(
-                f"node {node.node_id} digest has {node.digest.dims} dimensions, "
-                f"query constraints have {dims}"
-            )
-    vector, _resolved = fcp.classify_statement(query.statement)
-    o = complexity_scalar(vector)
-
-    ci = np.stack([confidence_intervals(n.digest, z).intervals for n in nodes])
-    rel = relevance_batch(query.constraints, ci, alpha)
-
-    x = np.empty((len(nodes), 5), dtype=float)
-    x[:, 0] = o
-    x[:, 1] = query.deadline
-    x[:, 2] = rel
-    x[:, 3] = [n.load for n in nodes]
-    x[:, 4] = [n.speed for n in nodes]
-    return x, o
-
-
-def build_context_vectors(
-    query: Query, nodes: Sequence[NodeState], fcp, alpha: float, z: float
-) -> list:
-    """One ContextVector per node, in node order.
-
-    The complexity scalar is derived once from the query and shared by all
-    vectors; relevance differs per node; load and speed are copied from the
-    node snapshot.
-    """
-    x, _o = build_context_matrix(query, nodes, fcp, alpha, z)
-    return [
-        ContextVector(
-            complexity=float(row[0]),
-            deadline=float(row[1]),
-            relevance=float(row[2]),
-            load=float(row[3]),
-            speed=float(row[4]),
-        )
-        for row in x
-    ]

@@ -7,7 +7,6 @@ from .base import (
     LabeledDataset,
     LogisticModel,
     TreeModel,
-    predict,
     train_base,
 )
 from .ensembles import (
@@ -25,7 +24,6 @@ __all__ = [
     "BaseLearnerSpec",
     "LabeledDataset",
     "train_base",
-    "predict",
     "ConstantModel",
     "TreeModel",
     "GaussianNBModel",

@@ -21,7 +21,6 @@ __all__ = [
     "LabeledDataset",
     "BaseLearnerSpec",
     "train_base",
-    "predict",
     "ConstantModel",
     "TreeModel",
     "GaussianNBModel",
@@ -109,12 +108,6 @@ class _Model:
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         return (self.predict_proba_batch(x) >= 0.5).astype(int)
-
-    def predict(self, x) -> int:
-        return int(self.predict_batch(np.asarray(x, dtype=float)[None, :])[0])
-
-    def predict_proba(self, x) -> float:
-        return float(self.predict_proba_batch(np.asarray(x, dtype=float)[None, :])[0])
 
 
 class ConstantModel(_Model):
@@ -407,10 +400,3 @@ def train_base(spec: BaseLearnerSpec, data: LabeledDataset, seed: int, sample_we
     if spec.kind == "logistic":
         return LogisticModel.fit(data, spec.learning_rate, spec.epochs, sample_weight=sample_weight)
     raise ValueError(f"unknown learner kind {spec.kind!r}")
-
-
-def predict(model, x) -> tuple:
-    """(label, probability) for one feature vector; label is 1 iff the
-    probability is >= 0.5."""
-    proba = model.predict_proba(x)
-    return (1 if proba >= 0.5 else 0), proba

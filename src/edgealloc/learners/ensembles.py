@@ -99,14 +99,10 @@ def _compile_members(members):
 class AdaBoostModel(_Model):
     """Discrete boosting ensemble: weighted vote of reweighted base learners."""
 
-    def __init__(self, members: Sequence, alphas: Sequence[float], n_features: int,
-                 training_weight_sums: Sequence[float] = ()):
+    def __init__(self, members: Sequence, alphas: Sequence[float], n_features: int):
         self.members = list(members)
         self.alphas = [float(a) for a in alphas]
         self.n_features = n_features
-        # sum of the instance-weight vector after each reweighting round;
-        # kept for inspection, not used at prediction time
-        self.training_weight_sums = tuple(float(s) for s in training_weight_sums)
         self._forest = _compile_members(self.members)
 
     def predict_proba_batch(self, x):
@@ -216,7 +212,7 @@ def train_adaboost(
     x, y = data.features, data.labels
     n = len(data)
     w = np.full(n, 1.0 / n)
-    members, alphas, weight_sums = [], [], []
+    members, alphas = [], []
     for t in range(rounds):
         model = train_base(spec, data, seed=_child_seed(seed, t), sample_weight=w)
         pred = model.predict_batch(x)
@@ -236,8 +232,7 @@ def train_adaboost(
             break
         w = w * np.exp(np.where(miss, alpha, -alpha))
         w = w / w.sum()
-        weight_sums.append(float(w.sum()))
-    return AdaBoostModel(members, alphas, data.arity, training_weight_sums=weight_sums)
+    return AdaBoostModel(members, alphas, data.arity)
 
 
 def bootstrap_indices(rng: np.random.Generator, n: int) -> np.ndarray:

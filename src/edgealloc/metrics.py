@@ -2,9 +2,9 @@
 
 Per decision we track how far the chosen node sat from the best available
 one: ``load_gap`` against the lowest load in the snapshot and ``speed_gap``
-against the highest speed.  Run-level aggregates add classification
-accuracy, allocation throughput (queries per millisecond of decision time)
-and histogram-based probability densities.
+against the highest speed.  Run-level aggregates add allocation throughput
+(queries per millisecond of decision time) and histogram-based probability
+densities.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import DataError
 __all__ = [
     "QueryRecord",
     "RunResult",
-    "classification_accuracy",
     "allocation_throughput",
     "optimality_gaps",
     "density_estimate",
@@ -78,14 +77,6 @@ class RunResult:
 
     def label(self) -> str:
         return f"{self.scheme}_{self.distribution}_n{self.n_nodes}_seed{self.seed}"
-
-
-def classification_accuracy(predictions: Sequence) -> float:
-    """Fraction of (predicted, true) pairs that agree."""
-    if len(predictions) == 0:
-        raise ValueError("predictions must be non-empty")
-    correct = sum(1 for predicted, true in predictions if predicted == true)
-    return correct / len(predictions)
 
 
 def allocation_throughput(decision_times_ms: Sequence[float]) -> float:

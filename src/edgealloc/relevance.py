@@ -1,71 +1,38 @@
 """Query/dataset relevance from per-dimension interval overlap.
 
 A node advertises its data through a digest (per-dimension mean, spread,
-cardinality).  The digest expands into confidence intervals which are
-matched against the query's constraint intervals dimension by dimension;
-the per-dimension mismatch scores aggregate into a single relevance value
-where LOWER means a better data match.
+cardinality).  ``confidence_intervals`` expands digests into intervals and
+``relevance_batch`` matches them against a query's constraint intervals
+dimension by dimension; the per-dimension mismatch scores aggregate into a
+single relevance value where LOWER means a better data match.  Both kernels
+broadcast over leading axes, so one node, a whole fleet and a batch of
+paired training rows all go through the same code.  The scalar
+``overlap_mismatch`` is the per-dimension reference the kernel reproduces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .complexity import quasi_arithmetic_mean
-
 __all__ = [
-    "IntervalVector",
     "confidence_intervals",
     "interval_intersection_length",
     "overlap_mismatch",
-    "relevance",
     "relevance_batch",
 ]
 
 
-@dataclass(frozen=True)
-class IntervalVector:
-    """L (lo, hi) interval rows with lo <= hi everywhere."""
+def confidence_intervals(means, spreads, cardinality, z: float) -> np.ndarray:
+    """Per-dimension intervals (mean - z*spread/n, mean + z*spread/n).
 
-    intervals: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.intervals, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"expected shape (L, 2), got {arr.shape}")
-        if np.any(arr[:, 0] > arr[:, 1]):
-            raise ValueError("interval lower bounds must not exceed upper bounds")
-        object.__setattr__(self, "intervals", arr)
-
-    def __len__(self) -> int:
-        return self.intervals.shape[0]
-
-
-def _as_intervals(x) -> np.ndarray:
-    arr = getattr(x, "intervals", x)
-    return np.asarray(arr, dtype=float)
-
-
-def confidence_intervals(digest, z: float, denominator: str = "n") -> IntervalVector:
-    """Per-dimension interval (mean - z*spread/d, mean + z*spread/d).
-
-    ``denominator`` selects d: the digest cardinality itself ("n", the
-    default) or its square root ("sqrt_n").
+    ``means`` and ``spreads`` are (..., L); ``cardinality`` is a scalar or
+    one value per leading index.  Returns a (..., L, 2) array.
     """
     if z <= 0:
         raise ValueError(f"z must be positive, got {z}")
-    means = np.asarray(digest.means, dtype=float)
-    spreads = np.asarray(digest.spreads, dtype=float)
-    if denominator == "n":
-        d = float(digest.cardinality)
-    elif denominator == "sqrt_n":
-        d = float(np.sqrt(digest.cardinality))
-    else:
-        raise ValueError(f"denominator must be 'n' or 'sqrt_n', got {denominator!r}")
-    half = z * spreads / d
-    return IntervalVector(np.stack([means - half, means + half], axis=1))
+    means = np.asarray(means, dtype=float)
+    half = z * np.asarray(spreads, dtype=float) / np.asarray(cardinality)[..., None]
+    return np.stack([means - half, means + half], axis=-1)
 
 
 def interval_intersection_length(a, b) -> float:
@@ -93,7 +60,7 @@ def overlap_mismatch(a, b) -> float:
 
 
 def _mismatch_matrix(w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Vectorised overlap_mismatch; w is (L, 2), f is (..., L, 2)."""
+    """Vectorised overlap_mismatch over broadcast (..., L, 2) operands."""
     lo = np.maximum(w[..., 0], f[..., 0])
     hi = np.minimum(w[..., 1], f[..., 1])
     inter = np.maximum(hi - lo, 0.0)
@@ -107,46 +74,22 @@ def _mismatch_matrix(w: np.ndarray, f: np.ndarray) -> np.ndarray:
     return psi
 
 
-def relevance(constraints, intervals, alpha: float) -> float:
-    """Aggregate per-dimension mismatches into a relevance value in [0, 1].
+def relevance_batch(constraints, intervals, alpha: float) -> np.ndarray:
+    """Relevance in [0, 1] of constraint intervals against data intervals.
 
-    Lower is better: 0 means every constraint interval is matched by the
-    node's data intervals.
+    Both operands are (..., L, 2) and broadcast against each other: one
+    query against (N, L, 2) node intervals gives N values, (N, L, 2) paired
+    rows give one value per row.  The per-dimension mismatches aggregate
+    with the power mean of exponent ``alpha``; lower is better, 0 meaning
+    every constraint interval is matched by the data.
     """
-    w = _as_intervals(constraints)
-    f = _as_intervals(intervals)
-    if w.shape != f.shape:
+    if alpha == 0:
+        raise ValueError("alpha must be non-zero")
+    w = np.asarray(getattr(constraints, "intervals", constraints), dtype=float)
+    f = np.asarray(intervals, dtype=float)
+    if w.shape[-2:] != f.shape[-2:] or w.shape[-1] != 2:
         raise ValueError(f"dimensionality mismatch: {w.shape} vs {f.shape}")
     psis = _mismatch_matrix(w, f)
-    return min(1.0, quasi_arithmetic_mean(psis, alpha))
-
-
-def relevance_batch(constraints, interval_batch: np.ndarray, alpha: float) -> np.ndarray:
-    """Relevance of one query against many nodes; interval_batch is (N, L, 2)."""
-    if alpha == 0:
-        raise ValueError("alpha must be non-zero")
-    w = _as_intervals(constraints)
-    f = np.asarray(interval_batch, dtype=float)
-    if f.ndim != 3 or f.shape[1:] != w.shape:
-        raise ValueError(f"expected interval batch of shape (N, {w.shape[0]}, 2), got {f.shape}")
-    return _aggregate(_mismatch_matrix(w[None, :, :], f), alpha)
-
-
-def relevance_pairs(constraint_batch: np.ndarray, interval_batch: np.ndarray, alpha: float) -> np.ndarray:
-    """Row-wise relevance for matched (constraints, intervals) pairs.
-
-    Both inputs are (N, L, 2); row i's constraints meet row i's intervals.
-    """
-    if alpha == 0:
-        raise ValueError("alpha must be non-zero")
-    w = np.asarray(constraint_batch, dtype=float)
-    f = np.asarray(interval_batch, dtype=float)
-    if w.shape != f.shape or w.ndim != 3:
-        raise ValueError(f"expected matching (N, L, 2) batches, got {w.shape} and {f.shape}")
-    return _aggregate(_mismatch_matrix(w, f), alpha)
-
-
-def _aggregate(psis: np.ndarray, alpha: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         vals = np.mean(np.power(psis, alpha), axis=-1) ** (1.0 / alpha)
     return np.minimum(vals, 1.0)

@@ -1,4 +1,4 @@
-"""Workload simulation: scenarios, traces, training data and the run loop.
+"""Workload simulation: scenarios, traces, training data and the decision path.
 
 A scenario bundles N simulated nodes (each with its own dataset digest and
 speed), a stream of analytics queries, and one load value per node per
@@ -7,27 +7,35 @@ epoch.  Loads either replay a synthetic or ingested utilisation trace
 reproducible from (config, seed): each component draws from its own child
 stream, and query generation is independent of N so sweeps over the node
 count face the same workload.
+
+Every allocation goes through one path.  A node table (ids, speeds,
+confidence intervals, queue capacities) is built once per run;
+``_decide_query`` then classifies the statement, fills the (N, 5) feature
+matrix (complexity, deadline, relevance, load, speed) and hands it to
+``decide_from_features``.  ``simulate_run`` calls it once per query and
+``ova_allocate`` once over a one-off table at the nodes' current loads.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .allocator import AllocationDecision, EnsembleBundle, FusionScheme, decide_from_features, select_top_k
+from .allocator import AllocationDecision, EnsembleBundle, FusionScheme, decide_from_features
 from .complexity import ComplexityClassifier, TrainingQueryCorpus, DEFAULT_CLASSES
 from .core import DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar
 from .errors import ConfigError, DataError
 from .learners import LabeledDataset
 from .metrics import QueryRecord, RunResult
-from .relevance import relevance_batch, relevance_pairs
+from .relevance import confidence_intervals, relevance_batch
 
 __all__ = [
     "ScenarioConfig",
@@ -40,6 +48,7 @@ __all__ = [
     "ingest_utilization_trace",
     "apply_allocation",
     "synthesize_training_set",
+    "ova_allocate",
     "simulate_run",
     "save_scenario",
     "load_scenario",
@@ -141,24 +150,6 @@ class Scenario:
 
     def loads_at(self, epoch: int) -> np.ndarray:
         return self.load_series[epoch % self.load_series.shape[0]]
-
-    def node_arrays(self) -> dict:
-        n = len(self.nodes)
-        dims = self.config.dims
-        means = np.empty((n, dims))
-        spreads = np.empty((n, dims))
-        cards = np.empty(n, dtype=int)
-        for i, node in enumerate(self.nodes):
-            means[i] = node.digest.means
-            spreads[i] = node.digest.spreads
-            cards[i] = node.digest.cardinality
-        return {
-            "ids": np.array([node.node_id for node in self.nodes], dtype=int),
-            "speeds": np.array([node.speed for node in self.nodes]),
-            "means": means,
-            "spreads": spreads,
-            "cards": cards,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +450,11 @@ def ingest_utilization_trace(path, n_nodes: int, column: Optional[str] = None) -
     """Read a delimited utilisation trace and split it round-robin over nodes.
 
     The file needs a header; ``column`` picks the utilisation column by name
-    (default: the second column).  Values above 1 anywhere mark the column
-    as percentages and the whole series is divided by 100; everything is
-    clamped to [0, 1].  Node i receives values[i::n_nodes], replayed
-    cyclically when the simulation outlasts the series.
+    (default: the second column).  Every value must be a finite number.
+    Values above 1 anywhere mark the column as percentages and the whole
+    series is divided by 100 (the choice is logged); everything is clamped
+    to [0, 1].  Node i receives values[i::n_nodes], replayed cyclically when
+    the simulation outlasts the series.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
@@ -493,17 +485,25 @@ def ingest_utilization_trace(path, n_nodes: int, column: Optional[str] = None) -
             if col_idx >= len(row):
                 raise DataError(f"{path}:{lineno}: row has no column {col_idx + 1}")
             try:
-                values.append(float(row[col_idx]))
+                value = float(row[col_idx])
             except ValueError:
+                value = math.nan  # reported below, with the non-finite values
+            if not math.isfinite(value):
                 raise DataError(
-                    f"{path}:{lineno}: cannot parse utilisation value {row[col_idx]!r}"
-                ) from None
+                    f"{path}:{lineno}: utilisation value {row[col_idx]!r} is not a finite number"
+                )
+            values.append(value)
     if len(values) < n_nodes:
         raise DataError(f"{path}: trace has {len(values)} rows, need at least {n_nodes}")
     arr = np.asarray(values, dtype=float)
     if np.any(arr < 0):
         raise DataError(f"{path}: utilisation values must be non-negative")
-    if arr.max() > 1.0:
+    percent = arr.max() > 1.0
+    log.info(
+        "trace %s: column %d read as %s (max value %g)",
+        path, col_idx + 1, "percent" if percent else "fractions", arr.max(),
+    )
+    if percent:
         arr = arr / 100.0
     arr = np.clip(arr, 0.0, 1.0)
     return [arr[i::n_nodes] for i in range(n_nodes)]
@@ -514,29 +514,18 @@ def ingest_utilization_trace(path, n_nodes: int, column: Optional[str] = None) -
 # ---------------------------------------------------------------------------
 
 
-def apply_allocation(
-    nodes: Sequence[NodeState],
-    decision: AllocationDecision,
-    k: int = 1,
-    service_rate: float = 5.0,
-    query_id: Optional[str] = None,
-) -> None:
-    """Advance one epoch of queue dynamics in place.
+def apply_allocation(occupancy, capacity, drain, selected) -> np.ndarray:
+    """Advance one epoch of queue dynamics in place; returns the new loads.
 
-    The k selected nodes each enqueue the query (arrivals beyond capacity
-    are dropped, load saturates at 1), then every node completes
-    floor(speed * service_rate) queued queries.
+    ``occupancy``, ``capacity`` and ``drain`` hold one integer per node.
+    Each position in ``selected`` takes one arrival unless its queue is full
+    (the arrival is dropped), then every node completes min(drain,
+    occupancy) queued queries.  Loads are occupancy / capacity.
     """
-    by_id = {node.node_id: node for node in nodes}
-    for node_id in select_top_k(decision, k):
-        node = by_id[node_id]
-        if len(node.queue) < node.queue_capacity:
-            node.queue.append(query_id if query_id is not None else f"anon-{node_id}")
-    for node in nodes:
-        completed = int(np.floor(node.speed * service_rate))
-        for _ in range(min(completed, len(node.queue))):
-            node.queue.popleft()
-        node.sync_load_from_queue()
+    picked = np.asarray(selected, dtype=np.intp)
+    occupancy[picked] += occupancy[picked] < capacity[picked]
+    occupancy -= np.minimum(drain, occupancy)
+    return occupancy / capacity
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +567,10 @@ def synthesize_training_set(
         count = stop - start
         centers = _draw_centers(rng, cfg, (count, cfg.dims))
         samples = _draw_values_around(rng, cfg, centers, cfg.digest_sample_size)
-        means = samples.mean(axis=-1)
-        spreads = samples.std(axis=-1)
-        half = cfg.z * spreads / cfg.digest_cardinality
-        ci = np.stack([means - half, means + half], axis=-1)
-        relevances[start:stop] = relevance_pairs(bounds[start:stop], ci, cfg.alpha)
+        ci = confidence_intervals(
+            samples.mean(axis=-1), samples.std(axis=-1), cfg.digest_cardinality, cfg.z
+        )
+        relevances[start:stop] = relevance_batch(bounds[start:stop], ci, cfg.alpha)
 
     labels = policy.label(relevances, loads, speeds)
     positives = int(labels.sum())
@@ -603,8 +591,87 @@ def synthesize_training_set(
 
 
 # ---------------------------------------------------------------------------
-# simulation loop
+# the decision path and the simulation loop
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _NodeTable:
+    """Per-node arrays a run reads on every decision, in node order."""
+
+    ids: np.ndarray
+    speeds: np.ndarray
+    intervals: np.ndarray  # (N, L, 2) confidence intervals
+    capacity: np.ndarray  # queue capacities, int64
+
+
+def _node_table(nodes: Sequence[NodeState], z: float) -> _NodeTable:
+    if len(nodes) == 0:
+        raise ValueError("node list must be non-empty")
+    return _NodeTable(
+        ids=np.array([node.node_id for node in nodes], dtype=int),
+        speeds=np.array([node.speed for node in nodes], dtype=float),
+        intervals=confidence_intervals(
+            np.stack([node.digest.means for node in nodes]),
+            np.stack([node.digest.spreads for node in nodes]),
+            np.array([node.digest.cardinality for node in nodes]),
+            z,
+        ),
+        capacity=np.array([node.queue_capacity for node in nodes], dtype=np.int64),
+    )
+
+
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ConfigError(f"k must be in [1, {n}], got {k}")
+
+
+def _decide_query(
+    query: Query,
+    table: _NodeTable,
+    loads: np.ndarray,
+    bundle: EnsembleBundle,
+    scheme: FusionScheme,
+    classifier,
+    alpha: float,
+    k: int,
+) -> AllocationDecision:
+    """One decision: classify, fill the (N, 5) feature matrix, vote.
+
+    The decision time covers all of it, from classification to the vote.
+    """
+    started = time.perf_counter()
+    vector, _ = classifier.classify_statement(query.statement)
+    features = np.empty((len(table.ids), 5))
+    features[:, 0] = complexity_scalar(vector)
+    features[:, 1] = query.deadline
+    features[:, 2] = relevance_batch(query.constraints, table.intervals, alpha)
+    features[:, 3] = loads
+    features[:, 4] = table.speeds
+    return decide_from_features(
+        features, table.ids, loads, table.speeds, bundle, scheme, k=k, started=started
+    )
+
+
+def ova_allocate(
+    query: Query,
+    nodes: Sequence[NodeState],
+    bundle: EnsembleBundle,
+    scheme: FusionScheme,
+    fcp,
+    *,
+    alpha: float = 1.0,
+    z: float = 1.28,
+    k: int = 1,
+) -> AllocationDecision:
+    """Allocate one query across a node snapshot at the nodes' current loads.
+
+    Makes the same decision ``simulate_run`` makes for the same loads.
+    """
+    table = _node_table(nodes, z)
+    _check_k(k, len(nodes))
+    loads = np.array([node.load for node in nodes], dtype=float)
+    return _decide_query(query, table, loads, bundle, scheme, fcp, alpha, k)
 
 
 def simulate_run(
@@ -617,23 +684,19 @@ def simulate_run(
     """Allocate every query of the scenario in order and record the metrics.
 
     Under trace replay the per-epoch loads come from the load series; under
-    queue dynamics they evolve from arrivals and completions.  Deterministic
-    apart from the measured decision times.
+    queue dynamics they evolve from arrivals and completions in an occupancy
+    array that starts empty, and the scenario's nodes are left untouched.
+    Deterministic apart from the measured decision times.
     """
     cfg = scenario.config
     scheme = FusionScheme.parse(scheme)
-    arrays = scenario.node_arrays()
-    half = cfg.z * arrays["spreads"] / arrays["cards"][:, None]
-    cis = np.stack([arrays["means"] - half, arrays["means"] + half], axis=-1)
-    speeds = arrays["speeds"]
-    ids = arrays["ids"]
-    pos_of = {int(node_id): pos for pos, node_id in enumerate(ids)}
-    n = len(ids)
+    table = _node_table(scenario.nodes, cfg.z)
+    _check_k(k, len(table.ids))
+    pos_of = {int(node_id): pos for pos, node_id in enumerate(table.ids)}
     replay = cfg.load_mode == "trace_replay"
-    if not replay:
-        for node in scenario.nodes:
-            node.queue.clear()
-            node.sync_load_from_queue()
+    occupancy = np.zeros(len(table.ids), dtype=np.int64)
+    drain = np.floor(table.speeds * cfg.service_rate).astype(np.int64)
+    loads = occupancy / table.capacity
 
     result = RunResult(
         scheme=scheme.value,
@@ -642,38 +705,23 @@ def simulate_run(
         seed=cfg.seed,
         meta={"dims": cfg.dims, "alpha": cfg.alpha, "z": cfg.z, "k": k},
     )
-    features = np.empty((n, 5))
     for t, query in enumerate(scenario.queries):
         if replay:
             loads = scenario.loads_at(t)
-        else:
-            loads = np.array([node.load for node in scenario.nodes])
-
-        started = time.perf_counter()
-        vector, _ = classifier.classify_statement(query.statement)
-        features[:, 0] = complexity_scalar(vector)
-        features[:, 1] = query.deadline
-        features[:, 2] = relevance_batch(query.constraints, cis, cfg.alpha)
-        features[:, 3] = loads
-        features[:, 4] = speeds
-        decision = decide_from_features(
-            features, ids, loads, speeds, bundle, scheme, k=k, started=started
-        )
-
-        chosen = pos_of[decision.selected[0]]
+        decision = _decide_query(query, table, loads, bundle, scheme, classifier, cfg.alpha, k)
+        picked = [pos_of[node_id] for node_id in decision.selected]
+        chosen = picked[0]
         result.records.append(
             QueryRecord(
                 query_index=t,
                 decision_ms=decision.decision_ms,
-                selected_node=int(ids[chosen]),
+                selected_node=int(table.ids[chosen]),
                 load_selected=float(loads[chosen]),
-                speed_selected=float(speeds[chosen]),
+                speed_selected=float(table.speeds[chosen]),
                 load_min=float(loads.min()),
-                speed_max=float(speeds.max()),
+                speed_max=float(table.speeds.max()),
             )
         )
         if not replay:
-            apply_allocation(
-                scenario.nodes, decision, k=k, service_rate=cfg.service_rate, query_id=query.id
-            )
+            loads = apply_allocation(occupancy, table.capacity, drain, picked)
     return result

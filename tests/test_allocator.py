@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from edgealloc.allocator import (
-    AllocationDecision,
     EnsembleBundle,
     FusionScheme,
     decide_from_features,
     fuse,
     fuse_batch,
-    ova_allocate,
     rank_nodes,
-    select_top_k,
     tally_votes,
 )
 from edgealloc.complexity import ComplexityVector
 from edgealloc.core import DatasetDigest, NodeState, Query, QueryConstraints
+from edgealloc.errors import ConfigError
+from edgealloc.simulator import ova_allocate
 
 
 class FixedLabelModel:
@@ -201,37 +200,29 @@ def test_deterministic_given_snapshot():
 # ---------------------------------------------------------------------------
 
 
-def _decision(votes, loads):
-    n = len(votes)
-    return AllocationDecision(
-        node_ids=np.arange(n),
-        fused_labels=np.zeros(n, dtype=int),
-        votes=np.asarray(votes),
-        loads=np.asarray(loads, dtype=float),
-        speeds=np.full(n, 0.5),
-        selected=(int(np.argmax(votes)),),
-        decision_ms=0.01,
+def top_k(labels, loads, k):
+    decision = ova_allocate(
+        make_query(), make_nodes(loads), bundle_for(labels), FusionScheme.CS, StubClassifier(), k=k
     )
+    return list(decision.selected)
 
 
 def test_top_k_ordering_rule():
-    decision = _decision([3, 1, 1], [0.9, 0.2, 0.4])
-    assert select_top_k(decision, 1) == [0]
-    assert select_top_k(decision, 2) == [0, 1]
-    assert select_top_k(decision, 3) == [0, 1, 2]
+    # votes [3, 1, 1]: the positive node first, then the rest by load
+    assert top_k([1, 0, 0], [0.9, 0.2, 0.4], 1) == [0]
+    assert top_k([1, 0, 0], [0.9, 0.2, 0.4], 2) == [0, 1]
+    assert top_k([1, 0, 0], [0.9, 0.2, 0.4], 3) == [0, 1, 2]
 
 
 def test_top_k_equals_n_returns_all_ordered():
-    decision = _decision([1, 1, 1, 1], [0.4, 0.1, 0.3, 0.2])
-    assert select_top_k(decision, 4) == [1, 3, 2, 0]
+    assert top_k([1, 1, 1, 1], [0.4, 0.1, 0.3, 0.2], 4) == [1, 3, 2, 0]
 
 
 def test_top_k_bounds_checked():
-    decision = _decision([1, 1], [0.1, 0.2])
-    with pytest.raises(ValueError):
-        select_top_k(decision, 0)
-    with pytest.raises(ValueError):
-        select_top_k(decision, 3)
+    with pytest.raises(ConfigError):
+        top_k([1, 1], [0.1, 0.2], 0)
+    with pytest.raises(ConfigError):
+        top_k([1, 1], [0.1, 0.2], 3)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,9 @@ def test_allocate_top_k_returns_ordered_ids(runner, tmp_path):
     payload = json.loads(result.output)
     assert len(payload["selected"]) == 2
     assert len(set(payload["selected"])) == 2
+    result = runner.invoke(main, ["allocate", "--config", str(config), "--k", "0"])
+    assert result.exit_code == 2
+    assert "k must be in" in result.output
 
 
 def test_allocate_schemes_can_differ(runner, tmp_path):

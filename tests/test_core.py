@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
+from edgealloc.allocator import EnsembleBundle, FusionScheme
 from edgealloc.complexity import ComplexityVector
-from edgealloc.core import (
-    ContextVector,
-    DatasetDigest,
-    NodeState,
-    Query,
-    QueryConstraints,
-    TrainingTuple,
-    build_context_vectors,
-    complexity_scalar,
-)
+from edgealloc.core import DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar
+from edgealloc.simulator import apply_allocation, ova_allocate
 
 
 class StubClassifier:
@@ -50,56 +43,70 @@ def test_complexity_scalar_scales_with_winning_class():
     assert complexity_scalar(ComplexityVector((0.1, 0.2, 0.9))) == pytest.approx(0.9)
 
 
+class RecordingModel:
+    """Labels every node positive and keeps the feature matrix it was shown."""
+
+    n_features = 5
+
+    def __init__(self):
+        self.seen = []
+
+    def predict_batch(self, x):
+        self.seen.append(np.array(x))
+        return np.ones(x.shape[0], dtype=int)
+
+
+def features_shown(query, nodes, classifier, alpha, z):
+    """The (N, 5) matrix ova_allocate hands to the ensembles."""
+    model = RecordingModel()
+    ova_allocate(query, nodes, EnsembleBundle(model, model, model), FusionScheme.CS, classifier, alpha=alpha, z=z)
+    assert len(model.seen) == 3
+    assert all(np.array_equal(m, model.seen[0]) for m in model.seen)
+    return model.seen[0]
+
+
 def test_context_vector_field_assembly():
     # one dimension fully mismatched out of five gives relevance 0.2
     query = make_query([[0.0, 0.2]] * 4 + [[0.8, 0.9]], deadline=5.0)
     node = make_node(0, [0.1, 0.1, 0.1, 0.1, 0.1], load=0.1, speed=0.9, spread=0.0)
-    (ctx,) = build_context_vectors(query, [node], StubClassifier((0.8, 0.2, 0.1)), alpha=1.0, z=1.0)
-    assert ctx.complexity == pytest.approx(0.8 / 3)
-    assert ctx.deadline == 5.0
-    assert ctx.relevance == pytest.approx(0.2)
-    assert ctx.load == 0.1
-    assert ctx.speed == 0.9
+    (row,) = features_shown(query, [node], StubClassifier((0.8, 0.2, 0.1)), alpha=1.0, z=1.0)
+    complexity, deadline, relevance, load, speed = row
+    assert complexity == pytest.approx(0.8 / 3)
+    assert deadline == 5.0
+    assert relevance == pytest.approx(0.2)
+    assert load == 0.1
+    assert speed == 0.9
 
 
 def test_one_vector_per_node_with_shared_query_fields():
     query = make_query([[0.0, 1.0], [0.0, 1.0]])
     nodes = [make_node(i, [0.5, 0.5], load=0.1 * i, speed=1.0 - 0.1 * i) for i in range(4)]
-    vectors = build_context_vectors(query, nodes, StubClassifier(), alpha=1.0, z=1.28)
-    assert len(vectors) == 4
-    assert len({v.complexity for v in vectors}) == 1
-    assert len({v.deadline for v in vectors}) == 1
-    assert [v.load for v in vectors] == pytest.approx([0.0, 0.1, 0.2, 0.3])
+    x = features_shown(query, nodes, StubClassifier(), alpha=1.0, z=1.28)
+    assert x.shape == (4, 5)
+    assert len(set(x[:, 0])) == 1
+    assert len(set(x[:, 1])) == 1
+    assert x[:, 3] == pytest.approx([0.0, 0.1, 0.2, 0.3])
 
 
 def test_identical_digests_give_identical_relevance():
     query = make_query([[0.2, 0.6], [0.1, 0.9]])
     nodes = [make_node(i, [0.4, 0.5], load=0.2 * i, speed=0.5) for i in range(3)]
-    vectors = build_context_vectors(query, nodes, StubClassifier(), alpha=1.0, z=1.28)
-    assert len({v.relevance for v in vectors}) == 1
-    assert len({(v.load, v.speed) for v in vectors}) == 3
+    x = features_shown(query, nodes, StubClassifier(), alpha=1.0, z=1.28)
+    assert len(set(x[:, 2])) == 1
+    assert len({(row[3], row[4]) for row in x}) == 3
 
 
 def test_empty_node_list_rejected():
     query = make_query([[0.0, 1.0]])
     with pytest.raises(ValueError):
-        build_context_vectors(query, [], StubClassifier(), alpha=1.0, z=1.0)
+        features_shown(query, [], StubClassifier(), alpha=1.0, z=1.0)
 
 
 def test_dimension_mismatch_rejected():
     query = make_query([[0.0, 1.0], [0.0, 1.0]])
     node = make_node(0, [0.5])  # one-dimensional digest
     with pytest.raises(ValueError):
-        build_context_vectors(query, [node], StubClassifier(), alpha=1.0, z=1.0)
-
-
-def test_all_components_validated():
-    with pytest.raises(ValueError):
-        ContextVector(complexity=1.2, deadline=1.0, relevance=0.5, load=0.5, speed=0.5)
-    with pytest.raises(ValueError):
-        ContextVector(complexity=0.5, deadline=-1.0, relevance=0.5, load=0.5, speed=0.5)
-    with pytest.raises(ValueError):
-        ContextVector(complexity=0.5, deadline=1.0, relevance=0.5, load=float("nan"), speed=0.5)
+        features_shown(query, [node], StubClassifier(), alpha=1.0, z=1.0)
 
 
 def test_query_validation():
@@ -111,17 +118,9 @@ def test_query_validation():
         QueryConstraints(np.array([[1.0, 0.0]]))
 
 
-def test_training_tuple_label_domain():
-    ctx = ContextVector(complexity=0.5, deadline=1.0, relevance=0.5, load=0.5, speed=0.5)
-    assert TrainingTuple(context=ctx, label=1).label == 1
-    with pytest.raises(ValueError):
-        TrainingTuple(context=ctx, label=2)
-
-
 def test_node_state_validation_and_queue_sync():
-    node = make_node(0, [0.5])
-    node.queue.extend(["a", "b", "c"])
-    node.sync_load_from_queue()
-    assert node.load == pytest.approx(3 / 100)
+    # a run's loads mirror queue occupancy / capacity
+    loads = apply_allocation(np.array([3, 0]), np.array([100, 10]), np.array([0, 0]), [])
+    assert loads.tolist() == [3 / 100, 0.0]
     with pytest.raises(ValueError):
         NodeState(node_id=1, load=1.5, speed=0.5, digest=make_digest([0.5]))

@@ -12,7 +12,6 @@ from edgealloc.learners import (
     bootstrap_indices,
     load_bundle,
     model_from_dict,
-    predict,
     save_bundle,
     train_adaboost,
     train_bagging,
@@ -81,7 +80,7 @@ def test_single_class_data_degrades_to_constant_with_warning():
     with pytest.warns(UserWarning, match="single class"):
         model = train_base(BaseLearnerSpec(kind="cart_tree"), data, seed=0)
     assert isinstance(model, ConstantModel)
-    assert model.predict([9.0, 9.0]) == 1
+    assert model.predict_batch(np.array([[9.0, 9.0]])).tolist() == [1]
 
 
 def test_gaussian_nb_learns_shifted_clusters():
@@ -104,17 +103,18 @@ def test_random_tree_deterministic_given_seed():
 def test_predict_contract():
     data = separable_2d()
     model = train_base(BaseLearnerSpec(kind="logistic"), data, seed=0)
-    label, proba = predict(model, data.features[0])
-    assert label in (0, 1)
-    assert 0.0 <= proba <= 1.0
-    assert label == (1 if proba >= 0.5 else 0)
+    labels = model.predict_batch(data.features)
+    probas = model.predict_proba_batch(data.features)
+    assert set(labels.tolist()) <= {0, 1}
+    assert np.all((0.0 <= probas) & (probas <= 1.0))
+    assert labels.tolist() == (probas >= 0.5).astype(int).tolist()
 
 
 def test_predict_rejects_arity_mismatch():
     data = separable_2d()
     model = train_base(BaseLearnerSpec(kind="cart_tree"), data, seed=0)
     with pytest.raises(ValueError, match="arity"):
-        model.predict([0.1, 0.2, 0.3])
+        model.predict_batch(np.array([[0.1, 0.2, 0.3]]))
 
 
 def test_probabilities_always_in_unit_interval():
@@ -136,13 +136,6 @@ def test_adaboost_single_round_equals_base_learner():
     boosted = train_adaboost(data, rounds=1, spec=spec, seed=0)
     base = boosted.members[0]
     assert (boosted.predict_batch(data.features) == base.predict_batch(data.features)).all()
-
-
-def test_adaboost_weight_sums_stay_normalised():
-    data = banded_1d()
-    model = train_adaboost(data, rounds=8, spec=BaseLearnerSpec(kind="cart_tree", max_depth=1), seed=0)
-    for s in model.training_weight_sums:
-        assert s == pytest.approx(1.0, abs=1e-9)
 
 
 def test_adaboost_stumps_beat_single_stump_on_banded_set():
@@ -208,9 +201,9 @@ def test_bagging_majority_vote_and_tie_break():
     from edgealloc.learners import BaggingModel
 
     majority = BaggingModel([Fixed(1), Fixed(1), Fixed(0)], n_features=1)
-    assert majority.predict([0.5]) == 1
+    assert majority.predict_batch(np.array([[0.5]])).tolist() == [1]
     tie = BaggingModel([Fixed(1), Fixed(0)], n_features=1)
-    assert tie.predict([0.5]) == 1  # ties resolve to the positive class
+    assert tie.predict_batch(np.array([[0.5]])).tolist() == [1]  # ties resolve to the positive class
 
 
 # ---------------------------------------------------------------------------

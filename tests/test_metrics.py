@@ -8,7 +8,6 @@ from edgealloc.metrics import (
     QueryRecord,
     RunResult,
     allocation_throughput,
-    classification_accuracy,
     density_estimate,
     emit_results,
     optimality_gaps,
@@ -32,26 +31,6 @@ def run_with(records, scheme="cs", dist="uniform", n=10, seed=0):
     r = RunResult(scheme=scheme, distribution=dist, n_nodes=n, seed=seed)
     r.records.extend(records)
     return r
-
-
-# ---------------------------------------------------------------------------
-# accuracy
-# ---------------------------------------------------------------------------
-
-
-def test_accuracy_all_correct_and_all_wrong():
-    assert classification_accuracy([(1, 1)] * 5) == 1.0
-    assert classification_accuracy([(0, 1)] * 10) == 0.0
-
-
-def test_accuracy_partial():
-    pairs = [(1, 1)] * 55 + [(0, 1)] * 45
-    assert classification_accuracy(pairs) == pytest.approx(0.55)
-
-
-def test_accuracy_rejects_empty():
-    with pytest.raises(ValueError):
-        classification_accuracy([])
 
 
 # ---------------------------------------------------------------------------

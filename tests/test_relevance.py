@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgealloc.core import DatasetDigest, QueryConstraints
+from edgealloc.core import QueryConstraints
 from edgealloc.relevance import (
-    IntervalVector,
     confidence_intervals,
     interval_intersection_length,
     overlap_mismatch,
-    relevance,
     relevance_batch,
 )
 
@@ -24,15 +22,26 @@ def interval(lo, hi):
 
 
 def test_confidence_interval_from_digest():
-    digest = DatasetDigest(means=np.array([5.0]), spreads=np.array([10.0]), cardinality=10)
-    civ = confidence_intervals(digest, z=1.0)
-    assert civ.intervals[0] == pytest.approx([4.0, 6.0])
+    civ = confidence_intervals(np.array([5.0]), np.array([10.0]), 10, z=1.0)
+    assert civ.shape == (1, 2)
+    assert civ[0] == pytest.approx([4.0, 6.0])
+
+
+def test_confidence_intervals_broadcast_over_nodes():
+    # one cardinality per node; rows match the per-node computation
+    means = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    spreads = np.array([[4.0, 8.0], [2.0, 0.0], [1.0, 3.0]])
+    cards = np.array([4, 2, 10])
+    civ = confidence_intervals(means, spreads, cards, z=2.0)
+    assert civ.shape == (3, 2, 2)
+    for i in range(3):
+        assert np.array_equal(civ[i], confidence_intervals(means[i], spreads[i], cards[i], z=2.0))
+    assert civ[0, 1].tolist() == [-3.0, 5.0]
 
 
 def test_zero_spread_gives_degenerate_interval():
-    digest = DatasetDigest(means=np.array([2.5]), spreads=np.array([0.0]), cardinality=100)
-    civ = confidence_intervals(digest, z=1.96)
-    assert civ.intervals[0][0] == civ.intervals[0][1] == 2.5
+    civ = confidence_intervals(np.array([2.5]), np.array([0.0]), 100, z=1.96)
+    assert civ[0][0] == civ[0][1] == 2.5
 
 
 def test_z_for_eighty_percent_mass():
@@ -42,19 +51,6 @@ def test_z_for_eighty_percent_mass():
 
     mass = math.erf(1.28 / math.sqrt(2))
     assert mass == pytest.approx(0.80, abs=0.005)
-
-
-def test_sqrt_denominator_switch():
-    digest = DatasetDigest(means=np.array([0.0]), spreads=np.array([4.0]), cardinality=16)
-    narrow = confidence_intervals(digest, z=1.0, denominator="n")
-    wide = confidence_intervals(digest, z=1.0, denominator="sqrt_n")
-    assert narrow.intervals[0][1] == pytest.approx(0.25)
-    assert wide.intervals[0][1] == pytest.approx(1.0)
-
-
-def test_interval_vector_validates_bounds():
-    with pytest.raises(ValueError):
-        IntervalVector(np.array([[1.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -109,28 +105,28 @@ def test_mismatch_symmetric_and_bounded(a1, a2, b1, b2):
 
 def test_relevance_perfect_match_is_zero():
     w = QueryConstraints(np.array([[0.0, 1.0], [2.0, 3.0]]))
-    f = IntervalVector(np.array([[0.0, 1.0], [2.0, 3.0]]))
-    assert relevance(w, f, alpha=1.0) == 0.0
+    f = np.array(np.array([[0.0, 1.0], [2.0, 3.0]]))
+    assert relevance_batch(w, f, alpha=1.0) == 0.0
 
 
 def test_relevance_total_mismatch_is_one():
     w = QueryConstraints(np.array([[0.0, 1.0], [0.0, 1.0]]))
-    f = IntervalVector(np.array([[2.0, 3.0], [5.0, 6.0]]))
-    assert relevance(w, f, alpha=1.0) == 1.0
+    f = np.array(np.array([[2.0, 3.0], [5.0, 6.0]]))
+    assert relevance_batch(w, f, alpha=1.0) == 1.0
 
 
 def test_relevance_mixed_dimensions():
     # dimension mismatches 0.5, 0.0 and 1.0 average to 0.5
     w = QueryConstraints(np.array([[0.0, 2.0], [1.0, 2.0], [0.0, 1.0]]))
-    f = IntervalVector(np.array([[1.0, 3.0], [0.0, 4.0], [5.0, 6.0]]))
-    assert relevance(w, f, alpha=1.0) == pytest.approx(0.5)
+    f = np.array(np.array([[1.0, 3.0], [0.0, 4.0], [5.0, 6.0]]))
+    assert relevance_batch(w, f, alpha=1.0) == pytest.approx(0.5)
 
 
 def test_relevance_rejects_dimension_mismatch():
     w = QueryConstraints(np.array([[0.0, 1.0]]))
-    f = IntervalVector(np.array([[0.0, 1.0], [1.0, 2.0]]))
+    f = np.array(np.array([[0.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(ValueError):
-        relevance(w, f, alpha=1.0)
+        relevance_batch(w, f, alpha=1.0)
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1), min_size=2, max_size=5),
@@ -142,11 +138,17 @@ def test_relevance_monotone_in_each_mismatch(psis, idx, alpha):
     w = QueryConstraints(np.array([[0.0, 1.0]] * len(psis)))
 
     def intervals(values):
-        return IntervalVector(np.array([[m, 1.0 + m] for m in values]))
+        return np.array(np.array([[m, 1.0 + m] for m in values]))
 
     bumped = list(psis)
     bumped[idx] = min(1.0, bumped[idx] + 0.3)
-    assert relevance(w, intervals(bumped), alpha) >= relevance(w, intervals(psis), alpha) - 1e-12
+    assert relevance_batch(w, intervals(bumped), alpha) >= relevance_batch(w, intervals(psis), alpha) - 1e-12
+
+
+def scalar_relevance(w, f, alpha):
+    """Reference: per-dimension overlap_mismatch, then the power mean."""
+    psis = [overlap_mismatch(a, b) for a, b in zip(w, f)]
+    return min(1.0, (sum(p**alpha for p in psis) / len(psis)) ** (1.0 / alpha))
 
 
 def test_relevance_batch_matches_scalar():
@@ -154,5 +156,17 @@ def test_relevance_batch_matches_scalar():
     w = QueryConstraints(np.sort(rng.uniform(0, 1, (4, 2)), axis=1))
     batch = np.sort(rng.uniform(0, 1, (8, 4, 2)), axis=2)
     got = relevance_batch(w, batch, alpha=1.5)
+    assert got.shape == (8,)
     for i in range(8):
-        assert got[i] == pytest.approx(relevance(w, IntervalVector(batch[i]), 1.5))
+        assert got[i] == pytest.approx(scalar_relevance(w.intervals, batch[i], 1.5))
+
+
+def test_relevance_batch_pairs_rows():
+    # (N, L, 2) constraints against (N, L, 2) intervals pair row i with row i
+    rng = np.random.default_rng(1)
+    constraints = np.sort(rng.uniform(0, 1, (6, 3, 2)), axis=2)
+    intervals = np.sort(rng.uniform(0, 1, (6, 3, 2)), axis=2)
+    got = relevance_batch(constraints, intervals, alpha=0.5)
+    assert got.shape == (6,)
+    for i in range(6):
+        assert got[i] == pytest.approx(scalar_relevance(constraints[i], intervals[i], 0.5))

@@ -1,12 +1,16 @@
+import logging
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgealloc.allocator import AllocationDecision
-from edgealloc.core import DatasetDigest, NodeState
+from edgealloc import simulator
+from edgealloc.allocator import decide_from_features
+from edgealloc.bench import LearnerSetup, train_bundle
+from edgealloc.complexity import ComplexityClassifier
 from edgealloc.errors import ConfigError, DataError
 from edgealloc.simulator import (
     LabelingPolicy,
@@ -17,7 +21,9 @@ from edgealloc.simulator import (
     generate_utilization_trace,
     ingest_utilization_trace,
     load_scenario,
+    ova_allocate,
     save_scenario,
+    simulate_run,
     statement_for_class,
     synthesize_training_set,
 )
@@ -150,6 +156,27 @@ def test_unparsable_row_reports_line_number(tmp_path):
         ingest_utilization_trace(path, 1, column="cpu")
 
 
+@pytest.mark.parametrize("rows", [["nan", "0.4", "0.5"], ["0.3", "0.4", "nan", "0.5"], ["0.3", "inf"]])
+def test_non_finite_value_reports_file_and_line(tmp_path, rows):
+    path = tmp_path / "trace.csv"
+    path.write_text("step,cpu\n" + "".join(f"{i},{v}\n" for i, v in enumerate(rows)), encoding="utf-8")
+    bad = next(i for i, v in enumerate(rows) if v in ("nan", "inf"))
+    with pytest.raises(DataError, match=f"trace.csv:{bad + 2}:"):
+        ingest_utilization_trace(path, 1, column="cpu")
+
+
+def test_trace_unit_is_logged(tmp_path, caplog):
+    path = tmp_path / "trace.csv"
+    path.write_text("step,cpu\n0,0.3\n1,0.4\n", encoding="utf-8")
+    with caplog.at_level(logging.INFO, logger="edgealloc.simulator"):
+        ingest_utilization_trace(path, 1, column="cpu")
+        path.write_text("step,cpu\n0,30\n1,40\n", encoding="utf-8")
+        ingest_utilization_trace(path, 1, column="cpu")
+    messages = [r.getMessage() for r in caplog.records]
+    assert "read as fractions" in messages[0]
+    assert "read as percent" in messages[1]
+
+
 def test_generated_trace_is_smooth_and_ingestible(tmp_path):
     path = tmp_path / "trace.csv"
     generate_utilization_trace(path, rows=3000, seed=1)
@@ -166,58 +193,48 @@ def test_generated_trace_is_smooth_and_ingestible(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def make_node(node_id, occupancy, speed, capacity=100):
-    digest = DatasetDigest(means=np.array([0.5]), spreads=np.array([0.1]), cardinality=100)
-    node = NodeState(node_id=node_id, load=0.0, speed=speed, digest=digest, queue_capacity=capacity)
-    node.queue.extend(f"q{i}" for i in range(occupancy))
-    node.sync_load_from_queue()
-    return node
-
-
-def decision_for(nodes, selected):
-    n = len(nodes)
-    return AllocationDecision(
-        node_ids=np.array([node.node_id for node in nodes]),
-        fused_labels=np.zeros(n, dtype=int),
-        votes=np.ones(n, dtype=int) * 2,
-        loads=np.array([node.load for node in nodes]),
-        speeds=np.array([node.speed for node in nodes]),
-        selected=tuple(selected),
-        decision_ms=0.01,
-    )
+def queues(occupancy, speeds, capacity=100, service_rate=5.0):
+    """(occupancy, capacity, drain) arrays for apply_allocation."""
+    occ = np.array(occupancy, dtype=np.int64)
+    cap = np.full(occ.shape, capacity, dtype=np.int64)
+    drain = np.floor(np.asarray(speeds) * service_rate).astype(np.int64)
+    return occ, cap, drain
 
 
 def test_saturated_queue_drops_arrivals():
-    node = make_node(0, occupancy=99, speed=0.0)
-    apply_allocation([node], decision_for([node], [0]), k=1, query_id="new")
-    assert node.load == 1.0
-    apply_allocation([node], decision_for([node], [0]), k=1, query_id="extra")
-    assert node.load == 1.0  # arrival beyond capacity is dropped
+    occ, cap, drain = queues([99], [0.0])
+    assert apply_allocation(occ, cap, drain, [0]).tolist() == [1.0]
+    assert apply_allocation(occ, cap, drain, [0]).tolist() == [1.0]  # arrival beyond capacity is dropped
+    assert occ.tolist() == [100]
 
 
 def test_zero_speed_never_completes():
-    node = make_node(0, occupancy=10, speed=0.0)
-    apply_allocation([node], decision_for([node], [0]), k=1)
-    assert len(node.queue) == 11  # one arrival, zero completions
+    occ, cap, drain = queues([10], [0.0])
+    apply_allocation(occ, cap, drain, [0])
+    assert occ.tolist() == [11]  # one arrival, zero completions
 
 
 def test_service_rate_completions():
-    node = make_node(0, occupancy=10, speed=1.0)
-    nodes = [node, make_node(1, occupancy=0, speed=0.5)]
-    apply_allocation(nodes, decision_for(nodes, [1]), k=1, service_rate=5.0)
-    assert node.load == pytest.approx(0.05)  # 10 - floor(1.0 * 5) = 5
+    occ, cap, drain = queues([10, 0], [1.0, 0.5])
+    loads = apply_allocation(occ, cap, drain, [1])
+    assert loads[0] == pytest.approx(0.05)  # 10 - floor(1.0 * 5) = 5
+    assert occ.tolist() == [5, 0]  # 0 + 1 arrival - min(floor(0.5 * 5), 1)
+
+
+def test_every_selected_position_takes_one_arrival():
+    occ, cap, drain = queues([0, 4, 10, 2], [0.0, 0.0, 0.0, 0.0], capacity=10)
+    loads = apply_allocation(occ, cap, drain, [2, 0, 1])
+    assert occ.tolist() == [1, 5, 10, 2]
+    assert loads.tolist() == [0.1, 0.5, 1.0, 0.2]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.floats(min_value=0, max_value=1)), min_size=1, max_size=60))
 def test_load_never_leaves_unit_interval(events):
-    node = make_node(0, occupancy=5, speed=0.7, capacity=10)
-    other = make_node(1, occupancy=0, speed=0.3, capacity=10)
+    occ, cap, drain = queues([5, 0], [0.7, 0.3], capacity=10)
     for arrives, _ in events:
-        selected = [0] if arrives else [1]
-        apply_allocation([node, other], decision_for([node, other], selected), k=1)
-        assert 0.0 <= node.load <= 1.0
-        assert 0.0 <= other.load <= 1.0
+        loads = apply_allocation(occ, cap, drain, [0] if arrives else [1])
+        assert np.all((0.0 <= loads) & (loads <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -266,3 +283,75 @@ def test_trace_scenario_draws_training_loads_from_trace(tmp_path):
     data = synthesize_training_set(scenario, policy, 400)
     loads = data.features[:, 3]
     assert set(np.round(loads, 2)) <= {0.30, 0.31, 0.32, 0.33, 0.34}
+
+
+# ---------------------------------------------------------------------------
+# the decision path
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A classifier and a bundle trained for the small replay scenario."""
+    config = cfg(n_nodes=8, dims=3, n_queries=60)
+    policy = LabelingPolicy(max_relevance=0.6, max_load=0.5, min_speed=0.0)
+    data = synthesize_training_set(generate_scenario(replace(config, n_nodes=1)), policy, 800)
+    bundle = train_bundle(data, LearnerSetup(training_size=800), seed=config.seed)
+    return config, ComplexityClassifier(generate_query_corpus()), bundle
+
+
+@pytest.mark.parametrize("scheme", ["cs", "mvs"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_ova_allocate_replays_simulate_run(trained, scheme, k, monkeypatch):
+    config, classifier, bundle = trained
+    scenario = generate_scenario(config)
+    decisions = []
+
+    def recording(*args, **kwargs):
+        decisions.append(decide_from_features(*args, **kwargs))
+        return decisions[-1]
+
+    monkeypatch.setattr(simulator, "decide_from_features", recording)
+    result = simulate_run(scenario, bundle, scheme, classifier, k=k)
+    monkeypatch.undo()
+    assert [d.selected[0] for d in decisions] == [r.selected_node for r in result.records]
+
+    replayed = []
+    for t, query in enumerate(scenario.queries):
+        for node, load in zip(scenario.nodes, scenario.loads_at(t)):
+            node.load = float(load)
+        decision = ova_allocate(
+            query, scenario.nodes, bundle, scheme, classifier, alpha=config.alpha, z=config.z, k=k
+        )
+        replayed.append(decision)
+    assert [d.selected for d in replayed] == [d.selected for d in decisions]
+    assert all(len(d.selected) == k for d in replayed)
+    # the vote, not only the load tie-break, decides some of these picks
+    assert any(0 < d.fused_labels.sum() < len(d.node_ids) for d in replayed)
+
+
+@pytest.mark.parametrize("load_mode", ["trace_replay", "queue_dynamics"])
+def test_k_above_node_count_rejected_before_any_decision(trained, load_mode):
+    config, classifier, bundle = trained
+    scenario = generate_scenario(replace(config, n_nodes=5, load_mode=load_mode))
+
+    class Counting:
+        calls = 0
+
+        def classify_statement(self, statement):
+            Counting.calls += 1
+            return classifier.classify_statement(statement)
+
+    with pytest.raises(ConfigError, match="k must be in"):
+        simulate_run(scenario, bundle, "cs", Counting(), k=9)
+    assert Counting.calls == 0
+
+
+def test_queue_run_leaves_nodes_untouched(trained):
+    config, classifier, bundle = trained
+    scenario = generate_scenario(replace(config, load_mode="queue_dynamics", service_rate=0.5))
+    before = [node.load for node in scenario.nodes]
+    result = simulate_run(scenario, bundle, "mvs", classifier, k=2)
+    assert [node.load for node in scenario.nodes] == before
+    assert result.records[0].load_min == 0.0  # queues start empty
+    assert max(r.load_selected for r in result.records) > 0.0
