@@ -1,9 +1,15 @@
 """The decision engine: per-node ensemble fusion plus one-vs-all voting.
 
 ``decide_from_features`` takes the (N, 5) feature matrix of one query
-against N nodes.  The three trained ensembles each label every row; the
-labels fuse under either a conjunctive scheme (all three must agree) or a
-majority scheme (at least two).  Voting then turns the per-node labels into
+against N nodes.  Three trained ensembles label the rows and the labels
+fuse under either a conjunctive scheme (CS: all three must agree) or a
+majority scheme (MVS: at least two).  The ensembles run as a cascade,
+boost then bagging then stacking, each on the rows whose fused label it can
+still change: under CS bagging gets the rows boost called 1 and stacking
+those both called 1 (skipped entries are 0); under MVS stacking gets the
+rows where boost and bagging disagree (skipped entries take their shared
+label).  Each model labels a row from that row alone, so the fused labels
+are those of labelling every row.  Voting then turns the per-node labels into
 a ranking: a positive node votes for itself, a negative node votes for
 everyone else.  Ties resolve by lowest load, then lowest node id, and the
 first k nodes of that single ranking are the picks.  The feature matrix
@@ -104,8 +110,6 @@ class AllocationDecision:
     node_ids: np.ndarray
     fused_labels: np.ndarray
     votes: np.ndarray
-    loads: np.ndarray
-    speeds: np.ndarray
     selected: tuple
     decision_ms: float
 
@@ -122,20 +126,32 @@ def decide_from_features(
     features: np.ndarray,
     node_ids: np.ndarray,
     loads: np.ndarray,
-    speeds: np.ndarray,
     bundle: EnsembleBundle,
     scheme: FusionScheme,
     k: int = 1,
     started: float | None = None,
 ) -> AllocationDecision:
-    """Label, fuse, vote and rank given a prebuilt (N, 5) feature matrix.
+    """Label (cascaded), fuse, vote and rank given a prebuilt (N, 5) feature matrix.
 
     The k picks are the first k positions of the one ranking; the decision
     time runs from ``started`` (default: now) to the end of the ranking.
     """
     if started is None:
         started = time.perf_counter()
-    labels = np.stack([m.predict_batch(features) for m in bundle.models()], axis=1)
+    labels = np.zeros((features.shape[0], 3), dtype=int)
+    labels[:, 0] = bundle.boost.predict_batch(features)
+    if FusionScheme.parse(scheme) is FusionScheme.CS:
+        rows = np.flatnonzero(labels[:, 0])
+        if rows.size:
+            labels[rows, 1] = bundle.bagging.predict_batch(features[rows])
+            rows = rows[labels[rows, 1] == 1]
+    else:
+        labels[:, 1] = bundle.bagging.predict_batch(features)
+        agree = labels[:, 0] == labels[:, 1]
+        labels[agree, 2] = labels[agree, 0]
+        rows = np.flatnonzero(~agree)
+    if rows.size:
+        labels[rows, 2] = bundle.stacking.predict_batch(features[rows])
     fused = fuse_batch(labels, scheme)
     votes = tally_votes(fused)
     order = rank_nodes(votes, loads, node_ids)
@@ -147,8 +163,6 @@ def decide_from_features(
         node_ids=np.asarray(node_ids, dtype=int),
         fused_labels=np.asarray(fused, dtype=int),
         votes=votes,
-        loads=np.asarray(loads, dtype=float),
-        speeds=np.asarray(speeds, dtype=float),
         selected=selected,
         decision_ms=elapsed_ms,
     )

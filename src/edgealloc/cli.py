@@ -7,6 +7,7 @@ Exit codes: 0 on success, 2 for configuration problems, 3 for data problems
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import sys
@@ -200,36 +201,40 @@ _TRAINING_COLUMNS = ("complexity", "deadline", "relevance", "load", "speed", "la
 
 
 def _write_training_csv(path: Path, data: LabeledDataset) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(_TRAINING_COLUMNS)
         for row, label in zip(data.features, data.labels):
             writer.writerow([f"{v:.12f}" for v in row] + [int(label)])
 
 
 def _read_training_csv(path: Path) -> LabeledDataset:
-    import csv as _csv
-
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open training set {path}: {exc}") from exc
     with fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != _TRAINING_COLUMNS:
             raise DataError(f"{path}: unexpected training set header {header}")
-        feats, labels = [], []
+        rows = []
         for row in reader:
             if not row:
                 continue
-            feats.append([float(v) for v in row[:5]])
-            labels.append(int(row[5]))
-    if not feats:
+            try:
+                values = [float(v) for v in row]
+            except ValueError as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+            if len(values) != 6 or not np.isfinite(values).all() or values[5] not in (0.0, 1.0):
+                raise DataError(
+                    f"{path}, line {reader.line_num}: need five finite features and a 0/1 label, got {row}"
+                )
+            rows.append(values)
+    if not rows:
         raise DataError(f"{path}: training set is empty")
-    return LabeledDataset(np.asarray(feats), np.asarray(labels))
+    table = np.asarray(rows)
+    return LabeledDataset(table[:, :5], table[:, 5])
 
 
 @main.command("gen")
@@ -440,9 +445,7 @@ def cmd_bench(config_path, seed, n, trace, trace_column, out, resume) -> None:
     if failures:
         failure_path = out_dir / "failures.csv"
         with open(failure_path, "w", newline="", encoding="utf-8") as fh:
-            import csv as _csv
-
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["cell", "error"])
             writer.writerows(failures)
         click.echo(f"{len(failures)} cells failed -> {failure_path}", err=True)

@@ -171,6 +171,60 @@ def _best_split(x, y, w, feature_ids, min_leaf):
     return best
 
 
+class _CompiledForest:
+    """Level-synchronous evaluator for a batch of trees: the only way a tree
+    is evaluated (a ``TreeModel`` is a forest of one).
+
+    The nodes of all member trees share flat 1-D arrays, tree t's root at
+    position t, so memory grows with the node count, not with 2**depth.  A
+    split's children sit side by side, and one step of a row is ``node =
+    first_child[node] + (not x[feature[node]] <= threshold[node])``, so NaN
+    goes right.  A leaf tests an appended zero column against +inf and is its
+    own first child, so a row that reached it stays while deeper trees finish.
+    Malformed node dicts raise ``DataError`` here, once, when the model is built.
+    """
+
+    def __init__(self, roots: Sequence[dict], n_features: int):
+        nodes = [None] * len(roots)  # (feature, threshold, first_child, prob)
+        stack = [(root, t, 0) for t, root in enumerate(roots)]
+        self.n_trees, self.depth = len(roots), 0
+        while stack:
+            node, slot, level = stack.pop()
+            if isinstance(node, dict) and "prob" in node:
+                nodes[slot] = (n_features, np.inf, slot, node["prob"])
+                self.depth = max(self.depth, level)
+                continue
+            if not (isinstance(node, dict) and {"feature", "threshold", "left", "right"} <= node.keys()):
+                raise DataError(f"tree node needs 'prob' or feature/threshold/left/right: {node!r:.200}")
+            feature = node["feature"]
+            if not isinstance(feature, (int, np.integer)) or not 0 <= feature < n_features:
+                raise DataError(f"tree node feature {feature!r} outside [0, {n_features})")
+            nodes[slot] = (feature, node["threshold"], len(nodes), 0.0)
+            stack += [(node["left"], len(nodes), level + 1), (node["right"], len(nodes) + 1, level + 1)]
+            nodes += [None, None]
+        columns = list(zip(*nodes))
+        try:
+            self.thresholds, self.probs = (np.array(c, dtype=float) for c in columns[1::2])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"tree node threshold or prob is not a number: {exc}") from None
+        self.features, self.first_child = (np.array(c, dtype=np.intp) for c in columns[0::2])
+
+    def leaf_probs(self, x: np.ndarray) -> np.ndarray:
+        """(T, n) leaf probabilities for the n rows of the (n, F) matrix x."""
+        n, f = x.shape
+        padded = np.zeros((n, f + 1))
+        padded[:, :f] = x
+        flat = padded.ravel()
+        offsets = np.arange(0, n * (f + 1), f + 1)
+        roots = slice(0, self.n_trees)  # every row starts at its tree's root
+        le = padded[:, self.features[roots]].T <= self.thresholds[roots, None]
+        node = self.first_child[roots, None] + ~le
+        for _ in range(self.depth - 1):
+            value = flat.take(self.features.take(node) + offsets)
+            node = self.first_child.take(node) + ~(value <= self.thresholds.take(node))
+        return self.probs.take(node)
+
+
 class TreeModel(_Model):
     """Binary classification tree with gini splits.
 
@@ -183,6 +237,7 @@ class TreeModel(_Model):
         self.root = root
         self.n_features = n_features
         self.kind = kind
+        self._forest = _CompiledForest([root], n_features)
 
     @classmethod
     def fit(
@@ -228,21 +283,7 @@ class TreeModel(_Model):
         return cls(root, data.arity, kind=kind)
 
     def predict_proba_batch(self, x):
-        x = self._check(x)
-        out = np.empty(x.shape[0], dtype=float)
-
-        def walk(node: dict, idx: np.ndarray) -> None:
-            if "prob" in node:
-                out[idx] = node["prob"]
-                return
-            mask = x[idx, node["feature"]] <= node["threshold"]
-            if mask.any():
-                walk(node["left"], idx[mask])
-            if not mask.all():
-                walk(node["right"], idx[~mask])
-
-        walk(self.root, np.arange(x.shape[0]))
-        return out
+        return self._forest.leaf_probs(self._check(x))[0]
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "root": self.root, "n_features": self.n_features}

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import DataError
-from .base import BaseLearnerSpec, LabeledDataset, TreeModel, _Model, train_base
+from .base import BaseLearnerSpec, LabeledDataset, TreeModel, _CompiledForest, _Model, train_base
 
 __all__ = [
     "AdaBoostModel",
@@ -28,95 +28,35 @@ __all__ = [
 _ERR_CLAMP = 1e-10
 
 
-class _CompiledForest:
-    """Level-synchronous evaluator for a batch of trees.
+class _Voting(_Model):
+    """Members' hard labels: one compiled forest if all are trees, else each member's own."""
 
-    Flattens every member tree into parallel node arrays (leaves self-loop)
-    so one fancy-indexing sweep per depth level replaces per-tree recursive
-    traversal; the per-query constant cost stops scaling with the member
-    count.
-    """
+    def __init__(self, members: Sequence, n_features: int):
+        self.members = list(members)
+        self.n_features = n_features
+        trees = bool(self.members) and all(isinstance(m, TreeModel) for m in self.members)
+        self._forest = _CompiledForest([m.root for m in self.members], n_features) if trees else None
 
-    def __init__(self, trees):
-        node_lists = []
-        max_nodes = 0
-        max_depth = 1
-        for tree in trees:
-            nodes = []
-
-            def flatten(node, level):
-                nonlocal max_depth
-                idx = len(nodes)
-                nodes.append(None)
-                if "prob" in node:
-                    nodes[idx] = (0, np.inf, idx, idx, node["prob"])
-                    max_depth = max(max_depth, level)
-                else:
-                    left = flatten(node["left"], level + 1)
-                    right = flatten(node["right"], level + 1)
-                    nodes[idx] = (node["feature"], node["threshold"], left, right, 0.0)
-                return idx
-
-            flatten(tree.root, 0)
-            node_lists.append(nodes)
-            max_nodes = max(max_nodes, len(nodes))
-        t = len(node_lists)
-        self.features = np.zeros((t, max_nodes), dtype=np.intp)
-        self.thresholds = np.full((t, max_nodes), np.inf)
-        self.left = np.zeros((t, max_nodes), dtype=np.intp)
-        self.right = np.zeros((t, max_nodes), dtype=np.intp)
-        self.probs = np.zeros((t, max_nodes))
-        for i, nodes in enumerate(node_lists):
-            for j, (feat, thr, left, right, prob) in enumerate(nodes):
-                self.features[i, j] = feat
-                self.thresholds[i, j] = thr
-                self.left[i, j] = left
-                self.right[i, j] = right
-                self.probs[i, j] = prob
-        # leaves self-loop, so sweeping the deepest path length suffices
-        self.depth = max(1, max_depth)
-        self.tree_ids = np.arange(t)[:, None]
-
-    def leaf_probs(self, x: np.ndarray) -> np.ndarray:
-        """(T, n) leaf probabilities for the n rows of x."""
-        n = x.shape[0]
-        xt = x.T
-        idx = np.zeros((len(self.features), n), dtype=np.intp)
-        cols = np.arange(n)[None, :]
-        for _ in range(self.depth):
-            feat = self.features[self.tree_ids, idx]
-            go_left = xt[feat, cols] <= self.thresholds[self.tree_ids, idx]
-            idx = np.where(go_left, self.left[self.tree_ids, idx], self.right[self.tree_ids, idx])
-        return self.probs[self.tree_ids, idx]
+    def _member_labels(self, x: np.ndarray) -> np.ndarray:
+        """(M, n) hard labels of the M members for the n rows of x."""
+        if self._forest is not None:
+            return self._forest.leaf_probs(x) >= 0.5
+        return np.array([m.predict_batch(x) for m in self.members])
 
 
-def _compile_members(members):
-    if members and all(isinstance(m, TreeModel) for m in members):
-        return _CompiledForest(members)
-    return None
-
-
-class AdaBoostModel(_Model):
+class AdaBoostModel(_Voting):
     """Discrete boosting ensemble: weighted vote of reweighted base learners."""
 
     def __init__(self, members: Sequence, alphas: Sequence[float], n_features: int):
-        self.members = list(members)
+        super().__init__(members, n_features)
         self.alphas = [float(a) for a in alphas]
-        self.n_features = n_features
-        self._forest = _compile_members(self.members)
 
     def predict_proba_batch(self, x):
         x = self._check(x)
         total = float(sum(abs(a) for a in self.alphas))
         if total == 0.0:
             return np.full(x.shape[0], 0.5)
-        if self._forest is not None:
-            labels = self._forest.leaf_probs(x) >= 0.5
-            margin = np.asarray(self.alphas) @ (2.0 * labels - 1.0)
-        else:
-            margin = np.zeros(x.shape[0])
-            for model, alpha in zip(self.members, self.alphas):
-                margin += alpha * (2.0 * model.predict_batch(x) - 1.0)
+        margin = np.asarray(self.alphas) @ (2.0 * self._member_labels(x) - 1.0)
         return 0.5 * (margin / total + 1.0)
 
     def to_dict(self) -> dict:
@@ -128,26 +68,15 @@ class AdaBoostModel(_Model):
         }
 
 
-class BaggingModel(_Model):
+class BaggingModel(_Voting):
     """Majority vote over learners trained on bootstrap resamples.
 
     The vote share doubles as the probability, so an exact tie (share 0.5)
     resolves to the positive class.
     """
 
-    def __init__(self, members: Sequence, n_features: int):
-        self.members = list(members)
-        self.n_features = n_features
-        self._forest = _compile_members(self.members)
-
     def predict_proba_batch(self, x):
-        x = self._check(x)
-        if self._forest is not None:
-            return (self._forest.leaf_probs(x) >= 0.5).mean(axis=0)
-        votes = np.zeros(x.shape[0])
-        for model in self.members:
-            votes += model.predict_batch(x)
-        return votes / len(self.members)
+        return self._member_labels(self._check(x)).mean(axis=0)
 
     def to_dict(self) -> dict:
         return {

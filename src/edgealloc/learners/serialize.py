@@ -20,27 +20,31 @@ MODEL_SCHEMA_VERSION = 1
 
 
 def model_from_dict(d: dict):
-    kind = d.get("type")
-    if kind in ("cart_tree", "random_tree"):
-        return TreeModel.from_dict(d)
-    if kind == "gaussian_nb":
-        return GaussianNBModel.from_dict(d)
-    if kind == "logistic":
-        return LogisticModel.from_dict(d)
-    if kind == "constant":
-        return ConstantModel.from_dict(d)
-    if kind == "adaboost":
-        return AdaBoostModel(
-            [model_from_dict(m) for m in d["members"]], d["alphas"], d["n_features"]
-        )
-    if kind == "bagging":
-        return BaggingModel([model_from_dict(m) for m in d["members"]], d["n_features"])
-    if kind == "stacking":
-        return StackingModel(
-            [model_from_dict(b) for b in d["bases"]],
-            model_from_dict(d["meta"]),
-            d["n_features"],
-        )
+    """Rebuild a model from its ``to_dict()`` form; a malformed one raises ``DataError``."""
+    kind = d.get("type") if isinstance(d, dict) else None
+    try:
+        if kind in ("cart_tree", "random_tree"):
+            return TreeModel.from_dict(d)
+        if kind == "gaussian_nb":
+            return GaussianNBModel.from_dict(d)
+        if kind == "logistic":
+            return LogisticModel.from_dict(d)
+        if kind == "constant":
+            return ConstantModel.from_dict(d)
+        if kind == "adaboost":
+            return AdaBoostModel(
+                [model_from_dict(m) for m in d["members"]], d["alphas"], d["n_features"]
+            )
+        if kind == "bagging":
+            return BaggingModel([model_from_dict(m) for m in d["members"]], d["n_features"])
+        if kind == "stacking":
+            return StackingModel(
+                [model_from_dict(b) for b in d["bases"]],
+                model_from_dict(d["meta"]),
+                d["n_features"],
+            )
+    except KeyError as exc:
+        raise DataError(f"{kind} model record is missing key {exc}") from None
     raise DataError(f"unknown model type {kind!r}")
 
 
@@ -60,6 +64,8 @@ def load_bundle(path) -> tuple:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("models"), dict):
+        raise DataError(f"model file {path} must hold a JSON object with a 'models' mapping")
     version = payload.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise DataError(

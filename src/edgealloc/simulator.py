@@ -19,6 +19,7 @@ matrix (complexity, deadline, relevance, load, speed) and hands it to
 from __future__ import annotations
 
 import csv
+import gc
 import logging
 import math
 import time
@@ -639,18 +640,24 @@ def _decide_query(
     """One decision: classify, fill the (N, 5) feature matrix, vote.
 
     The decision time covers all of it, from classification to the vote.
+    The cyclic garbage collector waits meanwhile, as under ``timeit``: a
+    collection owed to earlier allocations would land in this decision's time.
     """
-    started = time.perf_counter()
-    vector, _ = classifier.classify_statement(query.statement)
-    features = np.empty((len(table.ids), 5))
-    features[:, 0] = complexity_scalar(vector)
-    features[:, 1] = query.deadline
-    features[:, 2] = relevance_batch(query.constraints, table.intervals, alpha)
-    features[:, 3] = loads
-    features[:, 4] = table.speeds
-    return decide_from_features(
-        features, table.ids, loads, table.speeds, bundle, scheme, k=k, started=started
-    )
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        vector, _ = classifier.classify_statement(query.statement)
+        features = np.empty((len(table.ids), 5))
+        features[:, 0] = complexity_scalar(vector)
+        features[:, 1] = query.deadline
+        features[:, 2] = relevance_batch(query.constraints, table.intervals, alpha)
+        features[:, 3] = loads
+        features[:, 4] = table.speeds
+        return decide_from_features(features, table.ids, loads, bundle, scheme, k=k, started=started)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def ova_allocate(

@@ -41,12 +41,18 @@ GRID_POLICY = LabelingPolicy(max_relevance=0.5, max_load=0.5, min_speed=0.0)
 
 
 class _FixedLabels:
-    def __init__(self, labels):
+    """Labels each row by its own load (feature 3): the row whose load is
+    ``loads[i]`` gets ``labels[i]``, whichever rows the model is shown."""
+
+    def __init__(self, labels, loads):
         self.labels = np.asarray(labels, dtype=int)
+        self.loads = np.asarray(loads, dtype=float)
         self.n_features = 5
 
     def predict_batch(self, x):
-        return self.labels
+        match = np.asarray(x)[:, 3][:, None] == self.loads[None, :]
+        assert match.any(axis=1).all(), "row load not among the stub's loads"
+        return self.labels[match.argmax(axis=1)]
 
 
 @pytest.fixture(scope="module")
@@ -184,11 +190,11 @@ def test_criterion_7_vote_winner_matches_enumerator():
             features = np.column_stack(
                 [np.full(n, 0.4), np.full(n, 2.0), np.full(n, 0.1), loads, speeds]
             )
-            model = _FixedLabels(list(fused))
+            model = _FixedLabels(list(fused), loads)
             from edgealloc.allocator import EnsembleBundle
 
             decision = decide_from_features(
-                features, np.arange(n), loads, speeds,
+                features, np.arange(n), loads,
                 EnsembleBundle(model, model, model), FusionScheme.CS,
             )
             votes = [

@@ -19,14 +19,20 @@ from edgealloc.simulator import ova_allocate
 
 
 class FixedLabelModel:
-    """Predicts a fixed per-node label vector regardless of features."""
+    """Labels each row by its own load (feature 3): the row whose load is
+    ``loads[i]`` gets ``labels[i]``, whichever rows the model is shown."""
 
-    def __init__(self, labels):
+    def __init__(self, labels, loads):
         self.labels = np.asarray(labels, dtype=int)
+        self.loads = np.asarray(loads, dtype=float)
         self.n_features = 5
+        self.shown = []  # the loads of the rows of each call
 
     def predict_batch(self, x):
-        return self.labels[: np.asarray(x).shape[0]]
+        self.shown.append(np.asarray(x)[:, 3].tolist())
+        match = np.asarray(x)[:, 3][:, None] == self.loads[None, :]
+        assert match.any(axis=1).all(), "row load not among the stub's loads"
+        return self.labels[match.argmax(axis=1)]
 
 
 class StubClassifier:
@@ -34,8 +40,8 @@ class StubClassifier:
         return ComplexityVector((0.2, 0.9, 0.1)), None
 
 
-def bundle_for(labels):
-    m = FixedLabelModel(labels)
+def bundle_for(labels, loads):
+    m = FixedLabelModel(labels, loads)
     return EnsembleBundle(m, m, m)
 
 
@@ -139,44 +145,43 @@ def test_single_positive_node_always_wins():
 
 
 def test_single_positive_label_selects_that_node():
-    nodes = make_nodes([0.9, 0.3, 0.5])
+    loads = [0.9, 0.3, 0.5]
     decision = ova_allocate(
-        make_query(), nodes, bundle_for([1, 0, 0]), FusionScheme.CS, StubClassifier()
+        make_query(), make_nodes(loads), bundle_for([1, 0, 0], loads), FusionScheme.CS, StubClassifier()
     )
     assert decision.votes.tolist() == [3, 1, 1]
     assert decision.selected == (0,)
 
 
 def test_all_positive_ties_break_by_load():
-    nodes = make_nodes([0.9, 0.2, 0.5])
+    loads = [0.9, 0.2, 0.5]
     decision = ova_allocate(
-        make_query(), nodes, bundle_for([1, 1, 1]), FusionScheme.CS, StubClassifier()
+        make_query(), make_nodes(loads), bundle_for([1, 1, 1], loads), FusionScheme.CS, StubClassifier()
     )
     assert decision.votes.tolist() == [1, 1, 1]
     assert decision.selected == (1,)
 
 
 def test_all_negative_two_nodes_tie_breaks_by_load():
-    nodes = make_nodes([0.8, 0.1])
+    loads = [0.8, 0.1]
     decision = ova_allocate(
-        make_query(), nodes, bundle_for([0, 0]), FusionScheme.CS, StubClassifier()
+        make_query(), make_nodes(loads), bundle_for([0, 0], loads), FusionScheme.CS, StubClassifier()
     )
     assert decision.votes.tolist() == [1, 1]
     assert decision.selected == (1,)
 
 
 def test_load_tie_breaks_by_node_id():
-    nodes = make_nodes([0.4, 0.4, 0.4])
+    loads = [0.4, 0.4, 0.4]
     decision = ova_allocate(
-        make_query(), nodes, bundle_for([1, 1, 1]), FusionScheme.CS, StubClassifier()
+        make_query(), make_nodes(loads), bundle_for([1, 1, 1], loads), FusionScheme.CS, StubClassifier()
     )
     assert decision.selected == (0,)
 
 
 def test_decision_timing_floor_and_fields():
-    nodes = make_nodes([0.5])
     decision = ova_allocate(
-        make_query(), nodes, bundle_for([1]), FusionScheme.MVS, StubClassifier()
+        make_query(), make_nodes([0.5]), bundle_for([1], [0.5]), FusionScheme.MVS, StubClassifier()
     )
     assert decision.decision_ms >= 1e-3
     assert decision.fused_labels.tolist() == [1]
@@ -184,13 +189,14 @@ def test_decision_timing_floor_and_fields():
 
 def test_empty_node_list_rejected():
     with pytest.raises(ValueError):
-        ova_allocate(make_query(), [], bundle_for([1]), FusionScheme.CS, StubClassifier())
+        ova_allocate(make_query(), [], bundle_for([], []), FusionScheme.CS, StubClassifier())
 
 
 def test_deterministic_given_snapshot():
-    nodes = make_nodes([0.7, 0.2, 0.9, 0.4], speeds=[0.1, 0.9, 0.3, 0.6])
-    d1 = ova_allocate(make_query(), nodes, bundle_for([0, 1, 1, 0]), FusionScheme.MVS, StubClassifier())
-    d2 = ova_allocate(make_query(), nodes, bundle_for([0, 1, 1, 0]), FusionScheme.MVS, StubClassifier())
+    loads = [0.7, 0.2, 0.9, 0.4]
+    nodes = make_nodes(loads, speeds=[0.1, 0.9, 0.3, 0.6])
+    d1 = ova_allocate(make_query(), nodes, bundle_for([0, 1, 1, 0], loads), FusionScheme.MVS, StubClassifier())
+    d2 = ova_allocate(make_query(), nodes, bundle_for([0, 1, 1, 0], loads), FusionScheme.MVS, StubClassifier())
     assert d1.selected == d2.selected
     assert d1.votes.tolist() == d2.votes.tolist()
 
@@ -202,7 +208,7 @@ def test_deterministic_given_snapshot():
 
 def top_k(labels, loads, k):
     decision = ova_allocate(
-        make_query(), make_nodes(loads), bundle_for(labels), FusionScheme.CS, StubClassifier(), k=k
+        make_query(), make_nodes(loads), bundle_for(labels, loads), FusionScheme.CS, StubClassifier(), k=k
     )
     return list(decision.selected)
 
@@ -253,8 +259,72 @@ def test_winner_matches_brute_force_for_all_combinations():
                 [np.full(n, 0.5), np.full(n, 1.0), np.full(n, 0.2), loads, speeds]
             )
             decision = decide_from_features(
-                features, np.arange(n), loads, speeds, bundle_for(list(fused)), FusionScheme.CS
+                features, np.arange(n), loads, bundle_for(list(fused), loads), FusionScheme.CS
             )
             expected_winner, expected_votes = brute_force_winner(fused, loads)
             assert decision.votes.tolist() == expected_votes
             assert decision.selected[0] == expected_winner
+
+
+# ---------------------------------------------------------------------------
+# cascade fusion: each ensemble sees only the rows that can change the label
+# ---------------------------------------------------------------------------
+
+
+def cascade(labels, scheme, seed=0):
+    """Decide over len(labels) nodes whose (boost, bagging, stacking) labels
+    are the rows of ``labels``; returns the decision and the three stubs."""
+    labels = np.asarray(labels, dtype=int).reshape(-1, 3)
+    n = labels.shape[0]
+    loads = np.random.default_rng(seed).permutation(n) / n + 0.01
+    features = np.column_stack([np.full(n, 0.5), np.full(n, 1.0), np.full(n, 0.2), loads, np.full(n, 0.5)])
+    stubs = [FixedLabelModel(labels[:, j], loads) for j in range(3)]
+    decision = decide_from_features(features, np.arange(n), loads, EnsembleBundle(*stubs), scheme)
+    return decision, stubs, loads
+
+
+def test_cs_cascade_shows_each_ensemble_only_the_rows_still_positive():
+    labels = [[1, 1, 1], [0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 0, 0], [1, 1, 1]]
+    decision, (boost, bagging, stacking), loads = cascade(labels, FusionScheme.CS)
+    assert boost.shown == [loads.tolist()]
+    assert bagging.shown == [loads[[0, 2, 3, 5]].tolist()]
+    assert stacking.shown == [loads[[0, 3, 5]].tolist()]
+    assert decision.fused_labels.tolist() == [1, 0, 0, 0, 0, 1]
+
+
+def test_mvs_cascade_shows_stacking_only_the_disagreements():
+    labels = [[1, 1, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1], [1, 1, 1]]
+    decision, (boost, bagging, stacking), loads = cascade(labels, FusionScheme.MVS)
+    assert boost.shown == [loads.tolist()]
+    assert bagging.shown == [loads.tolist()]
+    assert stacking.shown == [loads[[1, 2]].tolist()]
+    assert decision.fused_labels.tolist() == [1, 1, 0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "scheme, labels, calls",
+    [
+        (FusionScheme.CS, [[0, 1, 1], [0, 1, 1]], [1, 0, 0]),
+        (FusionScheme.CS, [[1, 0, 1], [0, 1, 1]], [1, 1, 0]),
+        (FusionScheme.MVS, [[1, 1, 0], [0, 0, 1]], [1, 1, 0]),
+    ],
+)
+def test_cascade_skips_a_call_with_no_rows_left(scheme, labels, calls):
+    _, stubs, _ = cascade(labels, scheme)
+    assert [len(stub.shown) for stub in stubs] == calls
+
+
+@pytest.mark.parametrize("scheme", list(FusionScheme))
+def test_cascade_matches_full_evaluation(scheme):
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        for trial in range(60):
+            labels = rng.integers(0, 2, (n, 3))
+            decision, stubs, loads = cascade(labels, scheme, seed=trial)
+            fused = fuse_batch(labels, scheme)
+            votes = tally_votes(fused)
+            order = rank_nodes(votes, loads, np.arange(n))
+            assert decision.fused_labels.tolist() == fused.tolist()
+            assert decision.votes.tolist() == votes.tolist()
+            assert decision.selected == (int(order[0]),)
+            assert all(len(shown) > 0 for stub in stubs for shown in stub.shown)

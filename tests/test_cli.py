@@ -129,6 +129,30 @@ def test_train_without_gen_exits_3(runner, tmp_path):
     assert runner.invoke(main, ["train", "--config", str(config)]).exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("0.1,0.2,0.3", "need five finite features and a 0/1 label"),
+        ("0.1,0.2,0.3,0.4,0.5,1,7", "need five finite features and a 0/1 label"),
+        ("0.1,abc,0.3,0.4,0.5,1", "could not convert"),
+        ("0.1,0.2,nan,0.4,0.5,1", "need five finite features"),
+        ("0.1,0.2,0.3,inf,0.5,0", "need five finite features"),
+        ("0.1,0.2,0.3,0.4,0.5,2", "0/1 label"),
+        ("0.1,0.2,0.3,0.4,0.5,yes", "could not convert"),
+    ],
+)
+def test_train_on_a_malformed_training_row_exits_3_naming_the_line(runner, tmp_path, bad_row, message):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    config = write_config(tmp_path / "config.yaml", out_dir)
+    rows = ["complexity,deadline,relevance,load,speed,label", "0.1,0.2,0.3,0.4,0.5,1", bad_row]
+    (out_dir / "training.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    result = runner.invoke(main, ["train", "--config", str(config)])
+    assert result.exit_code == 3, result.output
+    assert "training.csv, line 3" in result.output
+    assert message in result.output
+
+
 # ---------------------------------------------------------------------------
 # allocate
 # ---------------------------------------------------------------------------
@@ -236,6 +260,42 @@ def test_allocate_without_models_exits_3(runner, tmp_path):
     result = runner.invoke(main, ["allocate", "--config", str(config)])
     assert result.exit_code == 3
     assert "train" in result.output
+
+
+LOAD_TREE = {
+    "type": "cart_tree",
+    "root": {"feature": 3, "threshold": 0.2, "left": {"prob": 0.0}, "right": {"prob": 1.0}},
+    "n_features": 5,
+}
+
+
+@pytest.mark.parametrize(
+    "boost",
+    [
+        {"type": "adaboost", "members": [LOAD_TREE], "n_features": 5},
+        {"type": "adaboost", "members": [{"type": "cart_tree", "root": LOAD_TREE["root"]}], "alphas": [1.0], "n_features": 5},
+        {"type": "bagging", "members": [{"type": "logistic", "weights": [0.0] * 5, "n_features": 5}], "n_features": 5},
+        {"type": "bagging", "members": [dict(LOAD_TREE, root={"feature": 3, "threshold": 0.2, "left": {"prob": 0.0}})], "n_features": 5},
+        {"type": "bagging", "members": [dict(LOAD_TREE, root={"prob": 1.0, "left": {}}), dict(LOAD_TREE, root={"feature": 3})], "n_features": 5},
+        {"type": "bagging", "members": [dict(LOAD_TREE, root=dict(LOAD_TREE["root"], feature=5))], "n_features": 5},
+        {"type": "bagging", "members": [dict(LOAD_TREE, root=dict(LOAD_TREE["root"], feature=-1))], "n_features": 5},
+    ],
+)
+def test_allocate_with_a_malformed_model_file_exits_3(runner, tmp_path, boost):
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "config.yaml", out_dir, scenario={"n_nodes": 2, "dims": 1, "n_queries": 1, "seed": 5})
+    out_dir.mkdir()
+    digest = DatasetDigest(means=np.array([0.5]), spreads=np.array([0.1]), cardinality=1000)
+    nodes = [NodeState(node_id=i, load=0.1, speed=0.5, digest=digest) for i in range(2)]
+    query = Query(id="q0", statement="select a from t", constraints=QueryConstraints(np.array([[0.0, 1.0]])), deadline=1.0)
+    cfg = ScenarioConfig(n_nodes=2, dims=1, n_queries=1, seed=5)
+    save_scenario(out_dir / "scenario.json", Scenario(config=cfg, nodes=nodes, queries=[query], load_series=np.array([[0.1, 0.1]])))
+    good = {"type": "bagging", "members": [LOAD_TREE], "n_features": 5}
+    payload = {"schema_version": 1, "models": {"boost": boost, "bagging": good, "stacking": good}}
+    (out_dir / "models.json").write_text(json.dumps(payload), encoding="utf-8")
+    result = runner.invoke(main, ["allocate", "--config", str(config)])
+    assert result.exit_code == 3, result.output
+    assert "data error" in result.output
 
 
 # ---------------------------------------------------------------------------
