@@ -9,7 +9,6 @@ triple; this keeps N-sweeps comparable and cheap.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -27,7 +26,7 @@ from .learners import (
     train_stacking,
 )
 from .learners.ensembles import _stratified_split
-from .metrics import QueryRecord, RunResult, emit_results
+from .metrics import emit_run, emit_summary, load_run
 from .simulator import (
     LabelingPolicy,
     Scenario,
@@ -166,9 +165,11 @@ def run_cells(
     """Run every cell; returns (results, failures).
 
     Failures are recorded as (cell label, message) and do not stop the
-    sweep.  With ``out_dir`` set, each finished cell is written immediately;
-    with ``resume`` as well, cells whose file already exists are loaded back
-    instead of re-run, which makes interrupted sweeps restartable.
+    sweep.  With ``out_dir`` set, each finished cell is written immediately
+    and ``summary.csv`` once at the end; with ``resume`` as well, a cell
+    whose file holds one record per query of its scenario is loaded back
+    instead of re-run, which makes interrupted sweeps restartable.  Any
+    other file, a truncated one included, is run again.
     """
     corpus = corpus or generate_query_corpus()
     classifier = ComplexityClassifier(corpus, fcp_params)
@@ -188,9 +189,12 @@ def run_cells(
         label = cell.label()
         path = out / f"run_{label}.csv" if out is not None else None
         if resume and path is not None and path.exists():
-            results.append(_load_run_csv(path))
-            say(f"cell {label}: already complete, skipped")
-            continue
+            try:
+                results.append(load_run(path, cell.config.n_queries))
+                say(f"cell {label}: already complete, skipped")
+                continue
+            except DataError as exc:
+                say(f"cell {label}: {exc}; running again")
         try:
             key = replace(cell.config, n_nodes=1, n_queries=1)
             if key not in bundles:
@@ -198,10 +202,9 @@ def run_cells(
                 bundles[key] = train_bundle(data, setup, seed=cell.config.seed)
             scenario = generate_scenario(cell.config)
             result = simulate_run(scenario, bundles[key], cell.scheme, classifier, k=k)
-            result.meta["policy"] = (policy.max_relevance, policy.max_load, policy.min_speed)
             results.append(result)
             if out is not None:
-                emit_results([result], out)
+                emit_run(result, out)
             say(
                 f"cell {label}: mean load gap {result.load_gaps().mean():.4f}, "
                 f"throughput {result.throughput():.4f}/ms"
@@ -210,34 +213,6 @@ def run_cells(
             failures.append((label, f"{type(exc).__name__}: {exc}"))
             say(f"cell {label}: FAILED ({exc})")
     if out is not None and results:
-        emit_results(results, out)
+        emit_summary(results, out)
     return results, failures
 
-
-def _load_run_csv(path: Path) -> RunResult:
-    """Rehydrate a RunResult from a previously written cell file."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: empty run file")
-    first = rows[0]
-    result = RunResult(
-        scheme=first["scheme"],
-        distribution=first["distribution"],
-        n_nodes=int(first["n_nodes"]),
-        seed=int(first["seed"]),
-    )
-    for row in rows:
-        result.records.append(
-            QueryRecord(
-                query_index=int(row["query_index"]),
-                decision_ms=float(row["decision_ms"]),
-                selected_node=int(row["selected_node"]),
-                load_selected=float(row["load_selected"]),
-                speed_selected=float(row["speed_selected"]),
-                load_min=float(row["load_min"]),
-                speed_max=float(row["speed_max"]),
-            )
-        )
-    return result

@@ -22,7 +22,7 @@ import yaml
 from .allocator import EnsembleBundle, FusionScheme
 from .bench import BenchCell, LearnerSetup, grid_cells, run_cells, train_bundle_with_report
 from .complexity import ComplexityClassifier, ComplexityParams, load_corpus, save_corpus
-from .core import Query, QueryConstraints
+from .core import Query
 from .errors import ConfigError, DataError
 from .learners import LabeledDataset, load_bundle, save_bundle
 from .metrics import summarise_runs
@@ -34,6 +34,7 @@ from .simulator import (
     generate_utilization_trace,
     load_scenario,
     ova_allocate,
+    query_from_record,
     save_scenario,
     synthesize_training_set,
 )
@@ -305,21 +306,13 @@ def _parse_query_json(spec: str, fallback_id: str = "adhoc") -> Query:
     if not spec.lstrip().startswith("{"):
         try:
             text = Path(spec).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise DataError(f"cannot read query file {spec}: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid query JSON: {exc}") from exc
-    try:
-        return Query(
-            id=payload.get("id", fallback_id),
-            statement=payload["statement"],
-            constraints=QueryConstraints(np.asarray(payload["constraints"], dtype=float)),
-            deadline=float(payload.get("deadline", 0.0)),
-        )
-    except KeyError as exc:
-        raise DataError(f"query JSON is missing field {exc}") from exc
+    return query_from_record(payload, fallback_id)
 
 
 @main.command("allocate")
@@ -354,6 +347,11 @@ def cmd_allocate(config_path, seed, n, trace, trace_column, out, scheme, k, quer
 
     if query_json is not None:
         query = _parse_query_json(query_json)
+        if query.constraints.dims != scenario.config.dims:
+            raise DataError(
+                f"query has {query.constraints.dims} constraint dimensions, "
+                f"the scenario has {scenario.config.dims}"
+            )
     else:
         if not 0 <= query_index < len(scenario.queries):
             raise DataError(

@@ -6,6 +6,11 @@ ranked by a significance level (how many of the other metric values agree
 with each one), and the top-n are folded with the Hamacher product.  The
 per-entry scores are then aggregated per complexity class with a
 quasi-arithmetic mean, yielding one membership degree per class.
+
+Each step is one kernel that broadcasts along the last axis, so a 1-D list
+gives one value and the classifier's (M, 3) matrix from ``similarities``
+goes through the same code, one value per corpus entry.  The plain-Python
+per-pair reference they are checked against is in ``tests/test_complexity.py``.
 """
 
 from __future__ import annotations
@@ -30,13 +35,11 @@ __all__ = [
     "ComplexityClassifier",
     "SIMILARITY_METRICS",
     "tokenize_statement",
-    "similarity_metric",
     "distance_to_similarity",
     "significance_levels",
     "hamacher_fold",
     "quasi_arithmetic_mean",
     "fuse_similarities",
-    "per_tuple_similarity",
     "classify_complexity",
     "leave_one_out_accuracy",
     "load_corpus",
@@ -118,11 +121,7 @@ class ComplexityVector:
                 raise ValueError(f"membership {m} outside [0, 1]")
 
     def argmax(self) -> int:
-        best = 0
-        for i, m in enumerate(self.memberships):
-            if m > self.memberships[best]:
-                best = i
-        return best
+        return self.memberships.index(max(self.memberships))
 
     def max(self) -> float:
         return max(self.memberships)
@@ -142,13 +141,6 @@ class TokenFeature:
     def tokens(self) -> frozenset:
         return frozenset(t for t, _ in self.counts)
 
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
-    def as_counter(self) -> Counter:
-        return Counter(dict(self.counts))
-
 
 def tokenize_statement(statement: str) -> TokenFeature:
     """Case-fold and split a statement into its token multiset.
@@ -165,114 +157,86 @@ def tokenize_statement(statement: str) -> TokenFeature:
     return TokenFeature(counts=tuple(sorted(counts.items())))
 
 
-def distance_to_similarity(d: float) -> float:
-    """Map a non-negative distance to a similarity in (0, 1] via 1 / (1 + d)."""
-    if d < 0:
-        raise ValueError(f"distance must be non-negative, got {d}")
+def distance_to_similarity(d):
+    """Map non-negative distances to similarities in (0, 1] via 1 / (1 + d)."""
+    d = np.asarray(d, dtype=float)
+    if (d < 0).any():
+        raise ValueError(f"distances must be non-negative, got {d}")
     return 1.0 / (1.0 + d)
 
 
-def similarity_metric(kind: str, x: TokenFeature, y: TokenFeature) -> float:
-    """Similarity of two token features in [0, 1]; 1 means identical.
+def significance_levels(values, gamma: float, delta1: float, delta2: float) -> np.ndarray:
+    """Significance level in (0, 1) of each value, among the values of its row.
 
-    ``jaccard`` works on distinct-token sets, ``cosine`` on token count
-    vectors, and ``hamming`` counts presence/absence mismatches over the
-    vocabulary built from both inputs, normalised by that vocabulary's size
-    and mapped through ``distance_to_similarity``.
+    ``values`` is (..., K).  The support count c_i is the number of values
+    of the same row (the value itself included) within absolute distance
+    ``gamma``; the level is sigmoid(delta1 * c_i - delta2).  Isolated values
+    are pushed towards the low end of the scale.
     """
-    xs, ys = x.tokens, y.tokens
-    inter = len(xs & ys)
-    union = len(xs | ys)
-    if kind == "jaccard":
-        return inter / union if union else 1.0
-    if kind == "hamming":
-        if union == 0:
-            return 1.0
-        mismatches = union - inter  # symmetric difference over the shared vocab
-        return distance_to_similarity(mismatches / union)
-    if kind == "cosine":
-        cx, cy = x.as_counter(), y.as_counter()
-        dot = sum(cx[t] * cy[t] for t in xs & ys)
-        nx = math.sqrt(sum(c * c for c in cx.values()))
-        ny = math.sqrt(sum(c * c for c in cy.values()))
-        if nx == 0 or ny == 0:
-            return 0.0
-        return dot / (nx * ny)
-    raise ValueError(f"unknown similarity metric {kind!r}")
-
-
-def significance_levels(
-    values: Sequence[float], gamma: float, delta1: float, delta2: float
-) -> list:
-    """Significance level in (0, 1) for each value.
-
-    The support count c_i is the number of values (the value itself
-    included) within absolute distance ``gamma``; the level is
-    sigmoid(delta1 * c_i - delta2).  Isolated values are pushed towards the
-    low end of the scale.
-    """
-    if len(values) == 0:
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("values must be non-empty")
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    out = []
-    for v in values:
-        count = sum(1 for w in values if abs(v - w) <= gamma)
-        out.append(1.0 / (1.0 + math.exp(-(delta1 * count - delta2))))
-    return out
+    support = (np.abs(v[..., :, None] - v[..., None, :]) <= gamma).sum(axis=-1).astype(np.float64)
+    return 1.0 / (1.0 + np.exp(-(delta1 * support - delta2)))
 
 
-def hamacher_fold(values: Sequence[float], a: float) -> float:
-    """Left-fold of the binary Hamacher product over ``values``.
+def hamacher_fold(values, a: float):
+    """Left-fold of the binary Hamacher product along the last axis.
 
-    omega(x, y) = x*y / (a + (1 - a) * (x + y - x*y)).  A singleton list
-    returns its element.  The 0/0 case (a == 0 with both operands 0)
-    returns 0 by convention.
+    omega(x, y) = x*y / (a + (1 - a) * (x + y - x*y)).  A (..., n) input
+    gives (...) values; a 1-D list gives one.  A single column returns its
+    element.  The 0/0 case (a == 0 with both operands 0) returns 0 by
+    convention.
     """
     if a < 0:
         raise ValueError(f"Hamacher parameter must be >= 0, got {a}")
-    if len(values) == 0:
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("values must be non-empty")
-    acc = float(values[0])
-    for v in values[1:]:
-        num = acc * v
-        den = a + (1.0 - a) * (acc + v - acc * v)
-        acc = 0.0 if den == 0.0 else num / den
-    return acc
+    acc = v[..., 0].copy()
+    for j in range(1, v.shape[-1]):
+        x = v[..., j]
+        num = acc * x
+        den = a + (1.0 - a) * (acc + x - acc * x)
+        acc = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+    return acc[()]
 
 
-def quasi_arithmetic_mean(values: Sequence[float], alpha: float) -> float:
-    """Power mean ((1/m) * sum(v ** alpha)) ** (1/alpha) of non-negative values."""
+def quasi_arithmetic_mean(values, alpha: float):
+    """Power mean ((1/m) * sum(v ** alpha)) ** (1/alpha) along the last axis.
+
+    Values must be non-negative.  A (..., m) input gives (...) means; a 1-D
+    list gives one.  With a negative ``alpha`` a zero value, or one so small
+    that its power overflows, drives the mean to 0, its limit.
+    """
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
+    if arr.ndim == 0 or arr.shape[-1] == 0:
         raise ValueError("values must be non-empty")
-    if np.any(arr < 0):
+    if arr.min() < 0:
         raise ValueError("values must be non-negative")
-    with np.errstate(divide="ignore"):
-        return float(np.mean(np.power(arr, alpha)) ** (1.0 / alpha))
+    with np.errstate(divide="ignore", over="ignore"):
+        # sum / m is np.mean's arithmetic without its per-call overhead
+        return (np.power(arr, alpha).sum(axis=-1) / arr.shape[-1]) ** (1.0 / alpha)
 
 
-def fuse_similarities(values: Sequence[float], params: ComplexityParams) -> float:
-    """Fuse metric values into one score: rank by significance, fold the top-n.
+def fuse_similarities(values, params: ComplexityParams):
+    """Fuse each row of metric values into one score: rank, fold the top-n.
 
-    Ranking is by significance descending, ties by value descending, then by
-    metric index; the fold order follows the ranking (relevant when
-    hamacher_a != 1).
+    ``values`` is (..., K) with columns in ``SIMILARITY_METRICS`` order; the
+    result is (...), one score for a 1-D list.  Within a row, ranking is by
+    significance descending, ties by value descending, then by column; the
+    fold order follows the ranking (relevant when hamacher_a != 1).
     """
-    sls = significance_levels(values, params.gamma, params.delta1, params.delta2)
-    order = sorted(range(len(values)), key=lambda i: (-sls[i], -values[i], i))
-    kept = [values[i] for i in order[: min(params.top_n, len(values))]]
-    return hamacher_fold(kept, params.hamacher_a)
-
-
-def per_tuple_similarity(
-    query_feature: TokenFeature, corpus_feature: TokenFeature, params: ComplexityParams
-) -> float:
-    """Fused similarity of a query statement with one corpus entry."""
-    values = [similarity_metric(kind, query_feature, corpus_feature) for kind in SIMILARITY_METRICS]
-    return fuse_similarities(values, params)
+    v = np.asarray(values, dtype=float)
+    sls = significance_levels(v, params.gamma, params.delta1, params.delta2)
+    cols = np.broadcast_to(np.arange(v.shape[-1]), v.shape)
+    order = np.lexsort((cols, -v, -sls), axis=-1)
+    top = np.take_along_axis(v, order[..., : params.top_n], axis=-1)
+    return hamacher_fold(top, params.hamacher_a)
 
 
 class TrainingQueryCorpus:
@@ -358,8 +322,15 @@ class ComplexityClassifier:
             if not mask.any():
                 raise DataError(f"no corpus entries for class {c.label!r}")
 
-    def pairwise_scores(self, feature: TokenFeature, exclude: Optional[int] = None) -> np.ndarray:
-        """Fused similarity of ``feature`` with every corpus entry."""
+    def similarities(self, feature: TokenFeature) -> np.ndarray:
+        """(M, 3) similarity of ``feature`` with every corpus entry.
+
+        Columns follow ``SIMILARITY_METRICS``: ``hamming`` counts
+        presence/absence mismatches over the vocabulary of the pair,
+        normalised by its size and mapped through ``distance_to_similarity``;
+        ``jaccard`` works on distinct-token sets and ``cosine`` on token
+        count vectors.  Tokens outside the corpus vocabulary still count.
+        """
         vocab = self._vocab
         qv = np.zeros(len(vocab), dtype=np.float64)
         oov_distinct = 0
@@ -382,41 +353,24 @@ class ComplexityClassifier:
         denom = self._norms * q_norm
         cosine = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0)
         mism = np.divide(union - inter, union, out=np.zeros_like(inter), where=union > 0)
-        hamming = 1.0 / (1.0 + mism)
+        return np.stack([distance_to_similarity(mism), jaccard, cosine], axis=1)
 
-        values = np.stack([hamming, jaccard, cosine], axis=1)
-        p = self.params
-        # support count per metric value: how many of the row's values sit
-        # within gamma of it (itself included)
-        diffs = np.abs(values[:, :, None] - values[:, None, :])
-        support = (diffs <= p.gamma).sum(axis=2).astype(np.float64)
-        sls = 1.0 / (1.0 + np.exp(-(p.delta1 * support - p.delta2)))
-        cols = np.broadcast_to(np.arange(values.shape[1]), values.shape)
-        order = np.lexsort((cols, -values, -sls), axis=1)
-        n_keep = min(p.top_n, values.shape[1])
-        top = np.take_along_axis(values, order[:, :n_keep], axis=1)
-
-        acc = top[:, 0].copy()
-        a = p.hamacher_a
-        for j in range(1, n_keep):
-            v = top[:, j]
-            num = acc * v
-            den = a + (1.0 - a) * (acc + v - acc * v)
-            acc = np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+    def pairwise_scores(self, feature: TokenFeature, exclude: Optional[int] = None) -> np.ndarray:
+        """Fused similarity of ``feature`` with every corpus entry; entry
+        ``exclude``, if given, scores NaN."""
+        scores = fuse_similarities(self.similarities(feature), self.params)
         if exclude is not None:
-            acc[exclude] = np.nan
-        return acc
+            scores[exclude] = np.nan
+        return scores
 
     def memberships_from_scores(self, scores: np.ndarray) -> ComplexityVector:
-        alpha = self.params.alpha
         out = []
-        with np.errstate(divide="ignore"):
-            for mask in self._class_masks:
-                vals = scores[mask]
-                vals = vals[~np.isnan(vals)]
-                if vals.size == 0:
-                    raise DataError("a class has no corpus entries after exclusion")
-                out.append(min(1.0, float(np.mean(np.power(vals, alpha)) ** (1.0 / alpha))))
+        for mask in self._class_masks:
+            vals = scores[mask]
+            vals = vals[~np.isnan(vals)]
+            if vals.size == 0:
+                raise DataError("a class has no corpus entries after exclusion")
+            out.append(min(1.0, float(quasi_arithmetic_mean(vals, self.params.alpha))))
         return ComplexityVector(memberships=tuple(out))
 
     def classify_statement(self, statement: str):

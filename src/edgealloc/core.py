@@ -39,8 +39,8 @@ class QueryConstraints:
             raise ValueError(f"expected constraint shape (L, 2), got {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("constraints need at least one dimension")
-        if np.any(arr[:, 0] > arr[:, 1]):
-            raise ValueError("constraint minima must not exceed maxima")
+        if not np.all(arr[:, 0] <= arr[:, 1]):
+            raise ValueError("constraint minima must not exceed maxima, nor any bound be NaN")
         object.__setattr__(self, "intervals", arr)
 
     @property
@@ -63,7 +63,7 @@ class Query:
     def __post_init__(self) -> None:
         if not self.statement or not self.statement.strip():
             raise ValueError("query statement must be non-empty")
-        if self.deadline < 0:
+        if not self.deadline >= 0:
             raise ValueError(f"deadline must be >= 0, got {self.deadline}")
 
 
@@ -81,6 +81,8 @@ class DatasetDigest:
         spreads = np.asarray(self.spreads, dtype=float)
         if means.ndim != 1 or means.shape != spreads.shape:
             raise ValueError("means and spreads must be 1-D with equal length")
+        if not (np.isfinite(means).all() and np.isfinite(spreads).all()):
+            raise ValueError("means and spreads must be finite")
         if np.any(spreads < 0):
             raise ValueError("spreads must be non-negative")
         if self.cardinality < 1:

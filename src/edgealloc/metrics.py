@@ -10,6 +10,7 @@ densities.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +26,9 @@ __all__ = [
     "allocation_throughput",
     "optimality_gaps",
     "density_estimate",
-    "emit_results",
+    "emit_run",
+    "emit_summary",
+    "load_run",
     "summarise_runs",
 ]
 
@@ -58,7 +61,6 @@ class RunResult:
     n_nodes: int
     seed: int
     records: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def load_gaps(self) -> np.ndarray:
         return np.array([r.load_selected - r.load_min for r in self.records])
@@ -175,49 +177,84 @@ def summarise_runs(results: Sequence[RunResult]) -> list:
     return rows
 
 
-def emit_results(results: Sequence[RunResult], out_dir) -> list:
-    """Write one CSV per run plus a summary CSV; returns the written paths.
-
-    Column order is stable so downstream plotting can rely on it; every
-    column except the timing ones is reproducible for a fixed seed.
-    """
+def _out_dir(out_dir) -> Path:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {out}: {exc}") from exc
-    written = []
-    for r in results:
-        path = out / f"run_{r.label()}.csv"
-        try:
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("scheme", "distribution", "n_nodes", "seed") + _RUN_COLUMNS)
-                for rec in r.records:
-                    load_gap, speed_gap = optimality_gaps(rec)
-                    writer.writerow(
-                        (
-                            r.scheme,
-                            r.distribution,
-                            r.n_nodes,
-                            r.seed,
-                            rec.query_index,
-                            rec.selected_node,
-                            f"{rec.load_selected:.9f}",
-                            f"{rec.load_min:.9f}",
-                            f"{load_gap:.9f}",
-                            f"{rec.speed_selected:.9f}",
-                            f"{rec.speed_max:.9f}",
-                            f"{speed_gap:.9f}",
-                            f"{rec.decision_ms:.6f}",
-                        )
-                    )
-        except OSError as exc:
-            raise DataError(f"cannot write {path}: {exc}") from exc
-        written.append(path)
+    return out
 
-    summary_path = out / "summary.csv"
-    rows = summarise_runs(results)
+
+def emit_run(result: RunResult, out_dir) -> Path:
+    """Write one run's records to ``run_<label>.csv``; returns the path.
+
+    Column order is stable so downstream plotting can rely on it; every
+    column except ``decision_ms`` is reproducible for a fixed seed.
+    """
+    path = _out_dir(out_dir) / f"run_{result.label()}.csv"
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("scheme", "distribution", "n_nodes", "seed") + _RUN_COLUMNS)
+            for rec in result.records:
+                load_gap, speed_gap = optimality_gaps(rec)
+                writer.writerow(
+                    (
+                        result.scheme,
+                        result.distribution,
+                        result.n_nodes,
+                        result.seed,
+                        rec.query_index,
+                        rec.selected_node,
+                        f"{rec.load_selected:.9f}",
+                        f"{rec.load_min:.9f}",
+                        f"{load_gap:.9f}",
+                        f"{rec.speed_selected:.9f}",
+                        f"{rec.speed_max:.9f}",
+                        f"{speed_gap:.9f}",
+                        f"{rec.decision_ms:.6f}",
+                    )
+                )
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
+def load_run(path, n_queries: int) -> RunResult:
+    """Read back the file ``emit_run`` wrote for a run of ``n_queries`` queries.
+
+    Raises ``DataError`` unless it holds queries 0..n_queries-1 in order, each
+    on a whole, parsable row; an interrupted write leaves the last row cut off.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        rows = list(csv.DictReader(io.StringIO(text)))
+        first = rows[0]
+        result = RunResult(first["scheme"], first["distribution"], int(first["n_nodes"]), int(first["seed"]))
+        result.records = [
+            QueryRecord(
+                query_index=int(row["query_index"]),
+                decision_ms=float(row["decision_ms"]),
+                selected_node=int(row["selected_node"]),
+                load_selected=float(row["load_selected"]),
+                speed_selected=float(row["speed_selected"]),
+                load_min=float(row["load_min"]),
+                speed_max=float(row["speed_max"]),
+            )
+            for row in rows
+        ]
+    except (OSError, LookupError, TypeError, ValueError) as exc:
+        raise DataError(f"cannot read run file {path}: {exc}") from exc
+    if not text.endswith("\n") or [r.query_index for r in result.records] != list(range(n_queries)):
+        raise DataError(f"run file {path} does not hold queries 0..{n_queries - 1} on whole rows")
+    return result
+
+
+def emit_summary(results: Sequence[RunResult], out_dir) -> Path:
+    """Write ``summary.csv`` (``summarise_runs`` of ``results``); returns the path."""
+    summary_path = _out_dir(out_dir) / "summary.csv"
     header = ["scheme", "distribution", "n_nodes", "n_seeds"]
     for name in _SUMMARY_METRICS:
         header += [f"mean_{name}", f"se_{name}"]
@@ -225,12 +262,11 @@ def emit_results(results: Sequence[RunResult], out_dir) -> list:
         with open(summary_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=header)
             writer.writeheader()
-            for row in rows:
+            for row in summarise_runs(results):
                 writer.writerow({k: _fmt(v) for k, v in row.items()})
     except OSError as exc:
         raise DataError(f"cannot write {summary_path}: {exc}") from exc
-    written.append(summary_path)
-    return written
+    return summary_path
 
 
 def _fmt(v):

@@ -4,15 +4,19 @@ A node advertises its data through a digest (per-dimension mean, spread,
 cardinality).  ``confidence_intervals`` expands digests into intervals and
 ``relevance_batch`` matches them against a query's constraint intervals
 dimension by dimension; the per-dimension mismatch scores aggregate into a
-single relevance value where LOWER means a better data match.  Both kernels
-broadcast over leading axes, so one node, a whole fleet and a batch of
-paired training rows all go through the same code.  The scalar
-``overlap_mismatch`` is the per-dimension reference the kernel reproduces.
+single relevance value where LOWER means a better data match, through the
+same ``complexity.quasi_arithmetic_mean`` kernel that aggregates complexity
+memberships.  Both kernels broadcast over leading axes, so one node, a whole
+fleet and a batch of paired training rows all go through the same code.
+The scalar ``overlap_mismatch`` is the per-dimension reference the kernel
+reproduces; ``tests/test_relevance.py`` holds the rest of the reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .complexity import quasi_arithmetic_mean
 
 __all__ = [
     "confidence_intervals",
@@ -80,16 +84,11 @@ def relevance_batch(constraints, intervals, alpha: float) -> np.ndarray:
     Both operands are (..., L, 2) and broadcast against each other: one
     query against (N, L, 2) node intervals gives N values, (N, L, 2) paired
     rows give one value per row.  The per-dimension mismatches aggregate
-    with the power mean of exponent ``alpha``; lower is better, 0 meaning
-    every constraint interval is matched by the data.
+    with the power mean of exponent ``alpha`` (non-zero); lower is better,
+    0 meaning every constraint interval is matched by the data.
     """
-    if alpha == 0:
-        raise ValueError("alpha must be non-zero")
     w = np.asarray(getattr(constraints, "intervals", constraints), dtype=float)
     f = np.asarray(intervals, dtype=float)
     if w.shape[-2:] != f.shape[-2:] or w.shape[-1] != 2:
         raise ValueError(f"dimensionality mismatch: {w.shape} vs {f.shape}")
-    psis = _mismatch_matrix(w, f)
-    with np.errstate(divide="ignore"):
-        vals = np.mean(np.power(psis, alpha), axis=-1) ** (1.0 / alpha)
-    return np.minimum(vals, 1.0)
+    return np.minimum(quasi_arithmetic_mean(_mismatch_matrix(w, f), alpha), 1.0)

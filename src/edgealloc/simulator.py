@@ -22,6 +22,7 @@ import csv
 import gc
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .allocator import AllocationDecision, EnsembleBundle, FusionScheme, decide_from_features
-from .complexity import ComplexityClassifier, TrainingQueryCorpus, DEFAULT_CLASSES
+from .complexity import ComplexityClassifier, TrainingQueryCorpus, DEFAULT_CLASSES, tokenize_statement
 from .core import DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar
 from .errors import ConfigError, DataError
 from .learners import LabeledDataset
@@ -53,6 +54,7 @@ __all__ = [
     "simulate_run",
     "save_scenario",
     "load_scenario",
+    "query_from_record",
     "SCENARIO_SCHEMA_VERSION",
 ]
 
@@ -372,46 +374,75 @@ def save_scenario(path, scenario: Scenario) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
+def query_from_record(record, fallback_id: str = "adhoc") -> Query:
+    """Build a query from its JSON record.
+
+    The record is an object with a ``statement`` string holding at least
+    one token, ``constraints`` as [[min, max], ...] with min <= max, and
+    optionally an ``id`` and a ``deadline`` >= 0.  Anything else raises
+    ``DataError``; callers prefix the source.
+    """
+    if not isinstance(record, dict):
+        raise DataError(f"a query must be a JSON object, got {type(record).__name__}")
+    statement = record.get("statement")
+    if not isinstance(statement, str):
+        raise DataError(f"a query needs a 'statement' string, got {type(statement).__name__}")
+    try:
+        tokenize_statement(statement)
+        return Query(
+            id=str(record.get("id", fallback_id)),
+            statement=statement,
+            constraints=QueryConstraints(np.asarray(record["constraints"], dtype=float)),
+            deadline=float(record.get("deadline", 0.0)),
+        )
+    except KeyError as exc:
+        raise DataError(f"query is missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"invalid query: {exc}") from exc
+
+
 def load_scenario(path) -> Scenario:
+    """Read a scenario dumped by ``save_scenario``; ``DataError`` naming the
+    file for anything that does not describe a valid scenario."""
     import json
 
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read scenario {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"scenario {path} must be a JSON object, got {type(payload).__name__}")
     version = payload.get("schema_version")
     if version != SCENARIO_SCHEMA_VERSION:
         raise DataError(f"scenario {path} has schema version {version}, expected {SCENARIO_SCHEMA_VERSION}")
-    cfg = ScenarioConfig(**payload["config"])
-    nodes = [
-        NodeState(
-            node_id=n["node_id"],
-            load=n["load"],
-            speed=n["speed"],
-            queue_capacity=n.get("queue_capacity", cfg.queue_capacity),
-            digest=DatasetDigest(
-                means=np.asarray(n["digest"]["means"], dtype=float),
-                spreads=np.asarray(n["digest"]["spreads"], dtype=float),
-                cardinality=n["digest"]["cardinality"],
-            ),
-        )
-        for n in payload["nodes"]
-    ]
-    queries = [
-        Query(
-            id=q["id"],
-            statement=q["statement"],
-            constraints=QueryConstraints(np.asarray(q["constraints"], dtype=float)),
-            deadline=q["deadline"],
-        )
-        for q in payload["queries"]
-    ]
-    return Scenario(
-        config=cfg,
-        nodes=nodes,
-        queries=queries,
-        load_series=np.asarray(payload["load_series"], dtype=float),
-    )
+    try:
+        cfg = ScenarioConfig(**payload["config"])
+        nodes = [
+            NodeState(
+                node_id=operator.index(n["node_id"]),
+                load=n["load"],
+                speed=n["speed"],
+                queue_capacity=n.get("queue_capacity", cfg.queue_capacity),
+                digest=DatasetDigest(
+                    means=np.asarray(n["digest"]["means"], dtype=float),
+                    spreads=np.asarray(n["digest"]["spreads"], dtype=float),
+                    cardinality=n["digest"]["cardinality"],
+                ),
+            )
+            for n in payload["nodes"]
+        ]
+        queries = [query_from_record(q) for q in payload["queries"]]
+        load_series = np.asarray(payload["load_series"], dtype=float)
+    except KeyError as exc:
+        raise DataError(f"scenario {path} is missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"scenario {path}: {exc}") from exc
+    if not nodes:
+        raise DataError(f"scenario {path} has no nodes")
+    dims = {node.digest.dims for node in nodes} | {q.constraints.dims for q in queries}
+    if dims != {cfg.dims}:
+        raise DataError(f"scenario {path}: dimension counts {sorted(dims)} differ from config dims {cfg.dims}")
+    return Scenario(config=cfg, nodes=nodes, queries=queries, load_series=load_series)
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +741,6 @@ def simulate_run(
         distribution=cfg.distribution if cfg.trace_path is None else "trace",
         n_nodes=cfg.n_nodes,
         seed=cfg.seed,
-        meta={"dims": cfg.dims, "alpha": cfg.alpha, "z": cfg.z, "k": k},
     )
     for t, query in enumerate(scenario.queries):
         if replay:

@@ -1,6 +1,7 @@
 import warnings
 from dataclasses import replace
 
+import pytest
 
 from edgealloc import bench
 from edgealloc.bench import BenchCell, LearnerSetup, run_cells
@@ -48,3 +49,35 @@ def test_training_is_keyed_on_every_field_but_size(monkeypatch):
     _results, failures = run_cells(cells, POLICY, setup=LearnerSetup(training_size=600))
     assert not failures
     assert trained == [replace(c, n_nodes=1, n_queries=1) for c in configs if c is not configs[1]]
+
+
+SMALL_SETUP = LearnerSetup(boost_rounds=3, bagging_bags=3, training_size=300)
+
+
+@pytest.mark.parametrize("keep", ["whole_rows", "mid_row"])
+def test_resume_reuses_a_complete_run_file_and_reruns_a_truncated_one(tmp_path, monkeypatch, keep):
+    cells = [BenchCell(replace(BASE, n_nodes=4, n_queries=20), scheme) for scheme in ("cs", "mvs")]
+    written = []
+    emit_run = bench.emit_run
+    monkeypatch.setattr(bench, "emit_run", lambda result, out: written.append(result.label()) or emit_run(result, out))
+    first, failures = run_cells(cells, POLICY, setup=SMALL_SETUP, out_dir=tmp_path)
+    assert not failures
+    assert written == [c.label() for c in cells]  # each run file is written once
+    assert (tmp_path / "summary.csv").exists()
+
+    truncated = tmp_path / f"run_{cells[1].label()}.csv"
+    text = truncated.read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    cut = {"whole_rows": "".join(lines[:11]), "mid_row": text[: len("".join(lines[:11])) + 9]}[keep]
+    truncated.write_text(cut, encoding="utf-8")  # the header and 10 of 20 rows, or a bit more
+
+    ran = []
+    simulate = bench.simulate_run
+    monkeypatch.setattr(bench, "simulate_run", lambda scenario, *a, **kw: ran.append(scenario.config) or simulate(scenario, *a, **kw))
+    messages = []
+    again, failures = run_cells(cells, POLICY, setup=SMALL_SETUP, out_dir=tmp_path, resume=True, progress=messages.append)
+    assert not failures
+    assert ran == [cells[1].config]
+    assert "skipped" in messages[0] and "running again" in messages[1]
+    assert [picks(r) for r in again] == [picks(r) for r in first]
+    assert len(truncated.read_text(encoding="utf-8").splitlines()) == 21

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from edgealloc.cli import main
+from edgealloc.cli import _parse_query_json, main
 from edgealloc.core import DatasetDigest, NodeState, Query, QueryConstraints
+from edgealloc.errors import DataError
 from edgealloc.learners import model_from_dict, save_bundle
-from edgealloc.simulator import Scenario, ScenarioConfig, save_scenario
+from edgealloc.simulator import Scenario, ScenarioConfig, load_scenario, save_scenario
 
 
 @pytest.fixture
@@ -296,6 +299,161 @@ def test_allocate_with_a_malformed_model_file_exits_3(runner, tmp_path, boost):
     result = runner.invoke(main, ["allocate", "--config", str(config)])
     assert result.exit_code == 3, result.output
     assert "data error" in result.output
+
+
+# ---------------------------------------------------------------------------
+# scenario and query JSON boundaries
+# ---------------------------------------------------------------------------
+
+
+def two_node_setup(tmp_path):
+    """A 1-D, two-node scenario and hand-built models; returns (config, scenario
+    path, scenario payload)."""
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "config.yaml", out_dir, scenario={"n_nodes": 2, "dims": 1, "n_queries": 1, "seed": 5})
+    out_dir.mkdir()
+    digest = DatasetDigest(means=np.array([0.5]), spreads=np.array([0.1]), cardinality=1000)
+    nodes = [NodeState(node_id=i, load=0.1 * (i + 1), speed=0.5, digest=digest) for i in range(2)]
+    query = Query(id="q0", statement="select a from t", constraints=QueryConstraints(np.array([[0.0, 1.0]])), deadline=1.0)
+    cfg = ScenarioConfig(n_nodes=2, dims=1, n_queries=1, seed=5)
+    scenario_path = out_dir / "scenario.json"
+    save_scenario(scenario_path, Scenario(config=cfg, nodes=nodes, queries=[query], load_series=np.array([[0.1, 0.2]])))
+    good = {"type": "bagging", "members": [LOAD_TREE], "n_features": 5}
+    payload = {"schema_version": 1, "models": {"boost": good, "bagging": good, "stacking": good}}
+    (out_dir / "models.json").write_text(json.dumps(payload), encoding="utf-8")
+    return config, scenario_path, json.loads(scenario_path.read_text(encoding="utf-8"))
+
+
+def _set(payload, path, value):
+    *parents, last = path
+    for key in parents:
+        payload = payload[key]
+    payload[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ((), [1, 2]),  # not an object
+        (("queries",), None),  # removed below: a missing key
+        (("config", "bogus"), 1),
+        (("config",), "dims"),
+        (("nodes", 0, "load"), 2.0),
+        (("nodes", 0, "node_id"), "a"),
+        (("nodes", 1, "digest", "means"), [0.5, 0.5]),
+        (("nodes", 1, "digest", "means"), [float("nan")]),  # NaN intervals would match any query
+        (("nodes",), []),
+        (("queries", 0, "constraints"), [[0.9, 0.1]]),
+        (("queries", 0, "statement"), 7),
+        (("load_series",), [[0.1], [0.1, 0.2]]),
+    ],
+)
+def test_allocate_with_a_malformed_scenario_exits_3_naming_the_file(runner, tmp_path, path, value):
+    config, scenario_path, payload = two_node_setup(tmp_path)
+    assert runner.invoke(main, ["allocate", "--config", str(config)]).exit_code == 0
+    if path == ("queries",):
+        del payload["queries"]
+    elif path == ():
+        payload = value
+    else:
+        _set(payload, path, value)
+    scenario_path.write_text(json.dumps(payload), encoding="utf-8")
+    result = runner.invoke(main, ["allocate", "--config", str(config)])
+    assert result.exit_code == 3, result.output
+    assert f"scenario {scenario_path}" in result.output
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ({"statement": "select a from t", "constraints": [[0.9, 0.1]]}, "minima must not exceed maxima"),
+        ({"statement": "select a from t", "constraints": [[float("nan"), 0.1]]}, "NaN"),
+        ({"statement": "select a from t", "constraints": [["low", "high"]]}, "invalid query"),
+        ({"statement": "select a from t", "constraints": [[0.1, 0.2, 0.3]]}, "shape"),
+        ({"statement": "select a from t", "constraints": [0.1, 0.2]}, "shape"),
+        ({"statement": "select a from t", "constraints": {"min": 0.1}}, "invalid query"),
+        ({"statement": "select a from t", "constraints": [[0, 10**400]]}, "invalid query"),
+        ({"statement": "select a from t"}, "missing field 'constraints'"),
+        ({"statement": 5, "constraints": [[0.1, 0.2]]}, "'statement' string"),
+        ({"statement": "<=>", "constraints": [[0.1, 0.2]]}, "no tokens"),
+        ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "deadline": -1}, "deadline"),
+        ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "deadline": "soon"}, "invalid query"),
+        ({"statement": "select a from t", "constraints": [[0.1, 0.2], [0.1, 0.2]]}, "2 constraint dimensions, the scenario has 1"),
+        ([{"statement": "select a from t"}], "cannot read query file"),
+    ],
+)
+def test_allocate_with_a_malformed_query_json_exits_3(runner, tmp_path, query, message):
+    config, _, _ = two_node_setup(tmp_path)
+    result = runner.invoke(main, ["allocate", "--config", str(config), "--query-json", json.dumps(query)])
+    assert result.exit_code == 3, result.output
+    assert message in result.output
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+bounds = st.lists(st.lists(st.floats() | st.integers(), min_size=0, max_size=3), max_size=3)
+query_records = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": json_values,
+        "statement": st.sampled_from(["select a from t", "", " ", "<=>"]) | json_values,
+        "constraints": bounds | json_values,
+        "deadline": json_values,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(query_records | json_values | st.text(max_size=40))
+def test_query_json_parser_raises_only_data_error(spec):
+    text = spec if isinstance(spec, str) else json.dumps(spec)
+    try:
+        query = _parse_query_json(text)
+    except DataError:
+        return
+    assert isinstance(query, Query)
+
+
+SCENARIO_PATHS = [
+    (), ("schema_version",), ("config",), ("config", "dims"), ("config", "n_nodes"),
+    ("nodes",), ("nodes", 0), ("nodes", 0, "node_id"), ("nodes", 0, "load"), ("nodes", 0, "speed"),
+    ("nodes", 0, "queue_capacity"), ("nodes", 0, "digest"), ("nodes", 0, "digest", "means"),
+    ("nodes", 0, "digest", "spreads"), ("nodes", 0, "digest", "cardinality"),
+    ("queries",), ("queries", 0), ("queries", 0, "statement"), ("queries", 0, "constraints"),
+    ("queries", 0, "deadline"), ("load_series",),
+]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(SCENARIO_PATHS), json_values | bounds, st.booleans())
+def test_scenario_parser_raises_only_data_error(tmp_path, path, value, delete):
+    scenario_path = tmp_path / "scenario.json"
+    cfg = ScenarioConfig(n_nodes=2, dims=1, n_queries=1, seed=5)
+    digest = DatasetDigest(means=np.array([0.5]), spreads=np.array([0.1]), cardinality=1000)
+    nodes = [NodeState(node_id=i, load=0.1, speed=0.5, digest=digest) for i in range(2)]
+    query = Query(id="q0", statement="select a from t", constraints=QueryConstraints(np.array([[0.0, 1.0]])), deadline=1.0)
+    save_scenario(scenario_path, Scenario(config=cfg, nodes=nodes, queries=[query], load_series=np.array([[0.1, 0.2]])))
+    payload = json.loads(scenario_path.read_text(encoding="utf-8"))
+    if path == ():
+        payload = value
+    elif delete:
+        *parents, last = path
+        holder = payload
+        for key in parents:
+            holder = holder[key]
+        del holder[last]
+    else:
+        _set(payload, path, value)
+    scenario_path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        scenario = load_scenario(scenario_path)
+    except DataError as exc:
+        assert str(scenario_path) in str(exc)
+        return
+    assert isinstance(scenario, Scenario)
 
 
 # ---------------------------------------------------------------------------

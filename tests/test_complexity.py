@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgealloc.complexity import (
+    ComplexityClass,
     ComplexityParams,
     ComplexityClassifier,
     SIMILARITY_METRICS,
@@ -13,10 +15,8 @@ from edgealloc.complexity import (
     distance_to_similarity,
     fuse_similarities,
     hamacher_fold,
-    per_tuple_similarity,
     quasi_arithmetic_mean,
     significance_levels,
-    similarity_metric,
     tokenize_statement,
     TrainingQueryCorpus,
     load_corpus,
@@ -29,6 +29,62 @@ unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 def feat(*tokens):
     return tokenize_statement(" ".join(tokens))
+
+
+def check_rows(fn, rows, *args):
+    """``fn`` on the 2-D stack of ``rows`` gives, row by row, what it gives
+    on each row alone."""
+    stacked = np.asarray(fn(np.array(rows, dtype=float), *args))
+    each = np.array([fn(row, *args) for row in rows])
+    assert stacked.shape == each.shape
+    np.testing.assert_allclose(stacked, each, rtol=1e-12, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# plain-Python per-pair reference: the kernels and the classifier are checked
+# against it
+# ---------------------------------------------------------------------------
+
+
+def reference_similarities(q: dict, c: dict) -> list:
+    """hamming, jaccard, cosine of two token-count mappings."""
+    inter = len(q.keys() & c.keys())
+    union = len(q.keys() | c.keys())
+    hamming = 1.0 / (1.0 + (union - inter) / union)
+    jaccard = inter / union
+    dot = sum(n * c[t] for t, n in q.items() if t in c)
+    norm_q = math.sqrt(sum(n * n for n in q.values()))
+    norm_c = math.sqrt(sum(n * n for n in c.values()))
+    return [hamming, jaccard, dot / (norm_c * norm_q)]
+
+
+def reference_fuse(values: list, p: ComplexityParams) -> float:
+    levels = []
+    for v in values:
+        support = sum(1 for w in values if abs(v - w) <= p.gamma)
+        levels.append(1.0 / (1.0 + math.exp(-(p.delta1 * support - p.delta2))))
+    order = sorted(range(len(values)), key=lambda i: (-levels[i], -values[i], i))
+    acc = values[order[0]]
+    for i in order[1 : p.top_n]:
+        v = values[i]
+        den = p.hamacher_a + (1.0 - p.hamacher_a) * (acc + v - acc * v)
+        acc = 0.0 if den == 0.0 else acc * v / den
+    return acc
+
+
+def reference_power_mean(values: list, alpha: float) -> float:
+    if alpha < 0 and min(values) == 0.0:
+        return 0.0  # 0 ** alpha is infinite, so the mean's limit is 0
+    return (sum(v**alpha for v in values) / len(values)) ** (1.0 / alpha)
+
+
+def reference_memberships(statement: str, corpus, p: ComplexityParams) -> list:
+    q = dict(tokenize_statement(statement).counts)
+    scores = {c.id: [] for c in corpus.classes}
+    for text, class_id in corpus.entries:
+        c = dict(tokenize_statement(text).counts)
+        scores[class_id].append(reference_fuse(reference_similarities(q, c), p))
+    return [min(1.0, reference_power_mean(scores[c.id], p.alpha)) for c in corpus.classes]
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +103,7 @@ def test_tokenize_is_deterministic():
 
 def test_tokenize_counts_repeated_tokens():
     f = tokenize_statement("SELECT NAME, PRICE FROM STOCKS WHERE PRICE <= 100 AND PRICE >= 10")
-    assert f.as_counter()["price"] == 3
+    assert dict(f.counts)["price"] == 3
 
 
 def test_tokenize_rejects_empty():
@@ -62,37 +118,44 @@ def test_tokenize_rejects_empty():
 # ---------------------------------------------------------------------------
 
 
+def metrics(x_tokens, y_tokens) -> dict:
+    """The ``similarities`` row of statement x against a corpus holding only y."""
+    corpus = TrainingQueryCorpus([(" ".join(y_tokens), 0)], classes=(ComplexityClass(0, "any"),))
+    (row,) = ComplexityClassifier(corpus).similarities(feat(*x_tokens))
+    return dict(zip(SIMILARITY_METRICS, row))
+
+
 def test_jaccard_identical_and_disjoint():
-    assert similarity_metric("jaccard", feat("a", "b"), feat("a", "b")) == 1.0
-    assert similarity_metric("jaccard", feat("a", "b"), feat("c", "d")) == 0.0
+    assert metrics(("a", "b"), ("a", "b"))["jaccard"] == 1.0
+    assert metrics(("a", "b"), ("c", "d"))["jaccard"] == 0.0
 
 
 def test_jaccard_partial_overlap():
     # |intersection| = 1, |union| = 3
-    assert similarity_metric("jaccard", feat("a", "b"), feat("b", "c")) == pytest.approx(1 / 3)
+    assert metrics(("a", "b"), ("b", "c"))["jaccard"] == pytest.approx(1 / 3)
 
 
 def test_cosine_identical():
-    assert similarity_metric("cosine", feat("a", "b"), feat("a", "b")) == pytest.approx(1.0)
+    assert metrics(("a", "b"), ("a", "b"))["cosine"] == pytest.approx(1.0)
 
 
 def test_hamming_uses_pair_vocabulary():
-    # vocabulary {a, b, c}: one shared, two mismatched -> distance 2/3
-    value = similarity_metric("hamming", feat("a", "b"), feat("b", "c"))
+    # vocabulary {a, b, c}: one shared, two mismatched -> distance 2/3; one
+    # query token lies outside the corpus vocabulary and still counts
+    value = metrics(("a", "b"), ("b", "c"))["hamming"]
     assert value == pytest.approx(1.0 / (1.0 + 2 / 3))
-
-
-def test_unknown_metric_rejected():
-    with pytest.raises(ValueError):
-        similarity_metric("euclid", feat("a"), feat("b"))
+    assert metrics(("b", "c"), ("a", "b"))["hamming"] == value
 
 
 def test_distance_to_similarity_values():
     assert distance_to_similarity(0.0) == 1.0
     assert distance_to_similarity(1.0) == 0.5
     assert distance_to_similarity(3.0) == 0.25
+    assert distance_to_similarity([[0.0, 1.0], [3.0, 0.0]]).tolist() == [[1.0, 0.5], [0.25, 1.0]]
     with pytest.raises(ValueError):
         distance_to_similarity(-0.1)
+    with pytest.raises(ValueError):
+        distance_to_similarity([[0.0, 1.0], [-0.1, 0.0]])
 
 
 @given(st.floats(min_value=0, max_value=1e6), st.floats(min_value=0, max_value=1e6))
@@ -108,7 +171,7 @@ def test_distance_to_similarity_decreasing(d1, d2):
 
 def test_significance_sigmoid_midpoint():
     # delta1 * count == delta2 lands on the sigmoid midpoint
-    assert significance_levels([0.3], gamma=0.1, delta1=2.0, delta2=2.0) == [0.5]
+    assert significance_levels([0.3], gamma=0.1, delta1=2.0, delta2=2.0).tolist() == [0.5]
 
 
 def test_significance_single_value():
@@ -126,6 +189,7 @@ def test_significance_isolated_value_scores_lowest():
 def test_significance_levels_strictly_inside_unit_interval(values):
     for sl in significance_levels(values, gamma=0.1, delta1=1.0, delta2=1.0):
         assert 0.0 < sl < 1.0
+    check_rows(significance_levels, [values, values[::-1], [v / 2 for v in values]], 0.1, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +222,14 @@ def test_hamacher_rejects_negative_parameter():
 @given(st.lists(unit_floats, min_size=1, max_size=6), st.floats(min_value=0, max_value=5))
 def test_hamacher_stays_in_unit_interval(values, a):
     assert 0.0 <= hamacher_fold(values, a) <= 1.0
+    check_rows(hamacher_fold, [values, values[::-1], sorted(values)], a)
 
 
 @given(st.lists(unit_floats, min_size=2, max_size=6))
 def test_hamacher_at_one_equals_plain_product(values):
     expected = math.prod(values)
     assert hamacher_fold(values, a=1.0) == pytest.approx(expected, abs=1e-12)
+    assert hamacher_fold([values, values], a=1.0) == pytest.approx([expected] * 2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +258,8 @@ def test_qam_monotone_in_each_argument(values, idx, alpha):
     bumped = list(values)
     bumped[idx] = min(1.0, bumped[idx] + 0.25)
     assert quasi_arithmetic_mean(bumped, alpha) >= quasi_arithmetic_mean(values, alpha) - 1e-12
+    check_rows(quasi_arithmetic_mean, [values, bumped], alpha)
+    check_rows(quasi_arithmetic_mean, [values, bumped], -alpha)
 
 
 def test_qam_rejects_zero_alpha_and_empty():
@@ -199,6 +267,8 @@ def test_qam_rejects_zero_alpha_and_empty():
         quasi_arithmetic_mean([0.5], alpha=0.0)
     with pytest.raises(ValueError):
         quasi_arithmetic_mean([], alpha=1.0)
+    with pytest.raises(ValueError):
+        quasi_arithmetic_mean([[0.5, 0.2], [0.1, -0.1]], alpha=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +288,8 @@ def test_fuse_top_one_keeps_highest_significance():
 
 
 def test_fuse_identical_statements_give_one():
-    f = feat("select", "x", "from", "t")
-    assert per_tuple_similarity(f, f, ComplexityParams()) == pytest.approx(1.0)
+    row = metrics(("select", "x", "from", "t"), ("select", "x", "from", "t"))
+    assert fuse_similarities(list(row.values()), ComplexityParams()) == pytest.approx(1.0)
 
 
 @given(st.lists(unit_floats, min_size=3, max_size=3), st.integers(min_value=1, max_value=3))
@@ -228,6 +298,7 @@ def test_fuse_more_factors_never_increases_product(values, n):
     if n < 3:
         bigger = fuse_similarities(values, ComplexityParams(top_n=n + 1))
         assert bigger <= small + 1e-12
+    check_rows(fuse_similarities, [values, values[::-1], [1.0 - v for v in values]], ComplexityParams(top_n=n))
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +353,47 @@ def test_corpus_requires_every_class():
 def test_vectorized_scores_match_scalar_path():
     corpus = _single_corpus()
     clf = ComplexityClassifier(corpus)
-    params = ComplexityParams()
-    query = tokenize_statement("select x, y from stocks join t where x >= 10")
-    fast = clf.pairwise_scores(query)
+    statement = "select x, y from stocks join t where x >= 10"
+    q = dict(tokenize_statement(statement).counts)
     slow = [
-        per_tuple_similarity(query, tokenize_statement(s), params) for s, _ in corpus.entries
+        reference_fuse(reference_similarities(q, dict(tokenize_statement(s).counts)), clf.params)
+        for s, _ in corpus.entries
     ]
-    assert np.allclose(fast, slow, atol=1e-12)
+    assert clf.pairwise_scores(tokenize_statement(statement)).tolist() == slow
+
+
+# corpus tokens come from VOCAB; queries may also use tokens outside it
+VOCAB = ("select", "a", "b", "from", "t", "where", "x", "join", "10")
+token_lists = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=8)
+query_token_lists = st.lists(st.sampled_from(VOCAB + ("zz", "oov", "99")), min_size=1, max_size=8)
+classifier_params = st.builds(
+    ComplexityParams,
+    top_n=st.sampled_from([1, 2, 3]),
+    hamacher_a=st.sampled_from([0.0, 1.0, 2.0]),
+    alpha=st.sampled_from([1.0, 0.5, 3.0, -1.0, -2.5]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(token_lists, min_size=3, max_size=8), query_token_lists, classifier_params)
+def test_classifier_matches_per_pair_reference(corpus_tokens, query_tokens, params):
+    corpus = TrainingQueryCorpus([(" ".join(toks), i % 3) for i, toks in enumerate(corpus_tokens)])
+    clf = ComplexityClassifier(corpus, params)
+    statement = " ".join(query_tokens)
+    q = Counter(query_tokens)
+    expected_scores = [
+        reference_fuse(reference_similarities(q, Counter(toks)), params) for toks in corpus_tokens
+    ]
+    assert clf.pairwise_scores(tokenize_statement(statement)).tolist() == expected_scores
+
+    expected = reference_memberships(statement, corpus, params)
+    vector, resolved = clf.classify_statement(statement)
+    assert vector.memberships == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    best = max(range(len(expected)), key=lambda i: (expected[i], -i))
+    clear_winner = all(abs(m - expected[best]) > 1e-9 for i, m in enumerate(expected) if i != best)
+    if clear_winner and abs(expected[best] - params.threshold) > 1e-9:
+        want = best if expected[best] >= params.threshold else None
+        assert (resolved.id if resolved is not None else None) == want
 
 
 def test_corpus_roundtrip_through_file(tmp_path):

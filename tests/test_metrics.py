@@ -9,7 +9,9 @@ from edgealloc.metrics import (
     RunResult,
     allocation_throughput,
     density_estimate,
-    emit_results,
+    emit_run,
+    emit_summary,
+    load_run,
     optimality_gaps,
     summarise_runs,
 )
@@ -132,9 +134,12 @@ def test_summary_has_one_row_per_cell_with_errors():
 
 
 def test_emit_writes_run_files_and_summary(tmp_path):
-    paths = emit_results(_grid_results(), tmp_path)
-    assert (tmp_path / "summary.csv").exists()
-    run_files = [p for p in paths if p.name.startswith("run_")]
+    results = _grid_results()
+    run_files = [emit_run(r, tmp_path) for r in results]
+    assert emit_summary(results, tmp_path) == tmp_path / "summary.csv"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [p.name for p in run_files] + ["summary.csv"]
+    )
     assert len(run_files) == 32
     with open(run_files[0]) as fh:
         rows = list(csv.DictReader(fh))
@@ -146,8 +151,8 @@ def test_rerun_reproduces_everything_but_timing(tmp_path):
     def run(ms):
         return run_with([record(ms=ms, idx=i) for i in range(4)], "cs", "uniform", 10, 0)
 
-    emit_results([run(1.0)], tmp_path / "a")
-    emit_results([run(2.0)], tmp_path / "b")  # same seed, different wall clock
+    emit_run(run(1.0), tmp_path / "a")
+    emit_run(run(2.0), tmp_path / "b")  # same seed, different wall clock
 
     def read(path):
         with open(path) as fh:
@@ -165,4 +170,30 @@ def test_emit_to_unwritable_path_raises(tmp_path):
     target = tmp_path / "file"
     target.write_text("x", encoding="utf-8")
     with pytest.raises(DataError):
-        emit_results(_grid_results(), target)  # a file, not a directory
+        emit_run(_grid_results()[0], target)  # a file, not a directory
+    with pytest.raises(DataError):
+        emit_summary(_grid_results(), target)
+
+
+def test_load_run_reads_back_what_emit_run_wrote(tmp_path):
+    original = run_with([record(ms=0.5 + i, idx=i, node=i) for i in range(3)], "mvs", "trace", 7, 4)
+    loaded = load_run(emit_run(original, tmp_path), 3)
+    assert (loaded.scheme, loaded.distribution, loaded.n_nodes, loaded.seed) == ("mvs", "trace", 7, 4)
+    assert loaded.records == original.records
+
+
+@pytest.mark.parametrize("cut", ["", "header", "whole_rows", "mid_row", "mid_value"])
+def test_load_run_rejects_empty_and_cut_files(tmp_path, cut):
+    path = emit_run(run_with([record(ms=1.25, idx=i) for i in range(3)]), tmp_path)
+    text = path.read_text(encoding="utf-8")
+    header_end = text.index("\n") + 1
+    keep = {
+        "": 0,
+        "header": header_end,
+        "whole_rows": text.index("\n", header_end) + 1,  # one of three rows
+        "mid_row": text.index(",", header_end + 20),  # a row cut after a few columns
+        "mid_value": len(text) - 3,  # the last decision_ms loses its last digit
+    }[cut]
+    path.write_text(text[:keep], encoding="utf-8")
+    with pytest.raises(DataError):
+        load_run(path, 3)
