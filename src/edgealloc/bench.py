@@ -9,7 +9,8 @@ triple; this keeps N-sweeps comparable and cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import json
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -29,7 +30,6 @@ from .learners.ensembles import _stratified_split
 from .metrics import emit_run, emit_summary, load_run
 from .simulator import (
     LabelingPolicy,
-    Scenario,
     ScenarioConfig,
     generate_query_corpus,
     generate_scenario,
@@ -55,7 +55,7 @@ class LearnerSetup:
     boost_spec: BaseLearnerSpec = BaseLearnerSpec(kind="cart_tree", max_depth=2, min_leaf=5)
     bagging_bags: int = 20
     bagging_spec: BaseLearnerSpec = BaseLearnerSpec(kind="cart_tree", max_depth=4, min_leaf=5)
-    stacking_bases: tuple = (
+    stacking_bases: tuple[BaseLearnerSpec, ...] = (
         BaseLearnerSpec(kind="cart_tree", max_depth=3, min_leaf=5),
         BaseLearnerSpec(kind="random_tree", max_depth=3, min_leaf=5, feature_subset_size=3),
         BaseLearnerSpec(kind="gaussian_nb"),
@@ -64,6 +64,12 @@ class LearnerSetup:
     stacking_meta: BaseLearnerSpec = BaseLearnerSpec(kind="logistic", learning_rate=0.5, epochs=300)
     stacking_split: float = 0.5
     training_size: int = 4000
+
+    def __post_init__(self) -> None:
+        if min(self.boost_rounds, self.bagging_bags, self.training_size) < 1:
+            raise ValueError("boost_rounds, bagging_bags and training_size must all be >= 1")
+        if len(self.stacking_bases) < 2 or not 0 < self.stacking_split < 1:
+            raise ValueError("stacking needs at least two stacking_bases and a stacking_split in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -165,11 +171,12 @@ def run_cells(
     """Run every cell; returns (results, failures).
 
     Failures are recorded as (cell label, message) and do not stop the
-    sweep.  With ``out_dir`` set, each finished cell is written immediately
-    and ``summary.csv`` once at the end; with ``resume`` as well, a cell
-    whose file holds one record per query of its scenario is loaded back
-    instead of re-run, which makes interrupted sweeps restartable.  Any
-    other file, a truncated one included, is run again.
+    sweep.  With ``out_dir`` set, each finished cell writes its run file,
+    then its config record (scenario config, scheme, policy, learner setup,
+    complexity params, corpus entries and ``k``), and ``summary.csv`` is
+    written once at the end.  With ``resume`` as well, a cell is loaded back
+    instead of re-run when its record equals the current one and its file
+    holds one row per query, which makes interrupted sweeps restartable.
     """
     corpus = corpus or generate_query_corpus()
     classifier = ComplexityClassifier(corpus, fcp_params)
@@ -177,6 +184,7 @@ def run_cells(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
+    shared = dict(policy=asdict(policy), setup=asdict(setup), fcp=asdict(fcp_params), corpus=corpus.entries, k=k)
     bundles: dict = {}
     results: list = []
     failures: list = []
@@ -187,14 +195,21 @@ def run_cells(
 
     for cell in cells:
         label = cell.label()
-        path = out / f"run_{label}.csv" if out is not None else None
-        if resume and path is not None and path.exists():
-            try:
-                results.append(load_run(path, cell.config.n_queries))
-                say(f"cell {label}: already complete, skipped")
-                continue
-            except DataError as exc:
-                say(f"cell {label}: {exc}; running again")
+        if out is not None:
+            path = out / f"run_{label}.csv"
+            record_path = path.with_suffix(".json")
+            record = json.dumps(dict(shared, config=asdict(cell.config), scheme=cell.scheme), sort_keys=True, indent=2)
+            if resume and path.exists():
+                try:
+                    if not record_path.exists():
+                        raise DataError(f"no config record {record_path.name}")
+                    if record_path.read_text(encoding="utf-8") != record:
+                        raise DataError(f"{record_path.name} records another config")
+                    results.append(load_run(path, cell.config.n_queries))
+                    say(f"cell {label}: already complete, skipped")
+                    continue
+                except DataError as exc:
+                    say(f"cell {label}: {exc}; running again")
         try:
             key = replace(cell.config, n_nodes=1, n_queries=1)
             if key not in bundles:
@@ -204,7 +219,9 @@ def run_cells(
             result = simulate_run(scenario, bundles[key], cell.scheme, classifier, k=k)
             results.append(result)
             if out is not None:
+                record_path.unlink(missing_ok=True)  # a run file is never paired with a stale record
                 emit_run(result, out)
+                record_path.write_text(record, encoding="utf-8")
             say(
                 f"cell {label}: mean load gap {result.load_gaps().mean():.4f}, "
                 f"throughput {result.throughput():.4f}/ms"
@@ -215,4 +232,3 @@ def run_cells(
     if out is not None and results:
         emit_summary(results, out)
     return results, failures
-

@@ -1,8 +1,11 @@
 """Command-line entry point: corpus/scenario/training generation, ensemble
 training, single allocations and full benchmark sweeps.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 for data problems
-(unreadable traces, degenerate training sets), 4 for runtime failures.
+Exit codes: 0 on success; 2 (``ConfigError``) for a config file or option
+that cannot be read or parsed, has an unknown key or a value of the wrong
+type or out of range; 3 (``DataError``) for a missing, unreadable or
+malformed trace, training set, scenario, model file or query, or a
+single-class training set; 4 for any other failure, failed sweep cells too.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -20,12 +23,11 @@ import numpy as np
 import yaml
 
 from .allocator import EnsembleBundle, FusionScheme
-from .bench import BenchCell, LearnerSetup, grid_cells, run_cells, train_bundle_with_report
+from .bench import LearnerSetup, grid_cells, run_cells, train_bundle_with_report
 from .complexity import ComplexityClassifier, ComplexityParams, load_corpus, save_corpus
-from .core import Query
+from .core import Query, read_config
 from .errors import ConfigError, DataError
 from .learners import LabeledDataset, load_bundle, save_bundle
-from .metrics import summarise_runs
 from .simulator import (
     LabelingPolicy,
     ScenarioConfig,
@@ -44,9 +46,9 @@ CONFIG_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class BenchGrid:
-    n_values: tuple = (10, 50, 100, 500)
-    seeds: tuple = (0, 1, 2)
-    distributions: tuple = ("uniform", "gaussian")
+    n_values: tuple[int, ...] = (10, 50, 100, 500)
+    seeds: tuple[int, ...] = (0, 1, 2)
+    distributions: tuple[str, ...] = ("uniform", "gaussian")
     trace_rows: int = 60000
 
     def __post_init__(self) -> None:
@@ -69,112 +71,48 @@ class AppConfig:
     training_holdout: float = 0.25
     output_dir: str = "out"
 
-
-def _build_section(cls, data: dict, name: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    try:
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config section {name!r}: {exc}") from exc
+    def __post_init__(self) -> None:
+        if self.corpus_per_class < 1:
+            raise ConfigError(f"corpus_per_class must be >= 1, got {self.corpus_per_class}")
+        if not 0 < self.training_holdout < 1:
+            raise ConfigError(f"training_holdout must be in (0, 1), got {self.training_holdout}")
 
 
-def load_config(path: Optional[str]) -> AppConfig:
-    """Read the YAML config file; missing sections fall back to defaults."""
-    if path is None:
-        return AppConfig()
-    try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if raw is None:
-        return AppConfig()
+def load_config(path: Optional[str], overrides: Optional[dict] = None) -> AppConfig:
+    """Read the config file, merge ``overrides`` over it and check it once.
+
+    The file is YAML, or JSON if its name ends in ``.json``; no file, or an
+    empty one, means all defaults.  Its root maps an optional
+    ``schema_version`` (1) and ``AppConfig`` fields to values; ``overrides``
+    has the same shape, and its values other than None replace the file's
+    key by key.  Each section is then read by its field types: a missing key
+    takes the section class's default; a tuple comes from a list, ``fusion``
+    is a name in any case, a float may be given as an int but must be
+    finite, and a bool is never a number.  An unknown key, a wrong type or a
+    value out of range raises ``ConfigError`` naming the dotted key.
+    """
+    raw = {}
+    if path is not None:
+        parse = json.loads if Path(path).suffix == ".json" else yaml.safe_load
+        try:
+            raw = parse(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except (yaml.YAMLError, ValueError) as exc:
+            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
     version = raw.pop("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"config schema version {version} unsupported (expected {CONFIG_SCHEMA_VERSION})")
-    known_sections = {
-        "scenario", "policy", "fcp", "learners", "bench",
-        "fusion", "corpus_per_class", "training_holdout", "output_dir",
-    }
-    unknown = set(raw) - known_sections
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    kwargs = {}
-    if "scenario" in raw:
-        kwargs["scenario"] = _build_section(ScenarioConfig, raw["scenario"], "scenario")
-    if "policy" in raw:
-        kwargs["policy"] = _build_section(LabelingPolicy, raw["policy"], "policy")
-    if "fcp" in raw:
-        kwargs["fcp"] = _build_section(ComplexityParams, raw["fcp"], "fcp")
-    if "learners" in raw:
-        data = dict(raw["learners"])
-        for key in ("boost_spec", "bagging_spec", "stacking_meta"):
-            if key in data:
-                from .learners import BaseLearnerSpec
-
-                data[key] = _build_section(BaseLearnerSpec, data[key], key)
-        if "stacking_bases" in data:
-            from .learners import BaseLearnerSpec
-
-            data["stacking_bases"] = tuple(
-                _build_section(BaseLearnerSpec, b, "stacking_bases") for b in data["stacking_bases"]
-            )
-        kwargs["learners"] = _build_section(LearnerSetup, data, "learners")
-    if "bench" in raw:
-        kwargs["bench"] = _build_section(BenchGrid, raw["bench"], "bench")
-    if "fusion" in raw:
-        kwargs["fusion"] = FusionScheme.parse(raw["fusion"])
-    for key in ("corpus_per_class", "training_holdout", "output_dir"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    try:
-        return AppConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
-
-
-def _exit_codes(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
-        except DataError as exc:
-            click.echo(f"data error: {exc}", err=True)
-            sys.exit(3)
-        except click.exceptions.Exit:
-            raise
-        except Exception as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(4)
-
-    return wrapper
-
-
-def _apply_overrides(cfg: AppConfig, seed, n, trace, trace_column, out) -> AppConfig:
-    scenario = cfg.scenario
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
-    if n is not None:
-        scenario = replace(scenario, n_nodes=n)
-    if trace is not None:
-        scenario = replace(scenario, trace_path=str(trace))
-    if trace_column is not None:
-        scenario = replace(scenario, trace_column=trace_column)
-    cfg = replace(cfg, scenario=scenario)
-    if out is not None:
-        cfg = replace(cfg, output_dir=str(out))
-    return cfg
+    for key, value in (overrides or {}).items():
+        if isinstance(value, dict):
+            if isinstance(raw.setdefault(key, {}), dict):
+                raw[key].update((k, v) for k, v in value.items() if v is not None)
+        elif value is not None:
+            raw[key] = value
+    return read_config(AppConfig, raw)
 
 
 _COMMON = [
@@ -187,10 +125,31 @@ _COMMON = [
 ]
 
 
-def _common(fn):
+def _command(fn):
+    """Add the common options to a command; ``fn`` takes the config they
+    select and the command's own options.  ``ConfigError`` exits 2,
+    ``DataError`` 3 and any other failure 4."""
+
+    @functools.wraps(fn)
+    def wrapper(config_path, seed, n, trace, trace_column, out, **options):
+        scenario = {"seed": seed, "n_nodes": n, "trace_path": trace, "trace_column": trace_column}
+        try:
+            return fn(load_config(config_path, {"scenario": scenario, "output_dir": out}), **options)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
+        except DataError as exc:
+            click.echo(f"data error: {exc}", err=True)
+            sys.exit(3)
+        except click.exceptions.Exit:
+            raise
+        except Exception as exc:
+            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(4)
+
     for opt in reversed(_COMMON):
-        fn = opt(fn)
-    return fn
+        wrapper = opt(wrapper)
+    return wrapper
 
 
 @click.group()
@@ -239,11 +198,9 @@ def _read_training_csv(path: Path) -> LabeledDataset:
 
 
 @main.command("gen")
-@_common
-@_exit_codes
-def cmd_gen(config_path, seed, n, trace, trace_column, out) -> None:
+@_command
+def cmd_gen(cfg: AppConfig) -> None:
     """Generate the corpus, a scenario dump and a labelled training set."""
-    cfg = _apply_overrides(load_config(config_path), seed, n, trace, trace_column, out)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -270,11 +227,9 @@ def cmd_gen(config_path, seed, n, trace, trace_column, out) -> None:
 
 
 @main.command("train")
-@_common
-@_exit_codes
-def cmd_train(config_path, seed, n, trace, trace_column, out) -> None:
+@_command
+def cmd_train(cfg: AppConfig) -> None:
     """Train the three ensembles on the generated training set."""
-    cfg = _apply_overrides(load_config(config_path), seed, n, trace, trace_column, out)
     out_dir = Path(cfg.output_dir)
     data = _read_training_csv(out_dir / "training.csv")
     if np.unique(data.labels).size < 2:
@@ -316,7 +271,7 @@ def _parse_query_json(spec: str, fallback_id: str = "adhoc") -> Query:
 
 
 @main.command("allocate")
-@_common
+@_command
 @click.option("--scheme", type=click.Choice(["cs", "mvs"]), default=None, help="Fusion scheme.")
 @click.option("--k", type=int, default=1, help="How many nodes to select.")
 @click.option("--query-index", type=int, default=0, help="Index into the scenario's query stream.")
@@ -325,10 +280,8 @@ def _parse_query_json(spec: str, fallback_id: str = "adhoc") -> Query:
     "--format", "fmt", type=click.Choice(["human", "machine"]), default="human",
     help="Output format.",
 )
-@_exit_codes
-def cmd_allocate(config_path, seed, n, trace, trace_column, out, scheme, k, query_index, query_json, fmt) -> None:
+def cmd_allocate(cfg: AppConfig, scheme, k, query_index, query_json, fmt) -> None:
     """Allocate one query against the stored scenario using trained models."""
-    cfg = _apply_overrides(load_config(config_path), seed, n, trace, trace_column, out)
     out_dir = Path(cfg.output_dir)
     scenario_path = out_dir / "scenario.json"
     models_path = out_dir / "models.json"
@@ -394,12 +347,10 @@ def cmd_allocate(config_path, seed, n, trace, trace_column, out, scheme, k, quer
 
 
 @main.command("bench")
-@_common
+@_command
 @click.option("--resume/--no-resume", default=True, help="Skip cells whose output already exists.")
-@_exit_codes
-def cmd_bench(config_path, seed, n, trace, trace_column, out, resume) -> None:
+def cmd_bench(cfg: AppConfig, resume) -> None:
     """Run the full experiment sweep defined by the config's bench grid."""
-    cfg = _apply_overrides(load_config(config_path), seed, n, trace, trace_column, out)
     out_dir = Path(cfg.output_dir) / "bench"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -409,19 +360,7 @@ def cmd_bench(config_path, seed, n, trace, trace_column, out, resume) -> None:
         if not Path(trace_path).exists():
             generate_utilization_trace(trace_path, rows=cfg.bench.trace_rows, seed=0)
 
-    (out_dir / "config.json").write_text(
-        json.dumps(
-            {
-                "scenario": asdict(cfg.scenario),
-                "policy": asdict(cfg.policy),
-                "fcp": asdict(cfg.fcp),
-                "bench": asdict(cfg.bench),
-            },
-            sort_keys=True,
-            indent=2,
-        ),
-        encoding="utf-8",
-    )
+    (out_dir / "config.json").write_text(json.dumps(asdict(cfg), sort_keys=True, indent=2), encoding="utf-8")
     cells = grid_cells(
         cfg.scenario,
         schemes=("cs", "mvs"),
@@ -435,6 +374,7 @@ def cmd_bench(config_path, seed, n, trace, trace_column, out, resume) -> None:
         cfg.policy,
         setup=cfg.learners,
         fcp_params=cfg.fcp,
+        corpus=generate_query_corpus(cfg.corpus_per_class),
         out_dir=out_dir,
         resume=resume,
         progress=click.echo,

@@ -4,16 +4,22 @@ The decision engine sees each (query, node) pair as five features: the
 query's complexity scalar and deadline, the node's data relevance for the
 query, and the node's load and speed.  ``complexity_scalar`` collapses a
 complexity vector into the first of them; ``simulator`` assembles the
-feature matrix.
+feature matrix.  ``read_config`` builds any of the frozen config
+dataclasses from plain YAML/JSON data.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+import typing
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from .complexity import ComplexityVector
+from .errors import ConfigError
 
 __all__ = [
     "QueryConstraints",
@@ -21,6 +27,7 @@ __all__ = [
     "DatasetDigest",
     "NodeState",
     "complexity_scalar",
+    "read_config",
 ]
 
 DEFAULT_QUEUE_CAPACITY = 100
@@ -129,3 +136,50 @@ def complexity_scalar(vector: ComplexityVector) -> float:
     k = len(vector.memberships)
     best = vector.argmax()
     return vector.memberships[best] * (best + 1) / k
+
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def read_config(cls, data, key: str = ""):
+    """Build the frozen dataclass ``cls`` from a plain YAML/JSON mapping.
+
+    Each value is read by its field's annotation: a dataclass, ``tuple[X,
+    ...]``, ``Optional[X]``, an enum, ``int``, ``float`` or ``str`` (the
+    rules are in ``cli.load_config``).  Errors raise ``ConfigError`` naming
+    the dotted key, of which ``key`` is the prefix.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{key or 'config'} must be a mapping, got {data!r}")
+    types = typing.get_type_hints(cls)
+    prefix = f"{key}." if key else ""
+    unknown = [f"{prefix}{name}" for name in data if name not in types]
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
+    kwargs = {name: _read_value(types[name], value, f"{prefix}{name}") for name, value in data.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key or 'config'}: {exc}") from None
+
+
+def _read_value(tp, value, key: str):
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is typing.Union:  # Optional[X]
+        return None if value is None else _read_value(args[0], value, key)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(_read_value(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    if dataclasses.is_dataclass(tp):
+        return read_config(tp, value, key)
+    if issubclass(tp, Enum):
+        allowed = [member.value for member in tp]
+        if isinstance(value, str) and value.lower() in allowed:
+            return tp(value.lower())
+        raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
+    if tp is float and type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max:
+        return float(value)
+    if tp is not float and type(value) is tp:
+        return value
+    raise ConfigError(f"{key} must be {_KINDS[tp]}, got {value!r}")

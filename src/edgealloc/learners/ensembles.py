@@ -8,7 +8,7 @@ one prediction surface with the base learners (hard label from probability
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import csv
 import gc
+import json
 import logging
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,7 +34,7 @@ from scipy.special import ndtr
 
 from .allocator import AllocationDecision, EnsembleBundle, FusionScheme, decide_from_features
 from .complexity import ComplexityClassifier, TrainingQueryCorpus, DEFAULT_CLASSES, tokenize_statement
-from .core import DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar
+from .core import DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar, read_config
 from .errors import ConfigError, DataError
 from .learners import LabeledDataset
 from .metrics import QueryRecord, RunResult
@@ -95,8 +96,8 @@ class ScenarioConfig:
     trace_column: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1 or self.dims < 1 or self.n_queries < 1:
-            raise ConfigError("n_nodes, dims and n_queries must all be >= 1")
+        if min(self.n_nodes, self.dims, self.n_queries) < 1 or self.seed < 0:
+            raise ConfigError("n_nodes, dims and n_queries must all be >= 1, and seed >= 0")
         if self.deadline_max <= 0:
             raise ConfigError("deadline_max must be positive")
         if self.distribution not in _DISTRIBUTIONS:
@@ -107,10 +108,8 @@ class ScenarioConfig:
             raise ConfigError("z must be positive")
         if self.alpha == 0:
             raise ConfigError("alpha must be non-zero")
-        if self.queue_capacity < 1 or self.digest_sample_size < 1:
-            raise ConfigError("queue_capacity and digest_sample_size must be >= 1")
-        if self.digest_cardinality < 1:
-            raise ConfigError("digest_cardinality must be >= 1")
+        if min(self.queue_capacity, self.digest_sample_size, self.digest_cardinality) < 1:
+            raise ConfigError("queue_capacity, digest_sample_size and digest_cardinality must all be >= 1")
         if not -1.0 < self.load_speed_corr < 1.0:
             raise ConfigError("load_speed_corr must be in (-1, 1)")
 
@@ -210,7 +209,8 @@ def generate_query_corpus(
 
 
 def _draw_centers(rng: np.random.Generator, cfg: ScenarioConfig, shape) -> np.ndarray:
-    """Per-dimension data centers; nodes differ so relevance can discriminate."""
+    """Points on the unit interval: per-dimension data centers (nodes differ
+    so relevance can discriminate) and query constraint bounds."""
     if cfg.distribution == "uniform":
         return rng.uniform(0.0, 1.0, size=shape)
     return np.clip(rng.normal(0.5, cfg.gaussian_sd, size=shape), 0.0, 1.0)
@@ -227,12 +227,6 @@ def _draw_values_around(
         hi = np.minimum(c + cfg.data_window, 1.0)
         return rng.uniform(lo, hi, size=shape)
     return np.clip(rng.normal(c, cfg.gaussian_sd, size=shape), 0.0, 1.0)
-
-
-def _draw_unit(rng: np.random.Generator, cfg: ScenarioConfig, size) -> np.ndarray:
-    if cfg.distribution == "uniform":
-        return rng.uniform(0.0, 1.0, size=size)
-    return np.clip(rng.normal(0.5, cfg.gaussian_sd, size=size), 0.0, 1.0)
 
 
 def _speed_from_latent(latent: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
@@ -287,7 +281,7 @@ def _generate_queries(cfg: ScenarioConfig) -> list:
     class_ids = rng.integers(0, len(_TEMPLATES), size=cfg.n_queries)
     literals = rng.integers(1000, 10000, size=cfg.n_queries)
     deadlines = rng.uniform(0.0, cfg.deadline_max, size=cfg.n_queries)
-    bounds = np.sort(_draw_unit(rng, cfg, (cfg.n_queries, cfg.dims, 2)), axis=2)
+    bounds = np.sort(_draw_centers(rng, cfg, (cfg.n_queries, cfg.dims, 2)), axis=2)
     queries = []
     for t in range(cfg.n_queries):
         queries.append(
@@ -340,9 +334,6 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
 
 def save_scenario(path, scenario: Scenario) -> None:
     """Dump a scenario to versioned JSON; byte-identical for a fixed seed."""
-    import json
-    from dataclasses import asdict
-
     payload = {
         "schema_version": SCENARIO_SCHEMA_VERSION,
         "config": asdict(scenario.config),
@@ -404,8 +395,6 @@ def query_from_record(record, fallback_id: str = "adhoc") -> Query:
 def load_scenario(path) -> Scenario:
     """Read a scenario dumped by ``save_scenario``; ``DataError`` naming the
     file for anything that does not describe a valid scenario."""
-    import json
-
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -416,7 +405,7 @@ def load_scenario(path) -> Scenario:
     if version != SCENARIO_SCHEMA_VERSION:
         raise DataError(f"scenario {path} has schema version {version}, expected {SCENARIO_SCHEMA_VERSION}")
     try:
-        cfg = ScenarioConfig(**payload["config"])
+        cfg = read_config(ScenarioConfig, payload["config"], "config")
         nodes = [
             NodeState(
                 node_id=operator.index(n["node_id"]),
@@ -591,7 +580,7 @@ def synthesize_training_set(
         loads = _load_from_latent(_coupled_load_latent(rng, cfg, speed_latents, size), cfg)
     complexity = np.clip(rng.uniform(0.0, 1.0, size=size), 1e-9, 1.0)
     deadlines = rng.uniform(0.0, cfg.deadline_max, size=size)
-    bounds = np.sort(_draw_unit(rng, cfg, (size, cfg.dims, 2)), axis=2)
+    bounds = np.sort(_draw_centers(rng, cfg, (size, cfg.dims, 2)), axis=2)
 
     relevances = np.empty(size)
     for start in range(0, size, _TRAINING_CHUNK):

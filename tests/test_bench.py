@@ -81,3 +81,27 @@ def test_resume_reuses_a_complete_run_file_and_reruns_a_truncated_one(tmp_path, 
     assert "skipped" in messages[0] and "running again" in messages[1]
     assert [picks(r) for r in again] == [picks(r) for r in first]
     assert len(truncated.read_text(encoding="utf-8").splitlines()) == 21
+
+
+def test_resume_reruns_a_run_file_written_under_another_config(tmp_path):
+    narrow = BenchCell(replace(BASE, n_nodes=4, n_queries=20), "cs")
+    wide = BenchCell(replace(narrow.config, dims=5, alpha=3.0), "cs")
+    assert narrow.label() == wide.label()  # same run file name
+    (first,), failures = run_cells([narrow], POLICY, setup=SMALL_SETUP, out_dir=tmp_path)
+    assert not failures
+    messages = []
+    (resumed,), failures = run_cells([wide], POLICY, setup=SMALL_SETUP, out_dir=tmp_path, resume=True, progress=messages.append)
+    assert not failures
+    assert "records another config; running again" in messages[0]
+    (fresh,), failures = run_cells([wide], POLICY, setup=SMALL_SETUP)
+    assert not failures
+    assert picks(resumed) == picks(fresh) != picks(first)
+
+    (tmp_path / f"run_{wide.label()}.json").unlink()
+    messages.clear()
+    run_cells([wide], POLICY, setup=SMALL_SETUP, out_dir=tmp_path, resume=True, progress=messages.append)
+    assert "no config record" in messages[0] and "running again" in messages[0]
+    messages.clear()
+    (again,), _ = run_cells([wide], POLICY, setup=SMALL_SETUP, out_dir=tmp_path, resume=True, progress=messages.append)
+    assert "skipped" in messages[0]
+    assert picks(again) == picks(fresh)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,11 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from edgealloc.cli import _parse_query_json, main
+from edgealloc import bench
+from edgealloc.allocator import FusionScheme
+from edgealloc.cli import AppConfig, _parse_query_json, load_config, main
 from edgealloc.core import DatasetDigest, NodeState, Query, QueryConstraints
-from edgealloc.errors import DataError
+from edgealloc.errors import ConfigError, DataError
 from edgealloc.learners import model_from_dict, save_bundle
 from edgealloc.simulator import Scenario, ScenarioConfig, load_scenario, save_scenario
 
@@ -20,7 +23,7 @@ def runner():
     return CliRunner()
 
 
-def write_config(path: Path, out_dir: Path, **overrides) -> Path:
+def config_mapping(out_dir: Path, **overrides) -> dict:
     config = {
         "schema_version": 1,
         "output_dir": str(out_dir),
@@ -39,7 +42,11 @@ def write_config(path: Path, out_dir: Path, **overrides) -> Path:
         "bench": {"n_values": [3, 5], "seeds": [0], "distributions": ["uniform"], "trace_rows": 500},
     }
     config.update(overrides)
-    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    return config
+
+
+def write_config(path: Path, out_dir: Path, **overrides) -> Path:
+    path.write_text(yaml.safe_dump(config_mapping(out_dir, **overrides)), encoding="utf-8")
     return path
 
 
@@ -92,6 +99,86 @@ def test_gen_with_unknown_key_exits_2(runner, tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text("scenario:\n  n_noodles: 4\n", encoding="utf-8")
     assert runner.invoke(main, ["gen", "--config", str(config)]).exit_code == 2
+
+
+LEARNERS = config_mapping(Path("out"))["learners"]
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("gen", {"fusion": "bogus"}, "fusion"),
+        ("gen", {"corpus_per_class": 0}, "corpus_per_class"),
+        ("gen", {"learners": [1, 2]}, "learners"),
+        ("gen", {"output_dir": ["a"]}, "output_dir"),
+        ("gen", {"scenario": {"n_nodes": 4, "dims": 1, "n_queries": 20, "seed": -1}}, "seed"),
+        ("train", {"learners": dict(LEARNERS, boost_rounds=0)}, "boost_rounds"),
+        ("train", {"learners": dict(LEARNERS, bagging_bags=0)}, "bagging_bags"),
+        ("train", {"learners": dict(LEARNERS, stacking_bases=[{"kind": "logistic"}])}, "stacking_bases"),
+        ("train", {"learners": dict(LEARNERS, stacking_split=1.0)}, "stacking_split"),
+        ("train", {"training_holdout": 1.5}, "training_holdout"),
+        ("bench", {"bench": {"n_values": 5}}, "bench.n_values"),
+    ],
+)
+def test_an_ill_typed_or_out_of_range_config_value_exits_2_naming_the_key(runner, tmp_path, command, overrides, key):
+    # gen and train run first on the good config, so a command that needs
+    # their files fails on the bad value alone
+    config, out_dir = gen_and_train(runner, tmp_path)
+    write_config(config, out_dir, **overrides)
+    result = runner.invoke(main, [command, "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output and key in result.output
+
+
+def test_command_line_options_override_the_config_file(runner, tmp_path):
+    config = write_config(tmp_path / "config.yaml", tmp_path / "out")
+    other = tmp_path / "other"
+    result = runner.invoke(main, ["gen", "--config", str(config), "--seed", "9", "--n", "3", "--out", str(other)])
+    assert result.exit_code == 0, result.output
+    saved = json.loads((other / "scenario.json").read_text(encoding="utf-8"))["config"]
+    assert (saved["seed"], saved["n_nodes"], saved["dims"], saved["n_queries"]) == (9, 3, 1, 20)
+    assert not (tmp_path / "out").exists()
+    assert runner.invoke(main, ["gen", "--config", str(config), "--n", "0"]).exit_code == 2
+    config.write_text("scenario: [1]\n", encoding="utf-8")  # an override does not hide a bad section
+    result = runner.invoke(main, ["gen", "--config", str(config), "--seed", "1"])
+    assert result.exit_code == 2 and "scenario must be a mapping" in result.output
+
+
+def test_bench_records_the_whole_config_and_reads_it_back(runner, tmp_path):
+    out_dir = tmp_path / "out"
+    config = write_config(
+        tmp_path / "config.yaml",
+        out_dir,
+        scenario={"n_nodes": 4, "dims": 1, "n_queries": 10, "seed": 5, "alpha": 3},  # an int for a float
+        learners={"boost_rounds": 2, "bagging_bags": 2, "training_size": 300},
+        bench={"n_values": [3], "seeds": [0], "distributions": ["uniform"], "trace_rows": 500},
+        fcp={"gamma": 0.00001},  # JSON writes 1e-05
+        fusion="MVS",
+        corpus_per_class=5,
+        training_holdout=0.3,
+    )
+    cfg = load_config(str(config))
+    assert cfg.fusion is FusionScheme.MVS and cfg.scenario.alpha == 3.0 and cfg.corpus_per_class == 5
+    result = runner.invoke(main, ["bench", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert load_config(str(out_dir / "bench" / "config.json")) == cfg
+    assert load_config(None) == AppConfig()
+
+
+def test_bench_scores_complexity_against_the_configured_corpus(runner, tmp_path, monkeypatch):
+    sizes = []
+    classifier = bench.ComplexityClassifier
+    monkeypatch.setattr(bench, "ComplexityClassifier", lambda corpus, params: sizes.append(len(corpus)) or classifier(corpus, params))
+    config = write_config(
+        tmp_path / "config.yaml",
+        tmp_path / "out",
+        scenario={"n_nodes": 4, "dims": 1, "n_queries": 5, "seed": 5},
+        bench={"n_values": [3], "seeds": [0], "distributions": ["uniform"], "trace_rows": 500},
+        corpus_per_class=4,
+    )
+    result = runner.invoke(main, ["bench", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    assert sizes == [12]  # three classes of four statements
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +541,44 @@ def test_scenario_parser_raises_only_data_error(tmp_path, path, value, delete):
         assert str(scenario_path) in str(exc)
         return
     assert isinstance(scenario, Scenario)
+
+
+def _paths(node, prefix=()):
+    """Every path into nested dicts and lists, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+# the test config, and the full default config as ``edgealloc bench`` records it
+CONFIGS = [config_mapping(Path("out")), json.loads(json.dumps(asdict(AppConfig())))]
+CONFIG_PATHS = [(i, path) for i, config in enumerate(CONFIGS) for path in _paths(config)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(CONFIG_PATHS), json_values, st.booleans())
+def test_config_reader_raises_only_config_error(tmp_path, where, value, delete):
+    index, path = where
+    config = json.loads(json.dumps(CONFIGS[index]))
+    if path == ():
+        config = None if delete else value
+    else:
+        *parents, last = path
+        holder = config
+        for key in parents:
+            holder = holder[key]
+        if delete:
+            del holder[last]
+        else:
+            holder[last] = value
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    try:
+        cfg = load_config(str(config_path))
+    except ConfigError:
+        return
+    assert isinstance(cfg, AppConfig)
 
 
 # ---------------------------------------------------------------------------
