@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -42,6 +43,18 @@ from .simulator import (
 )
 
 CONFIG_SCHEMA_VERSION = 1
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe YAML loading that also reads YAML 1.2 exponent floats
+    (``1e-5``, ``1.0e5``), which YAML 1.1 leaves as strings."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 @dataclass(frozen=True)
@@ -93,7 +106,7 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> AppCon
     """
     raw = {}
     if path is not None:
-        parse = json.loads if Path(path).suffix == ".json" else yaml.safe_load
+        parse = json.loads if Path(path).suffix == ".json" else functools.partial(yaml.load, Loader=_ConfigLoader)
         try:
             raw = parse(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:

@@ -33,6 +33,7 @@ __all__ = [
     "TokenFeature",
     "TrainingQueryCorpus",
     "ComplexityClassifier",
+    "MEMO_CAP",
     "SIMILARITY_METRICS",
     "tokenize_statement",
     "distance_to_similarity",
@@ -47,6 +48,10 @@ __all__ = [
 ]
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+# Most entries one classifier's statement memo holds; once full it stops
+# inserting, so a stream of ever-new statements cannot grow memory.
+MEMO_CAP = 4096
 
 # Metric evaluation order; index is the last tie-break key when ranking.
 SIMILARITY_METRICS = ("hamming", "jaccard", "cosine")
@@ -295,6 +300,16 @@ class ComplexityClassifier:
 
     Tokenises the corpus once; per-statement scoring is vectorised so the
     classifier can sit on the allocation hot path.
+
+    ``classify_statement`` memoises its result per instance.  Scoring reads
+    a statement only through its sufficient statistic (see ``_statistic``):
+    the sorted in-vocabulary (index, count) pairs, the number of distinct
+    out-of-vocabulary tokens and the sum of their squared counts.  The memo
+    is keyed on that triple, so statements that differ only in token order
+    or in which out-of-vocabulary tokens they hold share one entry, and a
+    hit returns exactly what scoring would.  Corpus and params never change
+    after construction; the memo holds at most ``MEMO_CAP`` entries and then
+    stops inserting.  Scoring with ``exclude`` (leave-one-out) bypasses it.
     """
 
     def __init__(self, corpus: TrainingQueryCorpus, params: ComplexityParams = ComplexityParams()):
@@ -321,6 +336,23 @@ class ComplexityClassifier:
         for c, mask in zip(corpus.classes, self._class_masks):
             if not mask.any():
                 raise DataError(f"no corpus entries for class {c.label!r}")
+        self._memo = {}
+
+    def _statistic(self, feature: TokenFeature) -> tuple:
+        """(in-vocab (index, count) pairs by index, oov_distinct, oov_sumsq):
+        all that ``similarities`` reads of ``feature``."""
+        vocab = self._vocab
+        pairs = []
+        oov_distinct = 0
+        oov_sumsq = 0.0
+        for tok, c in feature.counts:
+            j = vocab.get(tok)
+            if j is None:
+                oov_distinct += 1
+                oov_sumsq += c * c
+            else:
+                pairs.append((j, c))
+        return tuple(sorted(pairs)), oov_distinct, oov_sumsq
 
     def similarities(self, feature: TokenFeature) -> np.ndarray:
         """(M, 3) similarity of ``feature`` with every corpus entry.
@@ -331,17 +363,10 @@ class ComplexityClassifier:
         ``jaccard`` works on distinct-token sets and ``cosine`` on token
         count vectors.  Tokens outside the corpus vocabulary still count.
         """
-        vocab = self._vocab
-        qv = np.zeros(len(vocab), dtype=np.float64)
-        oov_distinct = 0
-        oov_sumsq = 0.0
-        for tok, c in feature.counts:
-            j = vocab.get(tok)
-            if j is None:
-                oov_distinct += 1
-                oov_sumsq += c * c
-            else:
-                qv[j] = c
+        pairs, oov_distinct, oov_sumsq = self._statistic(feature)
+        qv = np.zeros(len(self._vocab), dtype=np.float64)
+        for j, c in pairs:
+            qv[j] = c
         qbin = (qv > 0).astype(np.float64)
         q_distinct = int(qbin.sum()) + oov_distinct
         q_norm = math.sqrt(float((qv**2).sum()) + oov_sumsq)
@@ -374,11 +399,17 @@ class ComplexityClassifier:
         return ComplexityVector(memberships=tuple(out))
 
     def classify_statement(self, statement: str):
-        """Return (ComplexityVector, resolved class or None)."""
+        """Return (ComplexityVector, resolved class or None), memoised on the
+        statement's sufficient statistic."""
         feature = tokenize_statement(statement)
-        scores = self.pairwise_scores(feature)
-        vector = self.memberships_from_scores(scores)
-        return vector, self.resolve(vector)
+        key = self._statistic(feature)
+        result = self._memo.get(key)
+        if result is None:
+            vector = self.memberships_from_scores(self.pairwise_scores(feature))
+            result = (vector, self.resolve(vector))
+            if len(self._memo) < MEMO_CAP:
+                self._memo[key] = result
+        return result
 
     def resolve(self, vector: ComplexityVector) -> Optional[ComplexityClass]:
         best = vector.argmax()  # ties by lowest class index

@@ -237,7 +237,14 @@ class TreeModel(_Model):
         self.root = root
         self.n_features = n_features
         self.kind = kind
-        self._forest = _CompiledForest([root], n_features)
+        self._forest = None  # compiled where the tree itself is evaluated
+
+    def compiled(self) -> _CompiledForest:
+        """This tree as a forest of one, compiled on first use.  A voting
+        ensemble of trees compiles its members together and never calls it."""
+        if self._forest is None:
+            self._forest = _CompiledForest([self.root], self.n_features)
+        return self._forest
 
     @classmethod
     def fit(
@@ -283,7 +290,7 @@ class TreeModel(_Model):
         return cls(root, data.arity, kind=kind)
 
     def predict_proba_batch(self, x):
-        return self._forest.leaf_probs(self._check(x))[0]
+        return self.compiled().leaf_probs(self._check(x))[0]
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "root": self.root, "n_features": self.n_features}

@@ -28,6 +28,14 @@ __all__ = [
 _ERR_CLAMP = 1e-10
 
 
+def _compile_trees(models: Sequence) -> None:
+    """Compile the trees among ``models``, each evaluated on its own, so a
+    malformed one raises ``DataError`` when the ensemble is built."""
+    for m in models:
+        if isinstance(m, TreeModel):
+            m.compiled()
+
+
 class _Voting(_Model):
     """Members' hard labels: one compiled forest if all are trees, else each member's own."""
 
@@ -36,6 +44,8 @@ class _Voting(_Model):
         self.n_features = n_features
         trees = bool(self.members) and all(isinstance(m, TreeModel) for m in self.members)
         self._forest = _CompiledForest([m.root for m in self.members], n_features) if trees else None
+        if not trees:
+            _compile_trees(self.members)
 
     def _member_labels(self, x: np.ndarray) -> np.ndarray:
         """(M, n) hard labels of the M members for the n rows of x."""
@@ -94,6 +104,7 @@ class StackingModel(_Model):
         self.bases = list(bases)
         self.meta = meta
         self.n_features = n_features
+        _compile_trees([*self.bases, meta])
         # instrumentation: reads of the held-out label array observed while
         # the base learners were being fitted (must be 0)
         self.heldout_label_reads_during_base_fit = heldout_label_reads_during_base_fit

@@ -21,6 +21,13 @@ MODEL_SCHEMA_VERSION = 1
 
 def model_from_dict(d: dict):
     """Rebuild a model from its ``to_dict()`` form; a malformed one raises ``DataError``."""
+    model = _from_dict(d)
+    if isinstance(model, TreeModel):
+        model.compiled()  # a bare tree is evaluated itself; ensembles compile theirs
+    return model
+
+
+def _from_dict(d: dict):
     kind = d.get("type") if isinstance(d, dict) else None
     try:
         if kind in ("cart_tree", "random_tree"):
@@ -33,14 +40,14 @@ def model_from_dict(d: dict):
             return ConstantModel.from_dict(d)
         if kind == "adaboost":
             return AdaBoostModel(
-                [model_from_dict(m) for m in d["members"]], d["alphas"], d["n_features"]
+                [_from_dict(m) for m in d["members"]], d["alphas"], d["n_features"]
             )
         if kind == "bagging":
-            return BaggingModel([model_from_dict(m) for m in d["members"]], d["n_features"])
+            return BaggingModel([_from_dict(m) for m in d["members"]], d["n_features"])
         if kind == "stacking":
             return StackingModel(
-                [model_from_dict(b) for b in d["bases"]],
-                model_from_dict(d["meta"]),
+                [_from_dict(b) for b in d["bases"]],
+                _from_dict(d["meta"]),
                 d["n_features"],
             )
     except KeyError as exc:

@@ -130,6 +130,21 @@ def test_an_ill_typed_or_out_of_range_config_value_exits_2_naming_the_key(runner
     assert "config error" in result.output and key in result.output
 
 
+@pytest.mark.parametrize("written, value", [("1e-5", 1e-5), ("1.0e5", 1.0e5), ("1.0e-5", 1.0e-5), ("2E+1", 20.0)])
+def test_yaml_exponent_floats_read_as_floats(tmp_path, written, value):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"fcp:\n  gamma: {written}\n", encoding="utf-8")
+    assert load_config(str(config)).fcp.gamma == value
+
+
+def test_a_quoted_exponent_float_stays_a_string_and_exits_2(runner, tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text('fcp:\n  gamma: "1e-5"\n', encoding="utf-8")
+    result = runner.invoke(main, ["gen", "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert "fcp.gamma" in result.output
+
+
 def test_command_line_options_override_the_config_file(runner, tmp_path):
     config = write_config(tmp_path / "config.yaml", tmp_path / "out")
     other = tmp_path / "other"

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgealloc.complexity import (
+    MEMO_CAP,
     ComplexityClass,
     ComplexityParams,
     ComplexityClassifier,
     SIMILARITY_METRICS,
     classify_complexity,
     distance_to_similarity,
+    leave_one_out_accuracy,
     fuse_similarities,
     hamacher_fold,
     quasi_arithmetic_mean,
@@ -23,6 +26,7 @@ from edgealloc.complexity import (
     save_corpus,
 )
 from edgealloc.errors import DataError
+from edgealloc.simulator import ScenarioConfig, generate_query_corpus, generate_scenario
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -394,6 +398,123 @@ def test_classifier_matches_per_pair_reference(corpus_tokens, query_tokens, para
     if clear_winner and abs(expected[best] - params.threshold) > 1e-9:
         want = best if expected[best] >= params.threshold else None
         assert (resolved.id if resolved is not None else None) == want
+
+
+# ---------------------------------------------------------------------------
+# the statement memo: a hit must return what scoring would
+# ---------------------------------------------------------------------------
+
+
+def fresh_result(statement, corpus, params=ComplexityParams()):
+    """Scoring of ``statement`` by a new classifier, around its memo."""
+    clf = ComplexityClassifier(corpus, params)
+    vector = clf.memberships_from_scores(clf.pairwise_scores(tokenize_statement(statement)))
+    return vector, clf.resolve(vector)
+
+
+def assert_same_result(got, want):
+    (vector, resolved), (want_vector, want_resolved) = got, want
+    bits = lambda v: np.array(v.memberships, dtype=np.float64).view(np.uint64).tolist()  # noqa: E731
+    assert bits(vector) == bits(want_vector)
+    assert resolved == want_resolved
+
+
+GENERATED_CORPUS = generate_query_corpus()
+CORPUS_VOCAB = sorted({t for s, _ in GENERATED_CORPUS.entries for t, _ in tokenize_statement(s).counts})
+MEMOISED = ComplexityClassifier(GENERATED_CORPUS)  # shared, so its memo fills across examples
+oov_names = st.text("qvwxyz", min_size=1, max_size=4).map(lambda t: "zz" + t)
+counts = st.integers(min_value=1, max_value=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(CORPUS_VOCAB), counts, max_size=10),
+    st.lists(counts, max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_memoised_classification_equals_fresh_scoring(in_vocab, oov_counts, rnd):
+    """Two statements with one sufficient statistic: other token order, other
+    out-of-vocabulary names with the same counts.  Whichever fills the memo,
+    each gets the result a new classifier scores for it."""
+    if not in_vocab and not oov_counts:
+        in_vocab = {CORPUS_VOCAB[0]: 1}
+    statements = []
+    for prefix in ("zzq", "zzx"):
+        tokens = [t for t, c in in_vocab.items() for _ in range(c)]
+        tokens += [f"{prefix}{i}" for i, c in enumerate(oov_counts) for _ in range(c)]
+        rnd.shuffle(tokens)
+        statements.append(" ".join(tokens))
+    for statement in statements:
+        assert_same_result(MEMOISED.classify_statement(statement), fresh_result(statement, GENERATED_CORPUS))
+    keys = {MEMOISED._statistic(tokenize_statement(s)) for s in statements}
+    assert len(keys) == 1
+
+
+def test_memo_is_exact_on_a_long_query_stream():
+    queries = generate_scenario(ScenarioConfig(n_nodes=1, n_queries=5000, seed=3)).queries
+    clf = ComplexityClassifier(GENERATED_CORPUS)
+    reference = ComplexityClassifier(GENERATED_CORPUS)
+    for q in queries:
+        vector = reference.memberships_from_scores(reference.pairwise_scores(tokenize_statement(q.statement)))
+        assert_same_result(clf.classify_statement(q.statement), (vector, reference.resolve(vector)))
+    # far fewer keys than statements: that is what makes the memo pay
+    assert len(clf._memo) < len({q.statement for q in queries}) // 100
+
+
+def test_memo_stops_inserting_at_its_cap():
+    corpus = _single_corpus()
+    clf = ComplexityClassifier(corpus)
+    # each pair of counts is a distinct key: an adversarial stream
+    pairs = itertools.islice(itertools.product(range(1, 100), repeat=2), MEMO_CAP + 50)
+    statements = [f"select {'x ' * a}from {'t ' * b}" for a, b in pairs]
+    for statement in statements:
+        clf.classify_statement(statement)
+    assert len(clf._memo) == MEMO_CAP
+    for statement in statements[:5] + statements[-5:]:  # hits, then never inserted
+        assert_same_result(clf.classify_statement(statement), fresh_result(statement, corpus))
+    assert len(clf._memo) == MEMO_CAP
+
+
+class RecordingDict(dict):
+    """A memo that records every read and write made through it."""
+
+    def __init__(self):
+        super().__init__()
+        self.accesses = []
+
+    def get(self, key, default=None):
+        self.accesses.append("get")
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.accesses.append("getitem")
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.accesses.append("contains")
+        return super().__contains__(key)
+
+    def __setitem__(self, key, value):
+        self.accesses.append("setitem")
+        super().__setitem__(key, value)
+
+
+def test_leave_one_out_neither_reads_nor_writes_the_memo(monkeypatch):
+    memos = []
+    init = ComplexityClassifier.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._memo = RecordingDict()
+        memos.append(self._memo)
+
+    monkeypatch.setattr(ComplexityClassifier, "__init__", recording_init)
+    corpus = generate_query_corpus(per_class=5)
+    assert leave_one_out_accuracy(corpus) > 0
+    assert len(memos) == 1 and memos[0].accesses == [] and len(memos[0]) == 0
+    # the same recording memo does see classify_statement
+    ComplexityClassifier(corpus).classify_statement(corpus.entries[0][0])
+    assert memos[1].accesses == ["get", "setitem"]
 
 
 def test_corpus_roundtrip_through_file(tmp_path):

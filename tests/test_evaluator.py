@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from edgealloc.bench import LearnerSetup, train_bundle
 from edgealloc.errors import DataError
 from edgealloc.learners import (
     BaseLearnerSpec,
@@ -170,8 +171,38 @@ def test_malformed_trees_raise_data_error_when_loaded(node, message):
     record = {"type": "cart_tree", "root": split(1, 0.5, leaf(0.0), node), "n_features": 5}
     with pytest.raises(DataError, match=message):
         model_from_dict(record)
-    with pytest.raises(DataError, match=message):
-        model_from_dict({"type": "bagging", "members": [record], "n_features": 5})
+    constant = {"type": "constant", "label": 1, "n_features": 5}
+    holders = [
+        {"type": "bagging", "members": [record], "n_features": 5},
+        # a mixed ensemble evaluates its trees one by one
+        {"type": "adaboost", "members": [constant, record], "alphas": [1.0, 1.0], "n_features": 5},
+        {"type": "stacking", "bases": [constant, record], "meta": constant, "n_features": 5},
+    ]
+    for holder in holders:
+        with pytest.raises(DataError, match=message):
+            model_from_dict(holder)
+
+
+def test_train_bundle_compiles_each_tree_only_where_it_is_evaluated(monkeypatch):
+    compiled = []
+    init = _CompiledForest.__init__
+
+    def counting_init(self, roots, n_features):
+        compiled.append(len(roots))
+        init(self, roots, n_features)
+
+    monkeypatch.setattr(_CompiledForest, "__init__", counting_init)
+    setup = LearnerSetup(boost_rounds=6, bagging_bags=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bundle = train_bundle(training_data(), setup, seed=0)
+    boost, bagging, stacking = bundle.models()
+    tree_bases = [b for b in stacking.bases if isinstance(b, TreeModel)]
+    # boosting evaluates each member while it trains, then all members as one
+    # forest; bagging only as one forest; stacking each tree base alone
+    assert compiled == [1] * len(boost.members) + [len(boost.members), setup.bagging_bags] + [1] * len(tree_bases)
+    assert all(m._forest is None for m in bagging.members)
+    assert len(tree_bases) == 2 and len(boost.members) > 1
 
 
 @pytest.mark.parametrize(

@@ -355,3 +355,17 @@ def test_queue_run_leaves_nodes_untouched(trained):
     assert [node.load for node in scenario.nodes] == before
     assert result.records[0].load_min == 0.0  # queues start empty
     assert max(r.load_selected for r in result.records) > 0.0
+
+
+@pytest.mark.parametrize("scheme", ["cs", "mvs"])
+def test_a_warm_classifier_memo_leaves_every_pick_unchanged(trained, scheme):
+    config, _, bundle = trained
+    scenario = generate_scenario(config)
+    cold = ComplexityClassifier(generate_query_corpus())
+    warm = ComplexityClassifier(generate_query_corpus())
+    for seed in (1, 2):  # other streams fill the memo with the same keys
+        for query in generate_scenario(replace(config, seed=seed)).queries:
+            warm.classify_statement(query.statement)
+    assert len(warm._memo) > 0 and len(cold._memo) == 0
+    picks = lambda clf: [r.selected_node for r in simulate_run(scenario, bundle, scheme, clf).records]  # noqa: E731
+    assert picks(warm) == picks(cold)
