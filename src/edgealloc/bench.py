@@ -26,7 +26,7 @@ from .learners import (
     train_bagging,
     train_stacking,
 )
-from .learners.ensembles import _stratified_split
+from .learners.ensembles import _stratified_split, model_shape
 from .metrics import emit_run, emit_summary, load_run
 from .simulator import (
     LabelingPolicy,
@@ -105,7 +105,8 @@ def train_bundle(data: LabeledDataset, setup: LearnerSetup, seed: int) -> Ensemb
 def train_bundle_with_report(
     data: LabeledDataset, setup: LearnerSetup, seed: int, holdout: float = 0.25
 ) -> tuple:
-    """Train on a stratified subset and report held-out accuracy per ensemble.
+    """Train on a stratified subset and report held-out accuracy and model
+    shape (``model_shape``) per ensemble.
 
     Returns (bundle, report); the bundle is the one evaluated in the report.
     """
@@ -123,6 +124,7 @@ def train_bundle_with_report(
     for name, model in zip(("boost", "bagging", "stacking"), bundle.models()):
         pred = model.predict_batch(hold_part.features)
         report[f"accuracy_{name}"] = float((pred == hold_part.labels).mean())
+        report[f"shape_{name}"] = model_shape(model)
     return bundle, report
 
 

@@ -241,7 +241,7 @@ class TreeModel(_Model):
 
     def compiled(self) -> _CompiledForest:
         """This tree as a forest of one, compiled on first use.  A voting
-        ensemble of trees compiles its members together and never calls it."""
+        ensemble of trees compiles its members together and drops theirs."""
         if self._forest is None:
             self._forest = _CompiledForest([self.root], self.n_features)
         return self._forest
@@ -300,16 +300,73 @@ class TreeModel(_Model):
         return cls(d["root"], d["n_features"], kind=d["type"])
 
 
+def _sigmoid(margin: np.ndarray) -> np.ndarray:
+    """Probability of the positive class from log-odds, in place; margins are
+    clipped to [-500, 500] so ``exp`` stays finite."""
+    np.clip(margin, -500.0, 500.0, out=margin)
+    np.negative(margin, out=margin)
+    np.exp(margin, out=margin)
+    margin += 1.0
+    return np.reciprocal(margin, out=margin)
+
+
+def _record_array(name: str, value, shape: tuple) -> np.ndarray:
+    """A model record's numeric field as a finite float array of ``shape``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name} is not numeric: {exc}") from None
+    if arr.shape != shape:
+        raise DataError(f"{name} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise DataError(f"{name} must be finite")
+    return arr
+
+
+def _checked_form(kind: str, model, center: np.ndarray) -> tuple:
+    """``model.margin_form(center)``, refused with ``DataError`` if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lin, quad, const = model.margin_form(center)
+    if not (np.isfinite(lin).all() and np.isfinite(quad).all() and np.isfinite(const)):
+        raise DataError(f"{kind} log-odds coefficients overflow")
+    return lin, quad, const
+
+
 class GaussianNBModel(_Model):
-    """Gaussian naive Bayes with weighted per-class feature statistics."""
+    """Gaussian naive Bayes with weighted per-class feature statistics.
+
+    The log-odds of class 1 over class 0 is a quadratic form in the features,
+    so the constructor compiles the stored per-class statistics into it once:
+    ``d @ lin + (d * d) @ quad + const`` with ``d = x - center``.  Expanding
+    about ``center`` (per feature, the mean of the class with the smaller
+    variance) rather than the origin keeps a floored variance from cancelling
+    two terms of order ``mean**2 / VAR_FLOOR`` against each other.  A record
+    whose statistics are not finite, have the wrong shape or a variance
+    <= 0 raises ``DataError`` here.
+    """
 
     VAR_FLOOR = 1e-9
 
     def __init__(self, means, variances, log_priors, n_features):
-        self.means = np.asarray(means, dtype=float)  # (2, F)
-        self.variances = np.asarray(variances, dtype=float)
-        self.log_priors = np.asarray(log_priors, dtype=float)  # (2,)
         self.n_features = n_features
+        self.means = _record_array("naive Bayes means", means, (2, n_features))
+        self.variances = _record_array("naive Bayes variances", variances, (2, n_features))
+        self.log_priors = _record_array("naive Bayes log_priors", log_priors, (2,))
+        if not (self.variances > 0).all():
+            raise DataError("naive Bayes variances must be positive")
+        self.center = self.means[self.variances.argmin(axis=0), np.arange(n_features)]
+        self.lin, self.quad, self.const = _checked_form("naive Bayes", self, self.center)
+
+    def margin_form(self, center: np.ndarray) -> tuple:
+        """(lin, quad, const) of the log-odds expanded about ``center``."""
+        precision = 1.0 / self.variances
+        offset = self.means - center  # (2, F)
+        lin = offset[1] * precision[1] - offset[0] * precision[0]
+        quad = 0.5 * (precision[0] - precision[1])
+        log_norm = np.log(2 * np.pi * self.variances).sum(axis=1)
+        dist = (offset * offset * precision).sum(axis=1)
+        const = self.log_priors[1] - self.log_priors[0] - 0.5 * (log_norm[1] - log_norm[0] + dist[1] - dist[0])
+        return lin, quad, float(const)
 
     @classmethod
     def fit(cls, data: LabeledDataset, sample_weight=None) -> "GaussianNBModel":
@@ -332,14 +389,8 @@ class GaussianNBModel(_Model):
         return cls(means, variances, log_priors, data.arity)
 
     def predict_proba_batch(self, x):
-        x = self._check(x)
-        ll = np.empty((x.shape[0], 2))
-        for c in (0, 1):
-            z = (x - self.means[c]) ** 2 / self.variances[c]
-            ll[:, c] = self.log_priors[c] - 0.5 * (
-                np.log(2 * np.pi * self.variances[c]).sum() + z.sum(axis=1)
-            )
-        return 1.0 / (1.0 + np.exp(np.clip(ll[:, 0] - ll[:, 1], -500, 500)))
+        d = self._check(x) - self.center
+        return _sigmoid(d @ self.lin + (d * d) @ self.quad + self.const)
 
     def to_dict(self) -> dict:
         return {
@@ -355,16 +406,41 @@ class GaussianNBModel(_Model):
         return cls(d["means"], d["variances"], d["log_priors"], d["n_features"])
 
 
+def _expansion_center(models: Sequence, n_features: int) -> np.ndarray:
+    """One center to expand several quadratic log-odds about: per feature, the
+    center of the naive Bayes model with the smallest variance there (where
+    cancellation would cost most), or 0 when none is naive Bayes."""
+    nb = [m for m in models if isinstance(m, GaussianNBModel)]
+    if not nb:
+        return np.zeros(n_features)
+    least = np.array([m.variances.min(axis=0) for m in nb]).argmin(axis=0)
+    return np.array([m.center for m in nb])[least, np.arange(n_features)]
+
+
 class LogisticModel(_Model):
     """Logistic unit trained by full-batch gradient descent on standardised
-    inputs; weights start at zero, so training is deterministic."""
+    inputs; weights start at zero, so training is deterministic.
+
+    The record stores the standardised weights with ``mu`` and ``sigma``; the
+    constructor folds the standardisation into raw-feature weights and a bias
+    once, so prediction is ``x @ lin + const``.  A record with non-finite
+    values, the wrong shape or a ``sigma`` <= 0 raises ``DataError`` here.
+    """
 
     def __init__(self, weights, bias, mu, sigma, n_features):
-        self.weights = np.asarray(weights, dtype=float)
-        self.bias = float(bias)
-        self.mu = np.asarray(mu, dtype=float)
-        self.sigma = np.asarray(sigma, dtype=float)
         self.n_features = n_features
+        self.weights = _record_array("logistic weights", weights, (n_features,))
+        self.bias = float(_record_array("logistic bias", bias, ()))
+        self.mu = _record_array("logistic mu", mu, (n_features,))
+        self.sigma = _record_array("logistic sigma", sigma, (n_features,))
+        if not (self.sigma > 0).all():
+            raise DataError("logistic sigma must be positive")
+        self.lin, _, self.const = _checked_form("logistic", self, np.zeros(n_features))
+
+    def margin_form(self, center: np.ndarray) -> tuple:
+        """(lin, quad, const) of the log-odds expanded about ``center``; quad is 0."""
+        lin = self.weights / self.sigma
+        return lin, np.zeros(self.n_features), float(self.bias + (center - self.mu) @ lin)
 
     @classmethod
     def fit(cls, data: LabeledDataset, learning_rate: float, epochs: int, sample_weight=None):
@@ -383,9 +459,7 @@ class LogisticModel(_Model):
         return cls(beta, bias, mu, sigma, data.arity)
 
     def predict_proba_batch(self, x):
-        x = self._check(x)
-        z = (x - self.mu) / self.sigma
-        return 1.0 / (1.0 + np.exp(-np.clip(z @ self.weights + self.bias, -500, 500)))
+        return _sigmoid(self._check(x) @ self.lin + self.const)
 
     def to_dict(self) -> dict:
         return {

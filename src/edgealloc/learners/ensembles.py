@@ -13,7 +13,19 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DataError
-from .base import BaseLearnerSpec, LabeledDataset, TreeModel, _CompiledForest, _Model, train_base
+from .base import (
+    BaseLearnerSpec,
+    ConstantModel,
+    GaussianNBModel,
+    LabeledDataset,
+    LogisticModel,
+    TreeModel,
+    _CompiledForest,
+    _expansion_center,
+    _Model,
+    _sigmoid,
+    train_base,
+)
 
 __all__ = [
     "AdaBoostModel",
@@ -37,14 +49,18 @@ def _compile_trees(models: Sequence) -> None:
 
 
 class _Voting(_Model):
-    """Members' hard labels: one compiled forest if all are trees, else each member's own."""
+    """Members' hard labels: one compiled forest if all are trees, which then
+    keep no forest of one, else each member's own."""
 
     def __init__(self, members: Sequence, n_features: int):
         self.members = list(members)
         self.n_features = n_features
         trees = bool(self.members) and all(isinstance(m, TreeModel) for m in self.members)
         self._forest = _CompiledForest([m.root for m in self.members], n_features) if trees else None
-        if not trees:
+        if trees:
+            for m in self.members:  # boosting evaluated each member alone while it trained
+                m._forest = None
+        else:
             _compile_trees(self.members)
 
     def _member_labels(self, x: np.ndarray) -> np.ndarray:
@@ -97,24 +113,64 @@ class BaggingModel(_Voting):
 
 
 class StackingModel(_Model):
-    """Base learners plus a meta learner trained on held-out predictions."""
+    """Base learners plus a meta learner trained on held-out predictions.
+
+    The constructor compiles the bases into one evaluator of the meta
+    features.  All tree bases share one ``_CompiledForest``, so one
+    ``leaf_probs`` call gives their columns.  The naive Bayes and logistic
+    bases are quadratic forms in the features: their coefficients, expanded
+    about one shared center, stack into two (F, m) matrices, so with
+    ``d = x - center`` one ``d @ lin + (d*d) @ quad + const`` and one sigmoid
+    give their m columns.  Constant and any other bases are evaluated on
+    their own.  The columns fill one (n, k) buffer in base order, which the
+    meta learner reads through its own ``predict_proba_batch``.  A meta
+    learner whose arity is not the number of bases, or a base of another
+    arity, raises ``DataError`` here.
+    """
 
     def __init__(self, bases: Sequence, meta, n_features: int,
                  heldout_label_reads_during_base_fit: int = 0):
         self.bases = list(bases)
         self.meta = meta
         self.n_features = n_features
-        _compile_trees([*self.bases, meta])
+        if any(b.n_features != n_features for b in self.bases):
+            raise DataError(f"stacking bases must all read the model's {n_features} features")
+        trees = [j for j, b in enumerate(self.bases) if isinstance(b, TreeModel)]
+        forms = [j for j, b in enumerate(self.bases) if isinstance(b, (GaussianNBModel, LogisticModel))]
+        self._others = [(j, b) for j, b in enumerate(self.bases) if j not in trees + forms]
+        self._tree_cols, self._form_cols = np.array(trees, dtype=np.intp), np.array(forms, dtype=np.intp)
+        self._forest = _CompiledForest([self.bases[j].root for j in trees], n_features) if trees else None
+        if meta.n_features != len(self.bases):
+            raise DataError(
+                f"stacking meta learner reads {meta.n_features} features, not one per base ({len(self.bases)})"
+            )
+        _compile_trees([meta])
+        if forms:
+            self._center = _expansion_center([self.bases[j] for j in forms], n_features)
+            lin, quad, const = zip(*(self.bases[j].margin_form(self._center) for j in forms))
+            self._lin, self._quad = (np.ascontiguousarray(np.array(c).T) for c in (lin, quad))  # (F, m)
+            self._const = np.array(const)
         # instrumentation: reads of the held-out label array observed while
         # the base learners were being fitted (must be 0)
         self.heldout_label_reads_during_base_fit = heldout_label_reads_during_base_fit
 
     def _meta_features(self, x: np.ndarray) -> np.ndarray:
-        return np.column_stack([b.predict_proba_batch(x) for b in self.bases])
+        """(n, k) base probabilities for the n rows of the (n, F) matrix x."""
+        out = np.empty((x.shape[0], len(self.bases)))
+        if self._forest is not None:
+            out[:, self._tree_cols] = self._forest.leaf_probs(x).T
+        if self._form_cols.size:
+            d = x - self._center
+            margins = d @ self._lin
+            margins += (d * d) @ self._quad
+            margins += self._const
+            out[:, self._form_cols] = _sigmoid(margins)
+        for j, base in self._others:
+            out[:, j] = base.predict_proba_batch(x)
+        return out
 
     def predict_proba_batch(self, x):
-        x = self._check(x)
-        return self.meta.predict_proba_batch(self._meta_features(x))
+        return self.meta.predict_proba_batch(self._meta_features(self._check(x)))
 
     def to_dict(self) -> dict:
         return {
@@ -123,6 +179,22 @@ class StackingModel(_Model):
             "meta": self.meta.to_dict(),
             "n_features": self.n_features,
         }
+
+
+def model_shape(model) -> dict:
+    """Member count and deepest tree of an ensemble; for stacking also the
+    kind of each base and the meta learner's stored record."""
+    members = model.bases if isinstance(model, StackingModel) else model.members
+    depths = [_depth(m.root) for m in members if isinstance(m, TreeModel)]
+    shape = {"members": len(members), "max_tree_depth": max(depths, default=None)}
+    if isinstance(model, StackingModel):
+        shape["base_kinds"] = [b.to_dict()["type"] for b in members]
+        shape["meta"] = model.meta.to_dict()
+    return shape
+
+
+def _depth(node: dict) -> int:
+    return 0 if "prob" in node else 1 + max(_depth(node["left"]), _depth(node["right"]))
 
 
 class _CountedLabels:
@@ -252,13 +324,15 @@ def train_stacking(
     ]
     reads_during_base_fit = heldout_labels.reads
 
-    meta_features = np.column_stack([b.predict_proba_batch(heldout_features) for b in bases])
-    meta_data = LabeledDataset(meta_features, heldout_labels.get())
-    meta = train_base(meta_spec, meta_data, seed=_child_seed(seed, len(bases)))
-    return StackingModel(
-        bases, meta, data.arity,
+    # the meta learner fits on the model's own meta features; a constant
+    # holds its place until then
+    model = StackingModel(
+        bases, ConstantModel(0, len(bases)), data.arity,
         heldout_label_reads_during_base_fit=reads_during_base_fit,
     )
+    meta_data = LabeledDataset(model._meta_features(heldout_features), heldout_labels.get())
+    model.meta = train_base(meta_spec, meta_data, seed=_child_seed(seed, len(bases)))
+    return model
 
 
 def _child_seed(seed: int, index: int) -> int:

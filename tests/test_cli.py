@@ -209,6 +209,27 @@ def test_train_writes_models_and_report(runner, tmp_path):
         assert report[f"accuracy_{name}"] >= report["majority_baseline"]
 
 
+def test_training_report_records_model_shape(runner, tmp_path):
+    _, out_dir = gen_and_train(runner, tmp_path)
+    report = json.loads((out_dir / "training_report.json").read_text())
+    models = json.loads((out_dir / "models.json").read_text())["models"]
+
+    def depth(node):
+        return 0 if "prob" in node else 1 + max(depth(node["left"]), depth(node["right"]))
+
+    for name, members in (("boost", "members"), ("bagging", "members"), ("stacking", "bases")):
+        shape = report[f"shape_{name}"]
+        records = models[name][members]
+        assert shape["members"] == len(records) >= 1
+        assert shape["max_tree_depth"] == max(depth(r["root"]) for r in records if "root" in r)
+    stacking = report["shape_stacking"]
+    assert stacking["base_kinds"] == ["cart_tree", "random_tree", "gaussian_nb", "logistic"]
+    meta = models["stacking"]["meta"]
+    assert stacking["meta"]["type"] == "logistic"
+    assert stacking["meta"]["weights"] == meta["weights"] and len(meta["weights"]) == 4
+    assert stacking["meta"]["bias"] == meta["bias"]
+
+
 def test_retrain_reproduces_model_file(runner, tmp_path):
     config, out_dir = gen_and_train(runner, tmp_path)
     first = (out_dir / "models.json").read_bytes()
@@ -384,6 +405,16 @@ LOAD_TREE = {
         {"type": "bagging", "members": [dict(LOAD_TREE, root={"prob": 1.0, "left": {}}), dict(LOAD_TREE, root={"feature": 3})], "n_features": 5},
         {"type": "bagging", "members": [dict(LOAD_TREE, root=dict(LOAD_TREE["root"], feature=5))], "n_features": 5},
         {"type": "bagging", "members": [dict(LOAD_TREE, root=dict(LOAD_TREE["root"], feature=-1))], "n_features": 5},
+        {
+            "type": "stacking",
+            "bases": [
+                LOAD_TREE,
+                {"type": "gaussian_nb", "means": [[0.5] * 5] * 2, "variances": [[1.0] * 5, [1.0] * 4 + [0.0]],
+                 "log_priors": [0.0, 0.0], "n_features": 5},
+            ],
+            "meta": {"type": "constant", "label": 1, "n_features": 2},
+            "n_features": 5,
+        },
     ],
 )
 def test_allocate_with_a_malformed_model_file_exits_3(runner, tmp_path, boost):

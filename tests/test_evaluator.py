@@ -1,22 +1,32 @@
-"""The flat tree evaluator against a recursive walk, and the row contract.
+"""The flat tree evaluator against a recursive walk, the stacking evaluator
+against the per-model formulas, and the row contract.
 
 ``walk`` below is the reference: it follows one row down a tree's dict form
 exactly as the split rule reads (``x <= threshold`` goes left, anything
 else, NaN included, goes right).  Every tree in the program is evaluated by
-``_CompiledForest``, which must match it bit for bit.
+``_CompiledForest``, which must match it bit for bit.  ``nb_reference`` and
+``logistic_reference`` are the models' defining formulas (per-class Gaussian
+log-likelihoods, a logistic unit on standardised inputs); the program
+evaluates both as quadratic forms compiled once, which must match them to
+1e-9.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgealloc.bench import LearnerSetup, train_bundle
 from edgealloc.errors import DataError
 from edgealloc.learners import (
     BaseLearnerSpec,
     ConstantModel,
+    GaussianNBModel,
     LabeledDataset,
+    LogisticModel,
+    StackingModel,
     TreeModel,
     model_from_dict,
     train_adaboost,
@@ -199,9 +209,10 @@ def test_train_bundle_compiles_each_tree_only_where_it_is_evaluated(monkeypatch)
     boost, bagging, stacking = bundle.models()
     tree_bases = [b for b in stacking.bases if isinstance(b, TreeModel)]
     # boosting evaluates each member while it trains, then all members as one
-    # forest; bagging only as one forest; stacking each tree base alone
-    assert compiled == [1] * len(boost.members) + [len(boost.members), setup.bagging_bags] + [1] * len(tree_bases)
-    assert all(m._forest is None for m in bagging.members)
+    # forest, and the members keep no forest of one; bagging only as one
+    # forest; stacking its tree bases as one forest
+    assert compiled == [1] * len(boost.members) + [len(boost.members), setup.bagging_bags, len(tree_bases)]
+    assert all(m._forest is None for m in [*boost.members, *bagging.members, *tree_bases])
     assert len(tree_bases) == 2 and len(boost.members) > 1
 
 
@@ -218,6 +229,123 @@ def test_train_bundle_compiles_each_tree_only_where_it_is_evaluated(monkeypatch)
 def test_records_with_a_missing_key_raise_data_error(record):
     with pytest.raises(DataError, match="missing key"):
         model_from_dict(record)
+
+
+# ---------------------------------------------------------------------------
+# the stacking evaluator against the per-model formulas
+# ---------------------------------------------------------------------------
+
+
+def nb_reference(model, x):
+    ll = np.empty((x.shape[0], 2))
+    for c in (0, 1):
+        z = (x - model.means[c]) ** 2 / model.variances[c]
+        ll[:, c] = model.log_priors[c] - 0.5 * (np.log(2 * np.pi * model.variances[c]).sum() + z.sum(axis=1))
+    return 1.0 / (1.0 + np.exp(np.clip(ll[:, 0] - ll[:, 1], -500, 500)))
+
+
+def logistic_reference(model, x):
+    z = (x - model.mu) / model.sigma
+    return 1.0 / (1.0 + np.exp(-np.clip(z @ model.weights + model.bias, -500, 500)))
+
+
+def proba_reference(model, x):
+    if isinstance(model, TreeModel):
+        return reference([model.root], x)[0]
+    if isinstance(model, ConstantModel):
+        return np.full(x.shape[0], float(model.label))
+    if isinstance(model, GaussianNBModel):
+        return nb_reference(model, x)
+    if isinstance(model, LogisticModel):
+        return logistic_reference(model, x)
+    if isinstance(model, StackingModel):
+        return proba_reference(model.meta, np.column_stack([proba_reference(b, x) for b in model.bases]))
+    raise TypeError(type(model))
+
+
+def random_tree(rng, n_features, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return leaf(float(rng.integers(0, 5)) / 4)
+    return split(int(rng.integers(n_features)), float(rng.uniform(0, 1)),
+                 random_tree(rng, n_features, depth - 1), random_tree(rng, n_features, depth - 1))
+
+
+def floored_nb(rng, n_features):
+    """Hand-built naive Bayes; one class has the floored variance in one feature."""
+    variances = rng.uniform(0.01, 1.0, (2, n_features))
+    variances[rng.integers(2), rng.integers(n_features)] = GaussianNBModel.VAR_FLOOR
+    return GaussianNBModel(rng.uniform(0, 1, (2, n_features)), variances, np.log(rng.uniform(0.1, 1, 2)), n_features)
+
+
+def hand_logistic(rng, n_features):
+    return LogisticModel(rng.normal(0, 2, n_features), rng.normal(), rng.uniform(0, 1, n_features),
+                         rng.uniform(0.05, 1, n_features), n_features)
+
+
+BASE_KINDS = ("cart_tree", "random_tree", "gaussian_nb", "logistic", "constant", "floored_nb", "hand_logistic")
+
+
+def make_base(kind, data, rng):
+    n_features = data.arity
+    if kind == "constant":
+        return ConstantModel(int(rng.integers(2)), n_features)
+    if kind == "floored_nb":
+        return floored_nb(rng, n_features)
+    if kind == "hand_logistic":
+        return hand_logistic(rng, n_features)
+    return train_base(BaseLearnerSpec(kind=kind, max_depth=3, feature_subset_size=1), data, seed=int(rng.integers(100)))
+
+
+def make_meta(kind, k, rng):
+    if kind == "constant":
+        return ConstantModel(int(rng.integers(2)), k)
+    if kind == "tree":
+        return TreeModel(random_tree(rng, k, 3), k)
+    if kind == "gaussian_nb":
+        return GaussianNBModel(rng.uniform(0, 1, (2, k)), rng.uniform(0.05, 1, (2, k)), np.log(rng.uniform(0.1, 1, 2)), k)
+    return hand_logistic(rng, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_features=st.integers(1, 5),
+    kinds=st.lists(st.sampled_from(BASE_KINDS), min_size=2, max_size=5),
+    meta_kind=st.sampled_from(["constant", "tree", "gaussian_nb", "logistic"]),
+)
+def test_stacking_matches_meta_over_its_bases_on_the_reference(seed, n_features, kinds, meta_kind):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, (60, n_features))
+    y = np.arange(60) % 2
+    x[y == 1, 0] = rng.uniform(0, 1)  # class 1 is constant in feature 0: a floored variance once trained
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bases = [make_base(kind, LabeledDataset(x, y), rng) for kind in kinds]
+    model = StackingModel(bases, make_meta(meta_kind, len(bases), rng), n_features)
+    rows = [rng.uniform(-0.5, 1.5, (40, n_features))]
+    for base in bases:  # rows on the mean of each class, where a floored variance cancels most
+        if isinstance(base, GaussianNBModel):
+            for c in (0, 1):
+                on_mean = rng.uniform(-0.5, 1.5, (5, n_features))
+                on_mean[:, base.variances[c].argmin()] = base.means[c, base.variances[c].argmin()]
+                rows += [on_mean, base.means[c][None, :]]
+    x = np.vstack(rows)
+    want = proba_reference(model, x)
+    assert np.abs(model.predict_proba_batch(x) - want).max() <= 1e-9
+    clear = np.abs(want - 0.5) > 1e-9
+    assert np.array_equal(model.predict_batch(x)[clear], (want >= 0.5)[clear])
+
+
+def test_stacking_meta_features_are_its_bases_probabilities():
+    data = training_data()
+    rng = np.random.default_rng(6)
+    bases = [make_base(kind, data, rng) for kind in ("gaussian_nb", "cart_tree", "constant", "logistic", "random_tree")]
+    model = StackingModel(bases, ConstantModel(1, len(bases)), data.arity)
+    x = rng.uniform(0, 1, (50, data.arity))
+    got = model._meta_features(x)
+    assert got.flags.c_contiguous and got.shape == (50, len(bases))
+    for j, base in enumerate(bases):
+        assert np.allclose(got[:, j], proba_reference(base, x), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

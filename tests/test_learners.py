@@ -320,6 +320,49 @@ def test_model_from_dict_rejects_unknown_type():
         model_from_dict({"type": "mystery"})
 
 
+NB_RECORD = {"type": "gaussian_nb", "means": [[0.2, 0.4], [0.6, 0.8]], "variances": [[0.1, 0.2], [0.3, 0.4]],
+             "log_priors": [-0.7, -0.7], "n_features": 2}
+LOGISTIC_RECORD = {"type": "logistic", "weights": [1.0, -2.0], "bias": 0.5, "mu": [0.5, 0.5], "sigma": [0.2, 0.3],
+                   "n_features": 2}
+
+
+def _with(record, **changes):
+    return dict(record, **changes)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (_with(NB_RECORD, variances=[[0.1, 0.0], [0.3, 0.4]]), "variances must be positive"),
+        (_with(NB_RECORD, variances=[[0.1, 0.2], [-1.0, 0.4]]), "variances must be positive"),
+        (_with(NB_RECORD, means=[[0.2], [0.6]]), "means has shape"),
+        (_with(NB_RECORD, log_priors=[0.0, float("nan")]), "log_priors must be finite"),
+        (_with(NB_RECORD, variances=[[0.1, 1e-320], [0.3, 0.4]]), "overflow"),
+        (_with(LOGISTIC_RECORD, sigma=[0.2, 0.0]), "sigma must be positive"),
+        (_with(LOGISTIC_RECORD, bias=float("nan")), "bias must be finite"),
+        (_with(LOGISTIC_RECORD, weights=[1.0]), "weights has shape"),
+        (_with(LOGISTIC_RECORD, mu=["a", "b"]), "mu is not numeric"),
+        (
+            {"type": "stacking", "bases": [NB_RECORD, LOGISTIC_RECORD], "meta": _with(LOGISTIC_RECORD, n_features=3,
+             weights=[1.0] * 3, mu=[0.0] * 3, sigma=[1.0] * 3), "n_features": 2},
+            "meta learner reads 3 features",
+        ),
+        (
+            {"type": "stacking", "bases": [NB_RECORD, _with(LOGISTIC_RECORD, n_features=3, weights=[1.0] * 3,
+             mu=[0.0] * 3, sigma=[1.0] * 3)], "meta": LOGISTIC_RECORD, "n_features": 2},
+            "bases must all read",
+        ),
+    ],
+)
+def test_malformed_model_records_raise_data_error_when_loaded(tmp_path, record, message):
+    with pytest.raises(DataError, match=message):
+        model_from_dict(record)
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps({"schema_version": 1, "models": {"stacking": record}}), encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        load_bundle(path)
+
+
 # ---------------------------------------------------------------------------
 # bagging does not degrade the base learner (statistical check)
 # ---------------------------------------------------------------------------
