@@ -179,8 +179,9 @@ class _CompiledForest:
     position t, so memory grows with the node count, not with 2**depth.  A
     split's children sit side by side, and one step of a row is ``node =
     first_child[node] + (not x[feature[node]] <= threshold[node])``, so NaN
-    goes right.  A leaf tests an appended zero column against +inf and is its
-    own first child, so a row that reached it stays while deeper trees finish.
+    goes right.  A leaf tests feature 0 against NaN, which no value is <=, and
+    its first child sits one slot before it, so a row that reached it stays
+    there while deeper trees finish.
     Malformed node dicts raise ``DataError`` here, once, when the model is built.
     """
 
@@ -191,7 +192,7 @@ class _CompiledForest:
         while stack:
             node, slot, level = stack.pop()
             if isinstance(node, dict) and "prob" in node:
-                nodes[slot] = (n_features, np.inf, slot, node["prob"])
+                nodes[slot] = (0, np.nan, slot - 1, node["prob"])
                 self.depth = max(self.depth, level)
                 continue
             if not (isinstance(node, dict) and {"feature", "threshold", "left", "right"} <= node.keys()):
@@ -212,12 +213,10 @@ class _CompiledForest:
     def leaf_probs(self, x: np.ndarray) -> np.ndarray:
         """(T, n) leaf probabilities for the n rows of the (n, F) matrix x."""
         n, f = x.shape
-        padded = np.zeros((n, f + 1))
-        padded[:, :f] = x
-        flat = padded.ravel()
-        offsets = np.arange(0, n * (f + 1), f + 1)
+        flat = np.ascontiguousarray(x).ravel()
+        offsets = np.arange(0, n * f, f)
         roots = slice(0, self.n_trees)  # every row starts at its tree's root
-        le = padded[:, self.features[roots]].T <= self.thresholds[roots, None]
+        le = x[:, self.features[roots]].T <= self.thresholds[roots, None]
         node = self.first_child[roots, None] + ~le
         for _ in range(self.depth - 1):
             value = flat.take(self.features.take(node) + offsets)

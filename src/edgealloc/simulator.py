@@ -216,17 +216,38 @@ def _draw_centers(rng: np.random.Generator, cfg: ScenarioConfig, shape) -> np.nd
     return np.clip(rng.normal(0.5, cfg.gaussian_sd, size=shape), 0.0, 1.0)
 
 
-def _draw_values_around(
+_SAMPLE_BLOCK = 64  # leading rows sampled at once; the draws do not depend on it
+
+
+def _sample_moments(
     rng: np.random.Generator, cfg: ScenarioConfig, centers: np.ndarray, sample_size: int
-) -> np.ndarray:
-    """Dataset points around given centers; shape (*centers.shape, sample_size)."""
-    shape = centers.shape + (sample_size,)
-    c = centers[..., None]
-    if cfg.distribution == "uniform":
-        lo = np.maximum(c - cfg.data_window, 0.0)
-        hi = np.minimum(c + cfg.data_window, 1.0)
-        return rng.uniform(lo, hi, size=shape)
-    return np.clip(rng.normal(c, cfg.gaussian_sd, size=shape), 0.0, 1.0)
+) -> tuple:
+    """Mean and spread of ``sample_size`` points drawn around each of
+    ``centers``: bit for bit what ``np.mean``/``np.std`` give on the full
+    (*centers.shape, sample_size) sample, from the same draws, but drawn and
+    reduced in place a block of leading rows at a time."""
+    means, spreads = np.empty(centers.shape), np.empty(centers.shape)
+    block = np.empty(centers[:_SAMPLE_BLOCK].shape + (sample_size,))
+    for start in range(0, len(centers), _SAMPLE_BLOCK):
+        rows = slice(start, start + _SAMPLE_BLOCK)
+        c = centers[rows, ..., None]
+        s = block[: len(c)]
+        if cfg.distribution == "uniform":
+            lo = np.maximum(c - cfg.data_window, 0.0)
+            hi = np.minimum(c + cfg.data_window, 1.0)
+            rng.random(out=s)
+            s *= hi - lo
+            s += lo
+        else:
+            rng.standard_normal(out=s)
+            s *= cfg.gaussian_sd
+            s += c
+            np.clip(s, 0.0, 1.0, out=s)
+        mean = s.sum(axis=-1, keepdims=True) / sample_size
+        s -= mean
+        s *= s
+        means[rows], spreads[rows] = mean[..., 0], np.sqrt(s.sum(axis=-1) / sample_size)
+    return means, spreads
 
 
 def _speed_from_latent(latent: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
@@ -256,22 +277,16 @@ def _coupled_load_latent(
     return rho * speed_latent + np.sqrt(1.0 - rho * rho) * rng.normal(size=size)
 
 
-def _digest_from_sample(sample: np.ndarray, cardinality: int) -> DatasetDigest:
-    return DatasetDigest(
-        means=sample.mean(axis=-1),
-        spreads=sample.std(axis=-1),
-        cardinality=cardinality,
-    )
-
-
 def _build_node(cfg: ScenarioConfig, index: int) -> tuple:
     """One node from its own child stream, so node i is identical for any N."""
     rng = np.random.default_rng([cfg.seed, _NODE_STREAM, index])
     centers = _draw_centers(rng, cfg, cfg.dims)
-    sample = _draw_values_around(rng, cfg, centers, cfg.digest_sample_size)
-    digest = _digest_from_sample(sample, cfg.digest_cardinality)
+    means, spreads = _sample_moments(rng, cfg, centers, cfg.digest_sample_size)
+    digest = DatasetDigest(means=means, spreads=spreads, cardinality=cfg.digest_cardinality)
     speed_latent = rng.normal()
     speed = float(_speed_from_latent(np.asarray(speed_latent), cfg))
+    if cfg.trace_path is not None:  # the trace replaces the stream's last draw
+        return digest, speed, None
     loads = _load_from_latent(_coupled_load_latent(rng, cfg, speed_latent, cfg.n_queries), cfg)
     return digest, speed, loads
 
@@ -501,7 +516,7 @@ def ingest_utilization_trace(path, n_nodes: int, column: Optional[str] = None) -
             except ValueError:
                 raise DataError(f"{path}: missing column {column!r} in header {header}") from None
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not "".join(row).strip():
                 continue
             if col_idx >= len(row):
                 raise DataError(f"{path}:{lineno}: row has no column {col_idx + 1}")
@@ -553,7 +568,7 @@ def apply_allocation(occupancy, capacity, drain, selected) -> np.ndarray:
 # training data synthesis
 # ---------------------------------------------------------------------------
 
-_TRAINING_CHUNK = 512  # rows per digest-sampling block; fixed so draws are stable
+_TRAINING_CHUNK = 512  # rows per chunk of centers, then samples; fixed so draws are stable
 
 
 def synthesize_training_set(
@@ -587,10 +602,8 @@ def synthesize_training_set(
         stop = min(start + _TRAINING_CHUNK, size)
         count = stop - start
         centers = _draw_centers(rng, cfg, (count, cfg.dims))
-        samples = _draw_values_around(rng, cfg, centers, cfg.digest_sample_size)
-        ci = confidence_intervals(
-            samples.mean(axis=-1), samples.std(axis=-1), cfg.digest_cardinality, cfg.z
-        )
+        means, spreads = _sample_moments(rng, cfg, centers, cfg.digest_sample_size)
+        ci = confidence_intervals(means, spreads, cfg.digest_cardinality, cfg.z)
         relevances[start:stop] = relevance_batch(bounds[start:stop], ci, cfg.alpha)
 
     labels = policy.label(relevances, loads, speeds)

@@ -129,6 +129,18 @@ def test_rows_on_the_threshold_go_left_and_nan_goes_right():
     assert tree.predict_proba_batch(x).tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
+def test_forest_reads_a_non_contiguous_block_as_its_values():
+    roots = HAND_BUILT["mixed_depths"]
+    x = probe_rows(roots, 5, np.random.default_rng(4))
+    wide = np.zeros((2 * len(x), 7))
+    wide[::2, 1:6] = x
+    view = wide[::2, 1:6]
+    assert not view.flags.c_contiguous
+    assert np.array_equal(_CompiledForest(roots, 5).leaf_probs(view), reference(roots, x))
+    fortran = np.asfortranarray(x)
+    assert np.array_equal(_CompiledForest(roots, 5).leaf_probs(fortran), reference(roots, x))
+
+
 def test_forest_matches_walk_on_trained_trees_and_forests():
     data = training_data()
     rng = np.random.default_rng(2)

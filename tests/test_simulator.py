@@ -79,6 +79,48 @@ def test_gaussian_values_stay_in_unit_interval():
         assert 0.0 < node.speed <= 1.0
 
 
+def _reference_moments(rng, config, centers, sample_size):
+    """The full-array draw reduced by np.mean/np.std, which _sample_moments
+    reproduces a block at a time."""
+    c = centers[..., None]
+    shape = centers.shape + (sample_size,)
+    if config.distribution == "uniform":
+        lo = np.maximum(c - config.data_window, 0.0)
+        hi = np.minimum(c + config.data_window, 1.0)
+        sample = rng.uniform(lo, hi, size=shape)
+    else:
+        sample = np.clip(rng.normal(c, config.gaussian_sd, size=shape), 0.0, 1.0)
+    return sample.mean(axis=-1), sample.std(axis=-1)
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+@pytest.mark.parametrize("dims", [1, 5, 10])
+def test_sampled_moments_are_bitwise_the_full_sample_statistics(distribution, dims):
+    config = cfg(dims=dims, distribution=distribution)
+    for rows, sample_size in ((1, 1000), (63, 200), (64, 200), (65, 200), (513, 50), (513, 1)):
+        centers = np.random.default_rng(rows).uniform(0.0, 1.0, (rows, dims))
+        for shape in ((rows, dims), (rows * dims,)):  # training rows and one node's dimensions
+            got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+            got = simulator._sample_moments(got_rng, config, centers.reshape(shape), sample_size)
+            want = _reference_moments(want_rng, config, centers.reshape(shape), sample_size)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_trace_replaces_only_the_loads_of_a_scenario(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("step,cpu\n" + "\n".join(f"{i},{30 + (i % 5)}" for i in range(40)), encoding="utf-8")
+    for distribution in ("uniform", "gaussian"):
+        plain = generate_scenario(cfg(distribution=distribution))
+        traced = generate_scenario(cfg(distribution=distribution, trace_path=str(path), trace_column="cpu"))
+        for a, b in zip(plain.nodes, traced.nodes):
+            assert a.speed == b.speed
+            assert a.digest.means.tobytes() == b.digest.means.tobytes()
+            assert a.digest.spreads.tobytes() == b.digest.spreads.tobytes()
+        assert not np.array_equal(plain.load_series[0], traced.load_series[0])
+
+
 def test_deadlines_within_cap():
     scenario = generate_scenario(cfg(n_queries=300))
     deadlines = [q.deadline for q in scenario.queries]
@@ -153,6 +195,15 @@ def test_unparsable_row_reports_line_number(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("step,cpu\n0,50\n1,banana\n", encoding="utf-8")
     with pytest.raises(DataError, match=":3"):
+        ingest_utilization_trace(path, 1, column="cpu")
+
+
+def test_whitespace_rows_are_skipped_and_a_blank_value_is_reported(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("step,cpu\n0,10\n\n , \n\t\n1,20\n", encoding="utf-8")
+    assert ingest_utilization_trace(path, 1, column="cpu")[0].tolist() == [0.1, 0.2]
+    path.write_text("step,cpu\n0,10\n , \n2, \n", encoding="utf-8")
+    with pytest.raises(DataError, match="trace.csv:4: utilisation value ' '"):
         ingest_utilization_trace(path, 1, column="cpu")
 
 
