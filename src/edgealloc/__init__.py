@@ -5,7 +5,7 @@ a complexity score and per-node data relevance feed three trained ensembles
 whose fused opinions drive a one-vs-all vote over the nodes.
 """
 
-from .allocator import AllocationDecision, EnsembleBundle, FusionScheme, fuse
+from .allocator import AllocationDecision, EnsembleBundle, FusionScheme
 from .complexity import (
     ComplexityClass,
     ComplexityClassifier,
@@ -15,7 +15,7 @@ from .complexity import (
     classify_complexity,
 )
 from .core import DatasetDigest, NodeState, Query, QueryConstraints
-from .relevance import confidence_intervals, overlap_mismatch, relevance_batch
+from .relevance import confidence_intervals, relevance_batch
 from .simulator import (
     LabelingPolicy,
     Scenario,
@@ -32,7 +32,6 @@ __all__ = [
     "AllocationDecision",
     "EnsembleBundle",
     "FusionScheme",
-    "fuse",
     "ova_allocate",
     "ComplexityClass",
     "ComplexityClassifier",
@@ -45,7 +44,6 @@ __all__ = [
     "Query",
     "QueryConstraints",
     "confidence_intervals",
-    "overlap_mismatch",
     "relevance_batch",
     "LabelingPolicy",
     "Scenario",

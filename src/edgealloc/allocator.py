@@ -29,7 +29,6 @@ __all__ = [
     "FusionScheme",
     "EnsembleBundle",
     "AllocationDecision",
-    "fuse",
     "fuse_batch",
     "tally_votes",
     "rank_nodes",
@@ -65,17 +64,6 @@ class EnsembleBundle:
 
     def models(self) -> tuple:
         return (self.boost, self.bagging, self.stacking)
-
-
-def fuse(y1: int, y2: int, y3: int, scheme: FusionScheme) -> int:
-    """Fuse three binary opinions into one label."""
-    for y in (y1, y2, y3):
-        if y not in (0, 1):
-            raise ValueError(f"fusion inputs must be binary, got {y!r}")
-    scheme = FusionScheme.parse(scheme)
-    if scheme is FusionScheme.CS:
-        return y1 * y2 * y3
-    return 1 if (y1 + y2 + y3) >= 2 else 0
 
 
 def fuse_batch(labels: np.ndarray, scheme: FusionScheme) -> np.ndarray:
@@ -133,17 +121,20 @@ def decide_from_features(
 ) -> AllocationDecision:
     """Label (cascaded), fuse, vote and rank given a prebuilt (N, 5) feature matrix.
 
-    The k picks are the first k positions of the one ranking; the decision
-    time runs from ``started`` (default: now) to the end of the ranking.
+    The (N, 3) label matrix is column-major, so each ensemble's column and
+    the row-wise fusion over it read contiguous memory, and the cascade's
+    rows are gathered with ``take``.  The k picks are the first k positions
+    of the one ranking; the decision time runs from ``started`` (default:
+    now) to the end of the ranking.
     """
     if started is None:
         started = time.perf_counter()
-    labels = np.zeros((features.shape[0], 3), dtype=int)
+    labels = np.zeros((features.shape[0], 3), dtype=int, order="F")
     labels[:, 0] = bundle.boost.predict_batch(features)
     if FusionScheme.parse(scheme) is FusionScheme.CS:
         rows = np.flatnonzero(labels[:, 0])
         if rows.size:
-            labels[rows, 1] = bundle.bagging.predict_batch(features[rows])
+            labels[rows, 1] = bundle.bagging.predict_batch(features.take(rows, axis=0))
             rows = rows[labels[rows, 1] == 1]
     else:
         labels[:, 1] = bundle.bagging.predict_batch(features)
@@ -151,7 +142,7 @@ def decide_from_features(
         labels[agree, 2] = labels[agree, 0]
         rows = np.flatnonzero(~agree)
     if rows.size:
-        labels[rows, 2] = bundle.stacking.predict_batch(features[rows])
+        labels[rows, 2] = bundle.stacking.predict_batch(features.take(rows, axis=0))
     fused = fuse_batch(labels, scheme)
     votes = tally_votes(fused)
     order = rank_nodes(votes, loads, node_ids)

@@ -179,6 +179,9 @@ def run_cells(
     written once at the end.  With ``resume`` as well, a cell is loaded back
     instead of re-run when its record equals the current one and its file
     holds one row per query, which makes interrupted sweeps restartable.
+    A cell whose config equals the previous run cell's (``grid_cells`` puts
+    the schemes innermost) reuses that cell's scenario; ``simulate_run``
+    leaves a scenario as it found it.
     """
     corpus = corpus or generate_query_corpus()
     classifier = ComplexityClassifier(corpus, fcp_params)
@@ -188,6 +191,7 @@ def run_cells(
 
     shared = dict(policy=asdict(policy), setup=asdict(setup), fcp=asdict(fcp_params), corpus=corpus.entries, k=k)
     bundles: dict = {}
+    scenario = None  # the last cell's, reused while the config repeats
     results: list = []
     failures: list = []
 
@@ -217,7 +221,9 @@ def run_cells(
             if key not in bundles:
                 data = synthesize_training_set(generate_scenario(key), policy, setup.training_size)
                 bundles[key] = train_bundle(data, setup, seed=cell.config.seed)
-            scenario = generate_scenario(cell.config)
+            if scenario is None or scenario.config != cell.config:
+                scenario = None  # only one scenario is ever alive
+                scenario = generate_scenario(cell.config)
             result = simulate_run(scenario, bundles[key], cell.scheme, classifier, k=k)
             results.append(result)
             if out is not None:

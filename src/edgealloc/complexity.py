@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_CLASSES",
     "ComplexityParams",
     "ComplexityVector",
-    "TokenFeature",
     "TrainingQueryCorpus",
     "ComplexityClassifier",
     "MEMO_CAP",
@@ -218,14 +217,24 @@ def quasi_arithmetic_mean(values, alpha: float):
     """
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)  # a copy: the core overwrites it
     if arr.ndim == 0 or arr.shape[-1] == 0:
         raise ValueError("values must be non-empty")
     if arr.min() < 0:
         raise ValueError("values must be non-negative")
+    return _power_mean_inplace(arr, alpha)
+
+
+def _power_mean_inplace(buf: np.ndarray, alpha: float):
+    """``quasi_arithmetic_mean`` of a checked float array the caller owns;
+    ``buf`` is overwritten with its powers."""
     with np.errstate(divide="ignore", over="ignore"):
+        if alpha != 1:  # x ** 1.0 == x exactly
+            np.power(buf, alpha, out=buf)
         # sum / m is np.mean's arithmetic without its per-call overhead
-        return (np.power(arr, alpha).sum(axis=-1) / arr.shape[-1]) ** (1.0 / alpha)
+        mean = buf.sum(axis=-1)
+        mean /= buf.shape[-1]
+        return mean if alpha == 1 else mean ** (1.0 / alpha)
 
 
 def fuse_similarities(values, params: ComplexityParams):

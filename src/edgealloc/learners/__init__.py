@@ -18,7 +18,7 @@ from .ensembles import (
     train_bagging,
     train_stacking,
 )
-from .serialize import MODEL_SCHEMA_VERSION, load_bundle, model_from_dict, save_bundle
+from .serialize import load_bundle, model_from_dict, save_bundle
 
 __all__ = [
     "BaseLearnerSpec",
@@ -35,7 +35,6 @@ __all__ = [
     "train_bagging",
     "train_stacking",
     "bootstrap_indices",
-    "MODEL_SCHEMA_VERSION",
     "save_bundle",
     "load_bundle",
     "model_from_dict",

@@ -14,7 +14,7 @@ from ..errors import DataError
 from .base import ConstantModel, GaussianNBModel, LogisticModel, TreeModel
 from .ensembles import AdaBoostModel, BaggingModel, StackingModel
 
-__all__ = ["MODEL_SCHEMA_VERSION", "model_from_dict", "save_bundle", "load_bundle"]
+__all__ = ["model_from_dict", "save_bundle", "load_bundle"]
 
 MODEL_SCHEMA_VERSION = 1
 

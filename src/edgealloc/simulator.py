@@ -56,7 +56,6 @@ __all__ = [
     "save_scenario",
     "load_scenario",
     "query_from_record",
-    "SCENARIO_SCHEMA_VERSION",
 ]
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -737,6 +736,7 @@ def simulate_run(
     occupancy = np.zeros(len(table.ids), dtype=np.int64)
     drain = np.floor(table.speeds * cfg.service_rate).astype(np.int64)
     loads = occupancy / table.capacity
+    speed_max = float(table.speeds.max())
 
     result = RunResult(
         scheme=scheme.value,
@@ -758,7 +758,7 @@ def simulate_run(
                 load_selected=float(loads[chosen]),
                 speed_selected=float(table.speeds[chosen]),
                 load_min=float(loads.min()),
-                speed_max=float(table.speeds.max()),
+                speed_max=speed_max,
             )
         )
         if not replay:

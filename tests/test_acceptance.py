@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from edgealloc.allocator import FusionScheme, decide_from_features, fuse
+from edgealloc.allocator import FusionScheme, decide_from_features, fuse_batch
 from edgealloc.bench import LearnerSetup, grid_cells, run_cells
 from edgealloc.complexity import (
     ComplexityParams,
@@ -25,7 +25,7 @@ from edgealloc.complexity import (
 from edgealloc.learners import BaseLearnerSpec, bootstrap_indices, train_adaboost, train_stacking
 from edgealloc.learners.base import LabeledDataset
 from edgealloc.metrics import summarise_runs
-from edgealloc.relevance import overlap_mismatch
+from edgealloc.relevance import relevance_batch
 from edgealloc.simulator import (
     LabelingPolicy,
     ScenarioConfig,
@@ -168,9 +168,8 @@ def test_criterion_5_throughput_finite_and_decreasing(benchmark_grid):
 
 def test_criterion_6_fusion_truth_tables():
     started = time.perf_counter()
-    for y in itertools.product((0, 1), repeat=3):
-        cs = fuse(*y, scheme=FusionScheme.CS)
-        mvs = fuse(*y, scheme=FusionScheme.MVS)
+    triples = np.array(list(itertools.product((0, 1), repeat=3)))
+    for y, cs, mvs in zip(triples, fuse_batch(triples, FusionScheme.CS), fuse_batch(triples, FusionScheme.MVS)):
         assert cs == y[0] * y[1] * y[2]
         assert mvs == (1 if sum(y) >= 2 else 0)
         assert cs <= mvs
@@ -226,9 +225,10 @@ def test_criterion_8_aggregator_properties():
     inner_hi = rng.uniform(inner_lo, outer[:, 1])
     left = np.sort(rng.uniform(0, 4, (10_000, 2)), axis=1)
     right = np.sort(rng.uniform(5, 9, (10_000, 2)), axis=1)
-    for k in range(10_000):
-        assert overlap_mismatch((inner_lo[k], inner_hi[k]), outer[k]) == 0.0
-        assert overlap_mismatch(left[k], right[k]) == 1.0
+    # one dimension and alpha 1: relevance is the per-dimension mismatch
+    inner = np.stack([inner_lo, inner_hi], axis=1)
+    assert (relevance_batch(inner[:, None], outer[:, None], alpha=1.0) == 0.0).all()
+    assert (relevance_batch(left[:, None], right[:, None], alpha=1.0) == 1.0).all()
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     print(f"ACCEPTANCE 8 PASS: fold/mean/overlap identities hold on 10^4 random draws ({elapsed:.2f}s)")

@@ -7,7 +7,6 @@ from edgealloc.allocator import (
     EnsembleBundle,
     FusionScheme,
     decide_from_features,
-    fuse,
     fuse_batch,
     rank_nodes,
     tally_votes,
@@ -63,6 +62,16 @@ def make_query():
 # ---------------------------------------------------------------------------
 
 
+def fuse(y1: int, y2: int, y3: int, scheme: FusionScheme) -> int:
+    """Scalar reference for ``fuse_batch``: three binary opinions, one label."""
+    for y in (y1, y2, y3):
+        if y not in (0, 1):
+            raise ValueError(f"fusion inputs must be binary, got {y!r}")
+    if FusionScheme.parse(scheme) is FusionScheme.CS:
+        return y1 * y2 * y3
+    return 1 if (y1 + y2 + y3) >= 2 else 0
+
+
 def test_fusion_truth_tables():
     for y in itertools.product((0, 1), repeat=3):
         assert fuse(*y, scheme=FusionScheme.CS) == y[0] * y[1] * y[2]
@@ -90,9 +99,10 @@ def test_fuse_rejects_non_binary():
 def test_fuse_batch_matches_scalar():
     labels = np.array(list(itertools.product((0, 1), repeat=3)))
     for scheme in FusionScheme:
-        got = fuse_batch(labels, scheme)
         want = [fuse(*row, scheme=scheme) for row in labels]
-        assert got.tolist() == want
+        assert fuse_batch(labels, scheme).tolist() == want
+        # decide_from_features hands it a column-major matrix
+        assert fuse_batch(np.asfortranarray(labels), scheme).tolist() == want
 
 
 def test_scheme_parsing():

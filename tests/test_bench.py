@@ -1,3 +1,4 @@
+import csv
 import warnings
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import pytest
 
 from edgealloc import bench
 from edgealloc.bench import BenchCell, LearnerSetup, run_cells
-from edgealloc.simulator import LabelingPolicy, ScenarioConfig
+from edgealloc.simulator import LabelingPolicy, ScenarioConfig, generate_scenario, save_scenario
 
 warnings.filterwarnings("ignore", message=".*single class.*")
 
@@ -105,3 +106,35 @@ def test_resume_reruns_a_run_file_written_under_another_config(tmp_path):
     (again,), _ = run_cells([wide], POLICY, setup=SMALL_SETUP, out_dir=tmp_path, resume=True, progress=messages.append)
     assert "skipped" in messages[0]
     assert picks(again) == picks(fresh)
+
+
+def run_rows(path):
+    """A run file's rows without the measured ``decision_ms`` column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row[:-1] for row in csv.reader(fh)]
+
+
+def test_cells_of_one_config_share_one_scenario(tmp_path, monkeypatch):
+    cells = [BenchCell(replace(BASE, n_nodes=6, n_queries=40), scheme) for scheme in ("cs", "mvs")]
+    built = []
+
+    def recording(cfg):
+        built.append(generate_scenario(cfg))
+        return built[-1]
+
+    monkeypatch.setattr(bench, "generate_scenario", recording)
+    _, failures = run_cells(cells, POLICY, setup=SMALL_SETUP, out_dir=tmp_path / "shared")
+    assert not failures
+    # one build for the training key and one for the config the two cells share
+    assert [s.config for s in built] == [replace(cells[0].config, n_nodes=1, n_queries=1), cells[0].config]
+    for cell in cells:  # one cell per sweep builds its scenario anew
+        _, failures = run_cells([cell], POLICY, setup=SMALL_SETUP, out_dir=tmp_path / "alone")
+        assert not failures
+    assert len(built) == 6
+    for cell in cells:
+        name = f"run_{cell.label()}.csv"
+        assert run_rows(tmp_path / "shared" / name) == run_rows(tmp_path / "alone" / name)
+    # both runs left the shared scenario as it was built
+    save_scenario(tmp_path / "after.json", built[1])
+    save_scenario(tmp_path / "fresh.json", generate_scenario(cells[0].config))
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()

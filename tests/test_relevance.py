@@ -3,17 +3,71 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from edgealloc.complexity import quasi_arithmetic_mean
 from edgealloc.core import QueryConstraints
-from edgealloc.relevance import (
-    confidence_intervals,
-    interval_intersection_length,
-    overlap_mismatch,
-    relevance_batch,
-)
+from edgealloc.relevance import confidence_intervals, relevance_batch
 
 
 def interval(lo, hi):
     return np.array([lo, hi])
+
+
+# ---------------------------------------------------------------------------
+# references the kernels are checked against
+# ---------------------------------------------------------------------------
+
+
+def interval_intersection_length(a, b) -> float:
+    """Length of the common sub-interval of two intervals, 0 if disjoint."""
+    lo = max(a[0], b[0])
+    hi = min(a[1], b[1])
+    return hi - lo if lo < hi else 0.0
+
+
+def overlap_mismatch(a, b) -> float:
+    """Scalar mismatch in [0, 1]: 1 - intersection length over the shorter
+    length, or with a zero-length shorter interval 0 if the intervals still
+    touch as point sets, else 1."""
+    la = a[1] - a[0]
+    lb = b[1] - b[0]
+    shorter = min(la, lb)
+    if shorter <= 0.0:
+        touches = max(a[0], b[0]) <= min(a[1], b[1])
+        return 0.0 if touches else 1.0
+    inter = interval_intersection_length(a, b)
+    return float(np.clip(1.0 - inter / shorter, 0.0, 1.0))
+
+
+def kernel_mismatch(a, b) -> float:
+    """The vectorised kernel on one pair: one dimension, alpha 1."""
+    return float(relevance_batch(np.array([a], dtype=float), np.array([b], dtype=float), alpha=1.0))
+
+
+def formula_mismatch_matrix(w, f):
+    """The out-of-place formula the in-place kernel reproduces byte for byte."""
+    lo = np.maximum(w[..., 0], f[..., 0])
+    hi = np.minimum(w[..., 1], f[..., 1])
+    inter = np.maximum(hi - lo, 0.0)
+    shorter = np.minimum(w[..., 1] - w[..., 0], f[..., 1] - f[..., 0])
+    with np.errstate(invalid="ignore"):
+        psi = np.clip(1.0 - np.divide(inter, shorter, out=np.ones_like(inter), where=shorter > 0), 0.0, 1.0)
+    degenerate = shorter <= 0
+    if np.any(degenerate):
+        touches = lo <= hi
+        psi = np.where(degenerate, np.where(touches, 0.0, 1.0), psi)
+    return psi
+
+
+def formula_power_mean(values, alpha):
+    arr = np.asarray(values, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        return (np.power(arr, alpha).sum(axis=-1) / arr.shape[-1]) ** (1.0 / alpha)
+
+
+def formula_relevance(constraints, intervals, alpha):
+    w = np.asarray(constraints, dtype=float)
+    f = np.asarray(intervals, dtype=float)
+    return np.minimum(formula_power_mean(formula_mismatch_matrix(w, f), alpha), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -64,25 +118,33 @@ def test_intersection_lengths():
     assert interval_intersection_length(interval(0, 4), interval(1, 2)) == pytest.approx(1.0)
 
 
+# each pair is checked on the scalar reference and on the kernel
+BOTH = (overlap_mismatch, kernel_mismatch)
+
+
 def test_mismatch_containment_is_zero():
-    assert overlap_mismatch(interval(1, 2), interval(0, 4)) == 0.0
+    for mismatch in BOTH:
+        assert mismatch(interval(1, 2), interval(0, 4)) == 0.0
 
 
 def test_mismatch_disjoint_is_one():
-    assert overlap_mismatch(interval(0, 1), interval(2, 3)) == 1.0
+    for mismatch in BOTH:
+        assert mismatch(interval(0, 1), interval(2, 3)) == 1.0
 
 
 def test_mismatch_partial_overlap():
-    assert overlap_mismatch(interval(0, 2), interval(1, 3)) == pytest.approx(0.5)
+    for mismatch in BOTH:
+        assert mismatch(interval(0, 2), interval(1, 3)) == pytest.approx(0.5)
 
 
 def test_mismatch_degenerate_pairs():
-    assert overlap_mismatch(interval(1, 1), interval(1, 1)) == 0.0
-    assert overlap_mismatch(interval(1, 1), interval(2, 2)) == 1.0
-    # a point interval inside / outside a proper interval follows the
-    # containment / disjointness limits
-    assert overlap_mismatch(interval(1, 1), interval(0, 2)) == 0.0
-    assert overlap_mismatch(interval(3, 3), interval(0, 2)) == 1.0
+    for mismatch in BOTH:
+        assert mismatch(interval(1, 1), interval(1, 1)) == 0.0
+        assert mismatch(interval(1, 1), interval(2, 2)) == 1.0
+        # a point interval inside / outside a proper interval follows the
+        # containment / disjointness limits
+        assert mismatch(interval(1, 1), interval(0, 2)) == 0.0
+        assert mismatch(interval(3, 3), interval(0, 2)) == 1.0
 
 
 bounds = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -96,6 +158,7 @@ def test_mismatch_symmetric_and_bounded(a1, a2, b1, b2):
     m2 = overlap_mismatch(b, a)
     assert m1 == pytest.approx(m2)
     assert 0.0 <= m1 <= 1.0
+    assert kernel_mismatch(a, b) == pytest.approx(m1)
 
 
 # ---------------------------------------------------------------------------
@@ -170,3 +233,98 @@ def test_relevance_batch_pairs_rows():
     assert got.shape == (6,)
     for i in range(6):
         assert got[i] == pytest.approx(scalar_relevance(constraints[i], intervals[i], 0.5))
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernels against the out-of-place formula, byte for byte
+# ---------------------------------------------------------------------------
+
+ALPHAS = (1.0, 0.5, 3.0, -1.0, -2.5)
+
+
+def random_intervals(rng, shape, grid_share):
+    """Sorted (*shape, 2) intervals.  A share of the endpoints comes from a
+    grid of four integers, so zero widths, shared endpoints, touching and
+    disjoint pairs are common; the rest are uniform on [-1, 4]."""
+    size = tuple(shape) + (2,)
+    ends = np.where(rng.random(size) < grid_share, rng.integers(0, 4, size), rng.uniform(-1, 4, size))
+    return np.sort(ends, axis=-1)
+
+
+def assert_same_bytes(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def relevance_unchanged_inputs(w, f, alpha):
+    """relevance_batch's result, after checking it left both inputs as they were."""
+    w_before, f_before = w.copy(), f.copy()
+    got = relevance_batch(w, f, alpha)
+    assert w.tobytes() == w_before.tobytes() and f.tobytes() == f_before.tobytes()
+    return got
+
+
+layouts = dict(
+    n=st.integers(min_value=1, max_value=60),
+    dims=st.integers(min_value=1, max_value=12),  # L >= 8 takes NumPy's pairwise row sum
+    alpha=st.sampled_from(ALPHAS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    grid_share=st.sampled_from((0.0, 0.3, 1.0)),
+)
+
+
+@given(**layouts)
+def test_relevance_bytes_one_query_against_a_fleet(n, dims, alpha, seed, grid_share):
+    rng = np.random.default_rng(seed)
+    w = random_intervals(rng, (dims,), grid_share)
+    f = random_intervals(rng, (n, dims), grid_share)
+    got = relevance_unchanged_inputs(w, f, alpha)
+    assert got.shape == (n,)
+    assert_same_bytes(got, formula_relevance(w, f, alpha))
+    # a fleet against one query broadcasts the other way
+    assert_same_bytes(relevance_unchanged_inputs(f, w, alpha), formula_relevance(f, w, alpha))
+
+
+@given(**layouts)
+def test_relevance_bytes_paired_rows(n, dims, alpha, seed, grid_share):
+    rng = np.random.default_rng(seed)
+    w = random_intervals(rng, (n, dims), grid_share)
+    f = random_intervals(rng, (n, dims), grid_share)
+    assert_same_bytes(relevance_unchanged_inputs(w, f, alpha), formula_relevance(w, f, alpha))
+
+
+@given(**layouts)
+def test_relevance_bytes_single_pair_is_zero_d(n, dims, alpha, seed, grid_share):
+    rng = np.random.default_rng(seed)
+    w = random_intervals(rng, (dims,), grid_share)
+    f = random_intervals(rng, (dims,), grid_share)
+    got = relevance_unchanged_inputs(w, f, alpha)
+    assert np.ndim(got) == 0
+    assert_same_bytes(got, formula_relevance(w, f, alpha))
+
+
+def test_relevance_bytes_zero_width_query_and_node_dimensions():
+    # every kind of pair at once: zero-width query dims, zero-width node
+    # intervals, touching, disjoint and nested intervals
+    w = np.array([[1.0, 1.0], [0.0, 2.0], [2.0, 2.0], [0.0, 1.0], [0.0, 3.0], [1.0, 2.0], [0.5, 0.5], [0.0, 4.0]])
+    f = np.array([
+        [[1.0, 1.0], [2.0, 2.0], [2.0, 3.0], [1.0, 2.0], [4.0, 5.0], [0.0, 3.0], [0.0, 1.0], [1.0, 1.0]],
+        [[0.0, 2.0], [0.0, 2.0], [3.0, 3.0], [1.0, 1.0], [1.0, 2.0], [1.0, 2.0], [0.6, 0.6], [4.0, 4.0]],
+    ])
+    for alpha in ALPHAS:
+        assert_same_bytes(relevance_unchanged_inputs(w, f, alpha), formula_relevance(w, f, alpha))
+
+
+@given(**layouts)
+def test_power_mean_bytes_and_input_untouched(n, dims, alpha, seed, grid_share):
+    rng = np.random.default_rng(seed)
+    values = rng.random((n, dims))
+    values[rng.random((n, dims)) < grid_share / 3] = 0.0
+    for arr in (values, np.asfortranarray(values), values[:, ::-1]):
+        before = arr.copy(order="K")
+        assert_same_bytes(quasi_arithmetic_mean(arr, alpha), formula_power_mean(arr, alpha))
+        assert arr.tobytes(order="A") == before.tobytes(order="A")
+    row = list(values[0])
+    assert_same_bytes(quasi_arithmetic_mean(row, alpha), formula_power_mean(row, alpha))
+    assert row == list(values[0])
