@@ -12,7 +12,6 @@ from .complexity import (
     ComplexityParams,
     ComplexityVector,
     TrainingQueryCorpus,
-    classify_complexity,
 )
 from .core import DatasetDigest, NodeState, Query, QueryConstraints
 from .relevance import confidence_intervals, relevance_batch
@@ -38,7 +37,6 @@ __all__ = [
     "ComplexityParams",
     "ComplexityVector",
     "TrainingQueryCorpus",
-    "classify_complexity",
     "DatasetDigest",
     "NodeState",
     "Query",

@@ -4,8 +4,10 @@ training, single allocations and full benchmark sweeps.
 Exit codes: 0 on success; 2 (``ConfigError``) for a config file or option
 that cannot be read or parsed, has an unknown key or a value of the wrong
 type or out of range; 3 (``DataError``) for a missing, unreadable or
-malformed trace, training set, scenario, model file or query, or a
-single-class training set; 4 for any other failure, failed sweep cells too.
+malformed trace, training set, scenario, model file or query, a
+single-class training set, or a file the system will not read or write
+(``OSError``, such as an output path under a regular file); 4 for any other
+failure, failed sweep cells too.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ _COMMON = [
 def _command(fn):
     """Add the common options to a command; ``fn`` takes the config they
     select and the command's own options.  ``ConfigError`` exits 2,
-    ``DataError`` 3 and any other failure 4."""
+    ``DataError`` and ``OSError`` 3 and any other failure 4."""
 
     @functools.wraps(fn)
     def wrapper(config_path, seed, n, trace, trace_column, out, **options):
@@ -151,7 +153,7 @@ def _command(fn):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
-        except DataError as exc:
+        except (DataError, OSError) as exc:  # an OSError's message names its path
             click.echo(f"data error: {exc}", err=True)
             sys.exit(3)
         except click.exceptions.Exit:

@@ -40,7 +40,6 @@ __all__ = [
     "hamacher_fold",
     "quasi_arithmetic_mean",
     "fuse_similarities",
-    "classify_complexity",
     "leave_one_out_accuracy",
     "load_corpus",
     "save_corpus",
@@ -425,15 +424,6 @@ class ComplexityClassifier:
         if vector.memberships[best] >= self.params.threshold:
             return self.corpus.classes[best]
         return None
-
-
-def classify_complexity(
-    query, corpus: TrainingQueryCorpus, params: ComplexityParams = ComplexityParams()
-):
-    """Score a query (anything with a ``statement`` attribute, or a raw string)
-    against ``corpus``; return (ComplexityVector, resolved class or None)."""
-    statement = getattr(query, "statement", query)
-    return ComplexityClassifier(corpus, params).classify_statement(statement)
 
 
 def leave_one_out_accuracy(

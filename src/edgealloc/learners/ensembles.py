@@ -257,23 +257,15 @@ def train_bagging(
     bags: int,
     spec: BaseLearnerSpec,
     seed: int,
-    identity_bootstrap: bool = False,
 ) -> BaggingModel:
-    """Majority-vote ensemble over ``bags`` bootstrap resamples of the data.
-
-    ``identity_bootstrap`` replaces every resample with the untouched
-    dataset; it exists so tests can pin a bag to the exact training data.
-    """
+    """Majority-vote ensemble over ``bags`` bootstrap resamples of the data."""
     if bags < 1:
         raise ValueError("bags must be >= 1")
     n = len(data)
     members = []
     for b in range(bags):
-        if identity_bootstrap:
-            sample = data
-        else:
-            rng = np.random.default_rng([seed, 0xBA6, b])
-            sample = data.subset(bootstrap_indices(rng, n))
+        rng = np.random.default_rng([seed, 0xBA6, b])
+        sample = data.subset(bootstrap_indices(rng, n))
         members.append(train_base(spec, sample, seed=_child_seed(seed, b)))
     return BaggingModel(members, data.arity)
 

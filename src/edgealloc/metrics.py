@@ -3,8 +3,7 @@
 Per decision we track how far the chosen node sat from the best available
 one: ``load_gap`` against the lowest load in the snapshot and ``speed_gap``
 against the highest speed.  Run-level aggregates add allocation throughput
-(queries per millisecond of decision time) and histogram-based probability
-densities.
+(queries per millisecond of decision time).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "RunResult",
     "allocation_throughput",
     "optimality_gaps",
-    "density_estimate",
     "emit_run",
     "emit_summary",
     "load_run",
@@ -100,25 +98,6 @@ def optimality_gaps(record: QueryRecord) -> tuple:
         record.load_selected - record.load_min,
         record.speed_max - record.speed_selected,
     )
-
-
-def density_estimate(samples: Sequence[float], bins: int = 50) -> tuple:
-    """Histogram density: (bin centers, densities) with unit integral.
-
-    Bins cover [min, max] of the samples.  A constant sample collapses to a
-    single unit-width bin of density 1.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least two samples for a density estimate")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    lo, hi = float(arr.min()), float(arr.max())
-    if lo == hi:
-        return np.array([lo]), np.array([1.0])
-    densities, edges = np.histogram(arr, bins=bins, range=(lo, hi), density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, densities
 
 
 _RUN_COLUMNS = (

@@ -6,13 +6,17 @@ cardinality).  ``confidence_intervals`` expands digests into intervals and
 dimension by dimension; the per-dimension mismatch scores aggregate into a
 single relevance value where LOWER means a better data match, through the
 power-mean core behind ``complexity.quasi_arithmetic_mean``, the kernel that
-aggregates complexity memberships.  Both kernels broadcast over leading
-axes, so one node, a whole fleet and a batch of paired training rows all go
+aggregates complexity memberships.  The kernel reads ``IntervalBounds``
+operands, which a caller builds once (a run's node table does) or passes as
+(..., L, 2) intervals converted on entry.  It broadcasts over leading axes,
+so one node, a whole fleet and a batch of paired training rows all go
 through the same code.  The scalar per-dimension reference the kernel
 reproduces lives in ``tests/test_relevance.py``.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +24,7 @@ from .complexity import _power_mean_inplace
 
 __all__ = [
     "confidence_intervals",
+    "interval_bounds",
     "relevance_batch",
 ]
 
@@ -37,26 +42,51 @@ def confidence_intervals(means, spreads, cardinality, z: float) -> np.ndarray:
     return np.stack([means - half, means + half], axis=-1)
 
 
-def _mismatch_matrix(w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Per-dimension mismatch in [0, 1] of broadcast (..., L, 2) operands:
-    1 - intersection length over the shorter length, built in one buffer.
+class IntervalBounds(NamedTuple):
+    """A relevance operand: C-contiguous (..., L) lower bounds, upper bounds
+    and widths (upper - lower), and whether every width is > 0 (False if
+    any is NaN)."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    widths: np.ndarray
+    all_positive: bool
+
+
+def interval_bounds(intervals) -> IntervalBounds:
+    """The bounds operand of (..., L, 2) intervals or ``QueryConstraints``;
+    an ``IntervalBounds`` is returned as it is."""
+    if isinstance(intervals, IntervalBounds):
+        return intervals
+    arr = np.asarray(getattr(intervals, "intervals", intervals), dtype=float)
+    if arr.ndim < 2 or arr.shape[-1] != 2:
+        raise ValueError(f"expected (..., L, 2) intervals, got shape {arr.shape}")
+    lower = np.ascontiguousarray(arr[..., 0])
+    upper = np.ascontiguousarray(arr[..., 1])
+    widths = upper - lower
+    return IntervalBounds(lower, upper, widths, bool(widths.min(initial=np.inf) > 0))
+
+
+def _mismatch_matrix(w: IntervalBounds, f: IntervalBounds) -> np.ndarray:
+    """Per-dimension mismatch in [0, 1] of broadcast operands: 1 -
+    intersection length over the shorter width, built in one buffer.
 
     0 when one interval contains the other, 1 when they are disjoint.  With
     a zero-length shorter interval the limit applies: 0 if the intervals
-    still touch as point sets, else 1.
+    still touch as point sets, else 1.  Where the shorter width is > 0,
+    monotone rounding keeps 0 <= intersection <= shorter, so the ratio
+    needs no clipping.
     """
-    psi = np.maximum(w[..., 0], f[..., 0])  # lo
-    shorter = np.minimum(w[..., 1], f[..., 1])  # hi, until the widths overwrite it
+    psi = np.maximum(w.lower, f.lower)  # lo
+    shorter = np.minimum(w.upper, f.upper)  # hi, until the widths overwrite it
     np.subtract(shorter, psi, out=psi)
     np.maximum(psi, 0.0, out=psi)  # intersection length
-    np.subtract(w[..., 1], w[..., 0], out=shorter)
-    np.minimum(shorter, f[..., 1] - f[..., 0], out=shorter)
+    np.minimum(w.widths, f.widths, out=shorter)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(psi, shorter, out=psi)
     np.subtract(1.0, psi, out=psi)
-    np.clip(psi, 0.0, 1.0, out=psi)
-    if not shorter.min() > 0:  # the limit rule; a NaN width reads 0
-        touches = np.maximum(w[..., 0], f[..., 0]) <= np.minimum(w[..., 1], f[..., 1])
+    if not (w.all_positive and f.all_positive):  # the limit rule; a NaN width reads 0
+        touches = np.maximum(w.lower, f.lower) <= np.minimum(w.upper, f.upper)
         psi[~(shorter > 0)] = 0.0
         degenerate = shorter <= 0
         psi[degenerate] = ~touches[degenerate]
@@ -66,18 +96,17 @@ def _mismatch_matrix(w: np.ndarray, f: np.ndarray) -> np.ndarray:
 def relevance_batch(constraints, intervals, alpha: float) -> np.ndarray:
     """Relevance in [0, 1] of constraint intervals against data intervals.
 
-    Both operands are (..., L, 2) and broadcast against each other: one
-    query against (N, L, 2) node intervals gives N values, (N, L, 2) paired
-    rows give one value per row, one (L, 2) pair a 0-d value.  The
-    per-dimension mismatches are computed in one buffer, which the power
-    mean of exponent ``alpha`` (non-zero) then reduces in place; the inputs
-    are never written.  Lower is better, 0 meaning every constraint
-    interval is matched by the data.
+    Each operand is an ``IntervalBounds``, (..., L, 2) intervals or
+    ``QueryConstraints``, and the two broadcast against each other: one
+    query against N nodes gives N values, N paired rows give one value per
+    row, one pair a 0-d value.  The per-dimension mismatches are computed
+    in one buffer, which the power mean of exponent ``alpha`` (non-zero)
+    then reduces in place; the inputs are never written.  Lower is better,
+    0 meaning every constraint interval is matched by the data.
     """
-    w = np.asarray(getattr(constraints, "intervals", constraints), dtype=float)
-    f = np.asarray(intervals, dtype=float)
-    if min(w.ndim, f.ndim) < 2 or w.shape[-2:] != f.shape[-2:] or w.shape[-1] != 2:
-        raise ValueError(f"dimensionality mismatch: {w.shape} vs {f.shape}")
-    if alpha == 0 or w.shape[-2] == 0:
+    w, f = interval_bounds(constraints), interval_bounds(intervals)
+    if w.lower.shape[-1:] != f.lower.shape[-1:]:
+        raise ValueError(f"dimensionality mismatch: {w.lower.shape} vs {f.lower.shape}")
+    if alpha == 0 or w.lower.shape[-1] == 0:
         raise ValueError("relevance needs a non-zero alpha and at least one dimension")
     return np.minimum(_power_mean_inplace(_mismatch_matrix(w, f), alpha), 1.0)

@@ -8,8 +8,9 @@ reproducible from (config, seed): each component draws from its own child
 stream, and query generation is independent of N so sweeps over the node
 count face the same workload.
 
-Every allocation goes through one path.  A node table (ids, speeds,
-confidence intervals, queue capacities) is built once per run;
+Every allocation goes through one path.  A node table (ids, speeds, the
+relevance operand of the nodes' confidence intervals, queue capacities) is
+built once per run;
 ``_decide_query`` then classifies the statement, fills the (N, 5) feature
 matrix (complexity, deadline, relevance, load, speed) and hands it to
 ``decide_from_features``.  ``simulate_run`` calls it once per query and
@@ -38,7 +39,7 @@ from .core import DatasetDigest, NodeState, Query, QueryConstraints, complexity_
 from .errors import ConfigError, DataError
 from .learners import LabeledDataset
 from .metrics import QueryRecord, RunResult
-from .relevance import confidence_intervals, relevance_batch
+from .relevance import IntervalBounds, confidence_intervals, interval_bounds, relevance_batch
 
 __all__ = [
     "ScenarioConfig",
@@ -630,11 +631,13 @@ def synthesize_training_set(
 
 @dataclass(frozen=True)
 class _NodeTable:
-    """Per-node arrays a run reads on every decision, in node order."""
+    """Per-node arrays a run reads on every decision, in node order.
+    ``bounds`` holds the confidence intervals as C-contiguous (N, L) lower
+    bounds, upper bounds and widths plus whether every width is > 0."""
 
     ids: np.ndarray
     speeds: np.ndarray
-    intervals: np.ndarray  # (N, L, 2) confidence intervals
+    bounds: IntervalBounds
     capacity: np.ndarray  # queue capacities, int64
 
 
@@ -644,11 +647,13 @@ def _node_table(nodes: Sequence[NodeState], z: float) -> _NodeTable:
     return _NodeTable(
         ids=np.array([node.node_id for node in nodes], dtype=int),
         speeds=np.array([node.speed for node in nodes], dtype=float),
-        intervals=confidence_intervals(
-            np.stack([node.digest.means for node in nodes]),
-            np.stack([node.digest.spreads for node in nodes]),
-            np.array([node.digest.cardinality for node in nodes]),
-            z,
+        bounds=interval_bounds(
+            confidence_intervals(
+                np.stack([node.digest.means for node in nodes]),
+                np.stack([node.digest.spreads for node in nodes]),
+                np.array([node.digest.cardinality for node in nodes]),
+                z,
+            )
         ),
         capacity=np.array([node.queue_capacity for node in nodes], dtype=np.int64),
     )
@@ -683,7 +688,7 @@ def _decide_query(
         features = np.empty((len(table.ids), 5))
         features[:, 0] = complexity_scalar(vector)
         features[:, 1] = query.deadline
-        features[:, 2] = relevance_batch(query.constraints, table.intervals, alpha)
+        features[:, 2] = relevance_batch(query.constraints, table.bounds, alpha)
         features[:, 3] = loads
         features[:, 4] = table.speeds
         return decide_from_features(features, table.ids, loads, bundle, scheme, k=k, started=started)

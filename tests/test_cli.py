@@ -255,6 +255,26 @@ def test_train_without_gen_exits_3(runner, tmp_path):
     assert runner.invoke(main, ["train", "--config", str(config)]).exit_code == 3
 
 
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_an_output_dir_under_a_regular_file_exits_3_naming_it(runner, tmp_path, command):
+    (tmp_path / "afile").write_text("not a directory", encoding="utf-8")
+    config = write_config(tmp_path / "config.yaml", tmp_path / "out")
+    out = tmp_path / "afile" / "sub"
+    result = runner.invoke(main, [command, "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "data error" in result.output and str(out.parent) in result.output
+
+
+def test_train_with_models_json_a_directory_exits_3_naming_it(runner, tmp_path):
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "config.yaml", out_dir)
+    assert runner.invoke(main, ["gen", "--config", str(config)]).exit_code == 0
+    (out_dir / "models.json").mkdir()
+    result = runner.invoke(main, ["train", "--config", str(config)])
+    assert result.exit_code == 3, result.output
+    assert "data error" in result.output and "models.json" in result.output
+
+
 @pytest.mark.parametrize(
     "bad_row, message",
     [

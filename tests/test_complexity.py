@@ -13,7 +13,6 @@ from edgealloc.complexity import (
     ComplexityParams,
     ComplexityClassifier,
     SIMILARITY_METRICS,
-    classify_complexity,
     distance_to_similarity,
     leave_one_out_accuracy,
     fuse_similarities,
@@ -322,14 +321,14 @@ def _single_corpus():
 
 def test_identical_statement_gives_full_membership():
     corpus = _single_corpus()
-    vector, resolved = classify_complexity("select x from stocks where x >= 10", corpus)
+    vector, resolved = ComplexityClassifier(corpus).classify_statement("select x from stocks where x >= 10")
     assert vector.memberships[1] == pytest.approx(1.0)
     assert resolved is not None and resolved.id == 1
 
 
 def test_below_threshold_is_unresolved():
     corpus = _single_corpus()
-    vector, resolved = classify_complexity("update prices set v = 0", corpus)
+    vector, resolved = ComplexityClassifier(corpus).classify_statement("update prices set v = 0")
     assert vector.max() < 0.8
     assert resolved is None
 
@@ -338,14 +337,14 @@ def test_membership_ties_resolve_to_lowest_class_index():
     corpus = TrainingQueryCorpus(
         [("select a from t", 0), ("select a from t", 1), ("select a from t", 2)]
     )
-    _, resolved = classify_complexity("select a from t", corpus)
+    _, resolved = ComplexityClassifier(corpus).classify_statement("select a from t")
     assert resolved is not None and resolved.id == 0
 
 
 def test_classification_is_deterministic():
     corpus = _single_corpus()
-    v1, _ = classify_complexity("select x from stocks where x >= 11", corpus)
-    v2, _ = classify_complexity("select x from stocks where x >= 11", corpus)
+    v1, _ = ComplexityClassifier(corpus).classify_statement("select x from stocks where x >= 11")
+    v2, _ = ComplexityClassifier(corpus).classify_statement("select x from stocks where x >= 11")
     assert v1.memberships == v2.memberships
 
 

@@ -8,7 +8,6 @@ from edgealloc.metrics import (
     QueryRecord,
     RunResult,
     allocation_throughput,
-    density_estimate,
     emit_run,
     emit_summary,
     load_run,
@@ -75,36 +74,6 @@ def test_record_invariant_enforced():
         record(load_sel=0.05, load_min=0.1)
     with pytest.raises(ValueError):
         record(speed_sel=0.95, speed_max=0.9)
-
-
-# ---------------------------------------------------------------------------
-# density estimation
-# ---------------------------------------------------------------------------
-
-
-def test_uniform_samples_give_flat_density():
-    rng = np.random.default_rng(0)
-    centers, dens = density_estimate(rng.uniform(0, 1, 10_000), bins=20)
-    assert np.all(np.abs(dens - 1.0) < 0.15)
-
-
-def test_density_integrates_to_one():
-    rng = np.random.default_rng(1)
-    samples = rng.normal(5, 2, 5000)
-    centers, dens = density_estimate(samples, bins=50)
-    width = centers[1] - centers[0]
-    assert float((dens * width).sum()) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_two_point_sample_two_bins():
-    centers, dens = density_estimate([0.0, 1.0], bins=2)
-    assert dens.tolist() == [1.0, 1.0]
-
-
-def test_constant_sample_collapses_to_unit_bin():
-    centers, dens = density_estimate([2.5, 2.5, 2.5], bins=10)
-    assert centers.tolist() == [2.5]
-    assert dens.tolist() == [1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgealloc.complexity import quasi_arithmetic_mean
+from edgealloc import simulator
+from edgealloc.allocator import EnsembleBundle, decide_from_features
+from edgealloc.complexity import ComplexityClassifier, quasi_arithmetic_mean
 from edgealloc.core import QueryConstraints
-from edgealloc.relevance import confidence_intervals, relevance_batch
+from edgealloc.learners import ConstantModel
+from edgealloc.relevance import confidence_intervals, interval_bounds, relevance_batch
+from edgealloc.simulator import ScenarioConfig, generate_query_corpus, generate_scenario, simulate_run
 
 
 def interval(lo, hi):
@@ -257,12 +263,30 @@ def assert_same_bytes(got, want):
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def operand_bytes(x):
+    """The bytes of an interval array, or of each array of a bounds operand."""
+    return x.tobytes() if isinstance(x, np.ndarray) else tuple(np.asarray(a).tobytes() for a in x)
+
+
 def relevance_unchanged_inputs(w, f, alpha):
     """relevance_batch's result, after checking it left both inputs as they were."""
-    w_before, f_before = w.copy(), f.copy()
+    w_before, f_before = operand_bytes(w), operand_bytes(f)
     got = relevance_batch(w, f, alpha)
-    assert w.tobytes() == w_before.tobytes() and f.tobytes() == f_before.tobytes()
+    assert operand_bytes(w) == w_before and operand_bytes(f) == f_before
     return got
+
+
+def checked_bounds(intervals):
+    """interval_bounds of (..., L, 2) intervals, after checking it holds
+    C-contiguous copies of the two ends, their difference and the flag."""
+    bounds = interval_bounds(intervals)
+    widths = intervals[..., 1] - intervals[..., 0]
+    for got, want in zip(bounds[:3], (intervals[..., 0], intervals[..., 1], widths)):
+        assert got.flags.c_contiguous
+        assert_same_bytes(got, np.ascontiguousarray(want))
+    assert bounds.all_positive is bool((widths > 0).all())
+    assert interval_bounds(bounds) is bounds
+    return bounds
 
 
 layouts = dict(
@@ -314,6 +338,80 @@ def test_relevance_bytes_zero_width_query_and_node_dimensions():
     ])
     for alpha in ALPHAS:
         assert_same_bytes(relevance_unchanged_inputs(w, f, alpha), formula_relevance(w, f, alpha))
+
+
+@given(**layouts, prebuilt=st.sampled_from(("both", "constraints", "intervals")))
+def test_relevance_bytes_on_prebuilt_bounds(n, dims, alpha, seed, grid_share, prebuilt):
+    # bounds operands, on either side or both, give the formula's bytes (clip
+    # included) one query against a fleet, a fleet against one query and
+    # paired rows; grid endpoints make zero widths, touching and disjoint
+    # pairs common
+    rng = np.random.default_rng(seed)
+    query = random_intervals(rng, (dims,), grid_share)
+    fleet = random_intervals(rng, (n, dims), grid_share)
+    rows = random_intervals(rng, (n, dims), grid_share)
+    for w, f in ((query, fleet), (fleet, query), (rows, fleet)):
+        w_op = checked_bounds(w) if prebuilt in ("both", "constraints") else w
+        f_op = checked_bounds(f) if prebuilt in ("both", "intervals") else f
+        assert_same_bytes(relevance_unchanged_inputs(w_op, f_op, alpha), formula_relevance(w, f, alpha))
+
+
+def test_relevance_bytes_on_prebuilt_zero_width_bounds():
+    w = np.array([[1.0, 1.0], [0.0, 2.0], [2.0, 2.0], [0.0, 1.0]])
+    f = np.array([[[1.0, 1.0], [2.0, 2.0], [2.0, 3.0], [1.0, 2.0]], [[0.0, 2.0], [0.0, 2.0], [3.0, 3.0], [1.0, 1.0]]])
+    proper = np.array([[[0.0, 1.0], [0.5, 2.0], [2.0, 3.0], [1.0, 2.0]]])
+    assert not checked_bounds(w).all_positive and checked_bounds(proper).all_positive
+    for alpha in ALPHAS:
+        for a, b in ((w, f), (w, proper), (proper, w), (proper, proper)):
+            got = relevance_unchanged_inputs(checked_bounds(a), checked_bounds(b), alpha)
+            assert_same_bytes(got, formula_relevance(a, b, alpha))
+
+
+def test_interval_bounds_rejects_a_shape_without_two_ends():
+    with pytest.raises(ValueError):
+        interval_bounds(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        relevance_batch(interval_bounds(np.zeros((2, 2))), np.zeros((4, 3, 2)), alpha=1.0)
+
+
+def test_node_table_bounds_are_contiguous_and_match_the_interval_formula():
+    scenario = generate_scenario(ScenarioConfig(n_nodes=7, dims=3, n_queries=1, seed=2))
+    z = scenario.config.z
+    bounds = simulator._node_table(scenario.nodes, z).bounds
+    for i, node in enumerate(scenario.nodes):
+        half = z * node.digest.spreads / node.digest.cardinality
+        assert_same_bytes(bounds.lower[i], node.digest.means - half)
+        assert_same_bytes(bounds.upper[i], node.digest.means + half)
+    for arr in bounds[:3]:
+        assert arr.flags.c_contiguous and arr.shape == (7, 3)
+    assert_same_bytes(bounds.widths, bounds.upper - bounds.lower)
+    assert bounds.all_positive
+
+
+def test_a_zero_spread_node_gets_the_reference_relevance_in_a_run(monkeypatch):
+    # one node's digest has no spread, so its intervals have zero width and
+    # the run's node table takes the limit rule on every decision
+    config = ScenarioConfig(n_nodes=6, dims=3, n_queries=40, seed=4)
+    scenario = generate_scenario(config)
+    flat = scenario.nodes[2]
+    scenario.nodes[2] = replace(flat, digest=replace(flat.digest, spreads=np.zeros(config.dims)))
+    features = []
+
+    def recording(x, *args, **kwargs):
+        features.append(x.copy())
+        return decide_from_features(x, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "decide_from_features", recording)
+    bundle = EnsembleBundle(*(ConstantModel(1, 5) for _ in range(3)))
+    simulate_run(scenario, bundle, "cs", ComplexityClassifier(generate_query_corpus()))
+    civ = np.stack([
+        confidence_intervals(node.digest.means, node.digest.spreads, node.digest.cardinality, config.z)
+        for node in scenario.nodes
+    ])
+    assert (civ[2, :, 0] == civ[2, :, 1]).all()
+    assert len(features) == len(scenario.queries)
+    for x, query in zip(features, scenario.queries):
+        assert_same_bytes(x[:, 2], formula_relevance(query.constraints.intervals, civ, config.alpha))
 
 
 @given(**layouts)
