@@ -5,6 +5,12 @@ tree (gini splits), a random tree (per-split feature subsampling), Gaussian
 naive Bayes, and a logistic unit trained by full-batch gradient descent.
 All of them accept per-row sample weights so they can sit under boosting,
 and all are deterministic given their seed.
+
+One compile rule holds for every model: it compiles in its constructor.  A
+tree compiles into a ``_CompiledForest`` of one, a naive Bayes or logistic
+model into its quadratic log-odds form, and an ensemble its members into one
+``_BaseColumns``, so a malformed record raises ``DataError`` when it is
+built, never at the first prediction.
 """
 
 from __future__ import annotations
@@ -236,14 +242,7 @@ class TreeModel(_Model):
         self.root = root
         self.n_features = n_features
         self.kind = kind
-        self._forest = None  # compiled where the tree itself is evaluated
-
-    def compiled(self) -> _CompiledForest:
-        """This tree as a forest of one, compiled on first use.  A voting
-        ensemble of trees compiles its members together and drops theirs."""
-        if self._forest is None:
-            self._forest = _CompiledForest([self.root], self.n_features)
-        return self._forest
+        self._forest = _CompiledForest([root], n_features)  # a forest of one
 
     @classmethod
     def fit(
@@ -289,7 +288,7 @@ class TreeModel(_Model):
         return cls(root, data.arity, kind=kind)
 
     def predict_proba_batch(self, x):
-        return self.compiled().leaf_probs(self._check(x))[0]
+        return self._forest.leaf_probs(self._check(x))[0]
 
     def to_dict(self) -> dict:
         return {"type": self.kind, "root": self.root, "n_features": self.n_features}
@@ -473,6 +472,59 @@ class LogisticModel(_Model):
     @classmethod
     def from_dict(cls, d: dict) -> "LogisticModel":
         return cls(d["weights"], d["bias"], d["mu"], d["sigma"], d["n_features"])
+
+
+class _BaseColumns:
+    """One evaluator for the k base models of an ensemble: called on an
+    (n, F) matrix it gives the (k, n) probabilities, row j model j's.
+
+    Trees and constants share one ``_CompiledForest``; a constant is a
+    one-leaf root ``{"prob": label}``, which reads back exactly
+    ``float(label)``.  When every model is one of them, the forest's own
+    (k, n) output is returned, uncopied; otherwise the (k, n) result is the
+    transpose of a C-ordered (n, k) matrix.  The naive Bayes and logistic models
+    are quadratic forms in the features: their coefficients, expanded about
+    one shared center, stack into two (F, m) matrices, so with ``d = x -
+    center`` one ``d @ lin + (d*d) @ quad + const`` and one sigmoid give
+    their m rows.  An empty model list, a model of another kind (an
+    ensemble, say) or arity, and a form that overflows at the shared center
+    raise ``DataError`` here.
+    """
+
+    def __init__(self, models: Sequence, n_features: int):
+        if not models:
+            raise DataError("an ensemble needs at least one base model")
+        for m in models:
+            if not isinstance(m, (TreeModel, ConstantModel, GaussianNBModel, LogisticModel)):
+                raise DataError(f"{type(m).__name__} cannot be an ensemble's base model")
+            if m.n_features != n_features:
+                raise DataError(f"ensemble bases must all read the model's {n_features} features")
+        self.k = len(models)
+        leaves = [j for j, m in enumerate(models) if isinstance(m, (TreeModel, ConstantModel))]
+        forms = [m for m in models if isinstance(m, (GaussianNBModel, LogisticModel))]
+        self._tree_rows = np.array(leaves, dtype=np.intp)
+        self._form_rows = np.array([j for j in range(self.k) if j not in leaves], dtype=np.intp)
+        roots = [models[j].root if isinstance(models[j], TreeModel) else {"prob": models[j].label} for j in leaves]
+        self._forest = _CompiledForest(roots, n_features) if roots else None
+        if forms:
+            self._center = _expansion_center(forms, n_features)
+            kinds = ["naive Bayes" if isinstance(m, GaussianNBModel) else "logistic" for m in forms]
+            lin, quad, const = zip(*(_checked_form(kind, m, self._center) for kind, m in zip(kinds, forms)))
+            self._lin, self._quad = (np.ascontiguousarray(np.array(c).T) for c in (lin, quad))  # (F, m)
+            self._const = np.array(const)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if not self._form_rows.size:
+            return self._forest.leaf_probs(x)
+        out = np.empty((x.shape[0], self.k)).T  # rows of a C-ordered (n, k) matrix
+        if self._forest is not None:
+            out[self._tree_rows] = self._forest.leaf_probs(x)
+        d = x - self._center
+        margins = d @ self._lin
+        margins += (d * d) @ self._quad
+        margins += self._const
+        out[self._form_rows] = _sigmoid(margins).T
+        return out
 
 
 def _normalised_weights(sample_weight, n: int) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 The three trained ensembles feed the decision fusion stage, so they share
 one prediction surface with the base learners (hard label from probability
->= 0.5) and are deterministic given (data, specs, seed).
+>= 0.5) and are deterministic given (data, specs, seed).  Each compiles its
+members or bases, once, into one ``_BaseColumns`` evaluator in its
+constructor; a stacking model's meta learner evaluates itself.
 """
 
 from __future__ import annotations
@@ -16,14 +18,11 @@ from ..errors import DataError
 from .base import (
     BaseLearnerSpec,
     ConstantModel,
-    GaussianNBModel,
     LabeledDataset,
-    LogisticModel,
     TreeModel,
-    _CompiledForest,
-    _expansion_center,
+    _BaseColumns,
     _Model,
-    _sigmoid,
+    _record_array,
     train_base,
 )
 
@@ -40,56 +39,42 @@ __all__ = [
 _ERR_CLAMP = 1e-10
 
 
-def _compile_trees(models: Sequence) -> None:
-    """Compile the trees among ``models``, each evaluated on its own, so a
-    malformed one raises ``DataError`` when the ensemble is built."""
-    for m in models:
-        if isinstance(m, TreeModel):
-            m.compiled()
-
-
 class _Voting(_Model):
-    """Members' hard labels: one compiled forest if all are trees, which then
-    keep no forest of one, else each member's own."""
+    """Members' hard labels, from one evaluator over all members."""
 
     def __init__(self, members: Sequence, n_features: int):
         self.members = list(members)
         self.n_features = n_features
-        trees = bool(self.members) and all(isinstance(m, TreeModel) for m in self.members)
-        self._forest = _CompiledForest([m.root for m in self.members], n_features) if trees else None
-        if trees:
-            for m in self.members:  # boosting evaluated each member alone while it trained
-                m._forest = None
-        else:
-            _compile_trees(self.members)
+        self._columns = _BaseColumns(self.members, n_features)
 
     def _member_labels(self, x: np.ndarray) -> np.ndarray:
         """(M, n) hard labels of the M members for the n rows of x."""
-        if self._forest is not None:
-            return self._forest.leaf_probs(x) >= 0.5
-        return np.array([m.predict_batch(x) for m in self.members])
+        return self._columns(x) >= 0.5
 
 
 class AdaBoostModel(_Voting):
-    """Discrete boosting ensemble: weighted vote of reweighted base learners."""
+    """Discrete boosting ensemble: weighted vote of reweighted base learners.
+
+    ``alphas`` must hold one finite number per member, else ``DataError``.
+    """
 
     def __init__(self, members: Sequence, alphas: Sequence[float], n_features: int):
         super().__init__(members, n_features)
-        self.alphas = [float(a) for a in alphas]
+        self.alphas = _record_array("adaboost alphas", alphas, (len(self.members),))
+        self._total = float(sum(abs(a) for a in self.alphas.tolist()))
 
     def predict_proba_batch(self, x):
         x = self._check(x)
-        total = float(sum(abs(a) for a in self.alphas))
-        if total == 0.0:
+        if self._total == 0.0:
             return np.full(x.shape[0], 0.5)
-        margin = np.asarray(self.alphas) @ (2.0 * self._member_labels(x) - 1.0)
-        return 0.5 * (margin / total + 1.0)
+        margin = self.alphas @ (2.0 * self._member_labels(x) - 1.0)
+        return 0.5 * (margin / self._total + 1.0)
 
     def to_dict(self) -> dict:
         return {
             "type": "adaboost",
             "members": [m.to_dict() for m in self.members],
-            "alphas": self.alphas,
+            "alphas": self.alphas.tolist(),
             "n_features": self.n_features,
         }
 
@@ -115,17 +100,10 @@ class BaggingModel(_Voting):
 class StackingModel(_Model):
     """Base learners plus a meta learner trained on held-out predictions.
 
-    The constructor compiles the bases into one evaluator of the meta
-    features.  All tree bases share one ``_CompiledForest``, so one
-    ``leaf_probs`` call gives their columns.  The naive Bayes and logistic
-    bases are quadratic forms in the features: their coefficients, expanded
-    about one shared center, stack into two (F, m) matrices, so with
-    ``d = x - center`` one ``d @ lin + (d*d) @ quad + const`` and one sigmoid
-    give their m columns.  Constant and any other bases are evaluated on
-    their own.  The columns fill one (n, k) buffer in base order, which the
-    meta learner reads through its own ``predict_proba_batch``.  A meta
-    learner whose arity is not the number of bases, or a base of another
-    arity, raises ``DataError`` here.
+    The bases compile into one ``_BaseColumns``, whose (k, n) output the meta
+    learner reads as a C-ordered (n, k) matrix through its own
+    ``predict_proba_batch``.  A meta learner whose arity is not the number of
+    bases raises ``DataError`` here, as do the bases ``_BaseColumns`` refuses.
     """
 
     def __init__(self, bases: Sequence, meta, n_features: int,
@@ -133,41 +111,18 @@ class StackingModel(_Model):
         self.bases = list(bases)
         self.meta = meta
         self.n_features = n_features
-        if any(b.n_features != n_features for b in self.bases):
-            raise DataError(f"stacking bases must all read the model's {n_features} features")
-        trees = [j for j, b in enumerate(self.bases) if isinstance(b, TreeModel)]
-        forms = [j for j, b in enumerate(self.bases) if isinstance(b, (GaussianNBModel, LogisticModel))]
-        self._others = [(j, b) for j, b in enumerate(self.bases) if j not in trees + forms]
-        self._tree_cols, self._form_cols = np.array(trees, dtype=np.intp), np.array(forms, dtype=np.intp)
-        self._forest = _CompiledForest([self.bases[j].root for j in trees], n_features) if trees else None
+        self._columns = _BaseColumns(self.bases, n_features)
         if meta.n_features != len(self.bases):
             raise DataError(
                 f"stacking meta learner reads {meta.n_features} features, not one per base ({len(self.bases)})"
             )
-        _compile_trees([meta])
-        if forms:
-            self._center = _expansion_center([self.bases[j] for j in forms], n_features)
-            lin, quad, const = zip(*(self.bases[j].margin_form(self._center) for j in forms))
-            self._lin, self._quad = (np.ascontiguousarray(np.array(c).T) for c in (lin, quad))  # (F, m)
-            self._const = np.array(const)
         # instrumentation: reads of the held-out label array observed while
         # the base learners were being fitted (must be 0)
         self.heldout_label_reads_during_base_fit = heldout_label_reads_during_base_fit
 
     def _meta_features(self, x: np.ndarray) -> np.ndarray:
-        """(n, k) base probabilities for the n rows of the (n, F) matrix x."""
-        out = np.empty((x.shape[0], len(self.bases)))
-        if self._forest is not None:
-            out[:, self._tree_cols] = self._forest.leaf_probs(x).T
-        if self._form_cols.size:
-            d = x - self._center
-            margins = d @ self._lin
-            margins += (d * d) @ self._quad
-            margins += self._const
-            out[:, self._form_cols] = _sigmoid(margins)
-        for j, base in self._others:
-            out[:, j] = base.predict_proba_batch(x)
-        return out
+        """C-ordered (n, k) base probabilities for the n rows of the (n, F) matrix x."""
+        return np.ascontiguousarray(self._columns(x).T)
 
     def predict_proba_batch(self, x):
         return self.meta.predict_proba_batch(self._meta_features(self._check(x)))
@@ -185,16 +140,12 @@ def model_shape(model) -> dict:
     """Member count and deepest tree of an ensemble; for stacking also the
     kind of each base and the meta learner's stored record."""
     members = model.bases if isinstance(model, StackingModel) else model.members
-    depths = [_depth(m.root) for m in members if isinstance(m, TreeModel)]
+    depths = [m._forest.depth for m in members if isinstance(m, TreeModel)]
     shape = {"members": len(members), "max_tree_depth": max(depths, default=None)}
     if isinstance(model, StackingModel):
         shape["base_kinds"] = [b.to_dict()["type"] for b in members]
         shape["meta"] = model.meta.to_dict()
     return shape
-
-
-def _depth(node: dict) -> int:
-    return 0 if "prob" in node else 1 + max(_depth(node["left"]), _depth(node["right"]))
 
 
 class _CountedLabels:
@@ -230,17 +181,13 @@ def train_adaboost(
         pred = model.predict_batch(x)
         miss = pred != y
         err = float(w[miss].sum())
-        if err >= 0.5:
-            if not members:
-                clamped = min(max(err, _ERR_CLAMP), 1.0 - _ERR_CLAMP)
-                members.append(model)
-                alphas.append(0.5 * math.log((1.0 - clamped) / clamped))
+        if err >= 0.5 and members:
             break
         clamped = min(max(err, _ERR_CLAMP), 1.0 - _ERR_CLAMP)
         alpha = 0.5 * math.log((1.0 - clamped) / clamped)
         members.append(model)
         alphas.append(alpha)
-        if err == 0.0:
+        if err == 0.0 or err >= 0.5:
             break
         w = w * np.exp(np.where(miss, alpha, -alpha))
         w = w / w.sum()

@@ -2,7 +2,9 @@
 
 The format is self-describing: every record carries a ``type`` tag and the
 top-level file pins a schema version, so model files written by ``train``
-can be consumed by ``allocate`` across releases.
+can be consumed by ``allocate`` across releases.  Loading builds each model
+through its constructor, which compiles it (see ``learners.base``), so a
+malformed record raises ``DataError`` at load, never at the first predict.
 """
 
 from __future__ import annotations
@@ -21,13 +23,6 @@ MODEL_SCHEMA_VERSION = 1
 
 def model_from_dict(d: dict):
     """Rebuild a model from its ``to_dict()`` form; a malformed one raises ``DataError``."""
-    model = _from_dict(d)
-    if isinstance(model, TreeModel):
-        model.compiled()  # a bare tree is evaluated itself; ensembles compile theirs
-    return model
-
-
-def _from_dict(d: dict):
     kind = d.get("type") if isinstance(d, dict) else None
     try:
         if kind in ("cart_tree", "random_tree"):
@@ -40,14 +35,14 @@ def _from_dict(d: dict):
             return ConstantModel.from_dict(d)
         if kind == "adaboost":
             return AdaBoostModel(
-                [_from_dict(m) for m in d["members"]], d["alphas"], d["n_features"]
+                [model_from_dict(m) for m in d["members"]], d["alphas"], d["n_features"]
             )
         if kind == "bagging":
-            return BaggingModel([_from_dict(m) for m in d["members"]], d["n_features"])
+            return BaggingModel([model_from_dict(m) for m in d["members"]], d["n_features"])
         if kind == "stacking":
             return StackingModel(
-                [_from_dict(b) for b in d["bases"]],
-                _from_dict(d["meta"]),
+                [model_from_dict(b) for b in d["bases"]],
+                model_from_dict(d["meta"]),
                 d["n_features"],
             )
     except KeyError as exc:

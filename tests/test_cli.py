@@ -435,6 +435,11 @@ LOAD_TREE = {
             "meta": {"type": "constant", "label": 1, "n_features": 2},
             "n_features": 5,
         },
+        {"type": "bagging", "members": [], "n_features": 5},
+        {"type": "adaboost", "members": [], "alphas": [], "n_features": 5},
+        {"type": "adaboost", "members": [LOAD_TREE, LOAD_TREE], "alphas": [1.0], "n_features": 5},
+        {"type": "adaboost", "members": [LOAD_TREE], "alphas": [float("nan")], "n_features": 5},
+        {"type": "adaboost", "members": [LOAD_TREE], "alphas": ["x"], "n_features": 5},
     ],
 )
 def test_allocate_with_a_malformed_model_file_exits_3(runner, tmp_path, boost):

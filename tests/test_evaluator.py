@@ -1,5 +1,5 @@
-"""The flat tree evaluator against a recursive walk, the stacking evaluator
-against the per-model formulas, and the row contract.
+"""The flat tree evaluator against a recursive walk, the ensembles' member
+evaluator against the per-model formulas, and the row contract.
 
 ``walk`` below is the reference: it follows one row down a tree's dict form
 exactly as the split rule reads (``x <= threshold`` goes left, anything
@@ -8,7 +8,7 @@ else, NaN included, goes right).  Every tree in the program is evaluated by
 ``logistic_reference`` are the models' defining formulas (per-class Gaussian
 log-likelihoods, a logistic unit on standardised inputs); the program
 evaluates both as quadratic forms compiled once, which must match them to
-1e-9.
+1e-9 (1e-7 for a member column expanded about another model's center).
 """
 
 import warnings
@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from edgealloc.bench import LearnerSetup, train_bundle
 from edgealloc.errors import DataError
 from edgealloc.learners import (
+    AdaBoostModel,
+    BaggingModel,
     BaseLearnerSpec,
     ConstantModel,
     GaussianNBModel,
@@ -159,7 +161,7 @@ def test_forest_matches_walk_on_trained_trees_and_forests():
         assert np.array_equal(tree.predict_proba_batch(x), reference([tree.root], x)[0])
     for model in (bagged, boosted):
         want = reference([m.root for m in model.members], x)
-        assert np.array_equal(model._forest.leaf_probs(x), want)
+        assert np.array_equal(model._columns(x), want)
     # members of different depths share one forest
     assert len({count_nodes(m.root) for m in bagged.members}) > 1
     assert np.array_equal(_CompiledForest(roots, data.arity).leaf_probs(x), reference(roots, x))
@@ -196,7 +198,7 @@ def test_malformed_trees_raise_data_error_when_loaded(node, message):
     constant = {"type": "constant", "label": 1, "n_features": 5}
     holders = [
         {"type": "bagging", "members": [record], "n_features": 5},
-        # a mixed ensemble evaluates its trees one by one
+        # a tree compiles in its own constructor, inside any ensemble
         {"type": "adaboost", "members": [constant, record], "alphas": [1.0, 1.0], "n_features": 5},
         {"type": "stacking", "bases": [constant, record], "meta": constant, "n_features": 5},
     ]
@@ -205,7 +207,7 @@ def test_malformed_trees_raise_data_error_when_loaded(node, message):
             model_from_dict(holder)
 
 
-def test_train_bundle_compiles_each_tree_only_where_it_is_evaluated(monkeypatch):
+def test_train_bundle_compiles_each_tree_once_and_one_forest_per_ensemble(monkeypatch):
     compiled = []
     init = _CompiledForest.__init__
 
@@ -220,12 +222,36 @@ def test_train_bundle_compiles_each_tree_only_where_it_is_evaluated(monkeypatch)
         bundle = train_bundle(training_data(), setup, seed=0)
     boost, bagging, stacking = bundle.models()
     tree_bases = [b for b in stacking.bases if isinstance(b, TreeModel)]
-    # boosting evaluates each member while it trains, then all members as one
-    # forest, and the members keep no forest of one; bagging only as one
-    # forest; stacking its tree bases as one forest
-    assert compiled == [1] * len(boost.members) + [len(boost.members), setup.bagging_bags, len(tree_bases)]
-    assert all(m._forest is None for m in [*boost.members, *bagging.members, *tree_bases])
+    # every tree compiles a forest of one when it is built and keeps it; each
+    # ensemble then compiles its trees once more, together, in its own forest
+    assert compiled == [
+        *[1] * len(boost.members), len(boost.members),
+        *[1] * setup.bagging_bags, setup.bagging_bags,
+        *[1] * len(tree_bases), len(tree_bases),
+    ]
+    assert all(m._forest.n_trees == 1 for m in [*boost.members, *bagging.members, *tree_bases])
     assert len(tree_bases) == 2 and len(boost.members) > 1
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [
+        {"type": "bagging", "members": [{"type": "constant", "label": 1, "n_features": 2}], "n_features": 2},
+        {"type": "adaboost", "members": [{"type": "constant", "label": 1, "n_features": 2}], "alphas": [1.0],
+         "n_features": 2},
+    ],
+)
+def test_a_nested_ensemble_member_raises_data_error_when_loaded(inner):
+    constant = {"type": "constant", "label": 0, "n_features": 2}
+    holders = [
+        {"type": "bagging", "members": [constant, inner], "n_features": 2},
+        {"type": "adaboost", "members": [inner], "alphas": [1.0], "n_features": 2},
+        {"type": "stacking", "bases": [constant, inner], "meta": constant, "n_features": 2},
+    ]
+    model_from_dict(inner)  # loads on its own
+    for holder in holders:
+        with pytest.raises(DataError, match="cannot be an ensemble's base model"):
+            model_from_dict(holder)
 
 
 @pytest.mark.parametrize(
@@ -244,7 +270,7 @@ def test_records_with_a_missing_key_raise_data_error(record):
 
 
 # ---------------------------------------------------------------------------
-# the stacking evaluator against the per-model formulas
+# the ensembles' member evaluator against the per-model formulas
 # ---------------------------------------------------------------------------
 
 
@@ -318,6 +344,19 @@ def make_meta(kind, k, rng):
     return hand_logistic(rng, k)
 
 
+def probe_matrix(bases, n_features, rng):
+    """Random rows, plus rows on the mean of each naive Bayes class, where a
+    floored variance cancels most."""
+    rows = [rng.uniform(-0.5, 1.5, (40, n_features))]
+    for base in bases:
+        if isinstance(base, GaussianNBModel):
+            for c in (0, 1):
+                on_mean = rng.uniform(-0.5, 1.5, (5, n_features))
+                on_mean[:, base.variances[c].argmin()] = base.means[c, base.variances[c].argmin()]
+                rows += [on_mean, base.means[c][None, :]]
+    return np.vstack(rows)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -334,18 +373,48 @@ def test_stacking_matches_meta_over_its_bases_on_the_reference(seed, n_features,
         warnings.simplefilter("ignore")
         bases = [make_base(kind, LabeledDataset(x, y), rng) for kind in kinds]
     model = StackingModel(bases, make_meta(meta_kind, len(bases), rng), n_features)
-    rows = [rng.uniform(-0.5, 1.5, (40, n_features))]
-    for base in bases:  # rows on the mean of each class, where a floored variance cancels most
-        if isinstance(base, GaussianNBModel):
-            for c in (0, 1):
-                on_mean = rng.uniform(-0.5, 1.5, (5, n_features))
-                on_mean[:, base.variances[c].argmin()] = base.means[c, base.variances[c].argmin()]
-                rows += [on_mean, base.means[c][None, :]]
-    x = np.vstack(rows)
+    x = probe_matrix(bases, n_features, rng)
     want = proba_reference(model, x)
     assert np.abs(model.predict_proba_batch(x) - want).max() <= 1e-9
     clear = np.abs(want - 0.5) > 1e-9
     assert np.array_equal(model.predict_batch(x)[clear], (want >= 0.5)[clear])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_features=st.integers(1, 5),
+    kinds=st.lists(st.sampled_from(BASE_KINDS), min_size=1, max_size=6),
+)
+def test_voting_ensembles_match_their_members_on_the_reference(seed, n_features, kinds):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, (60, n_features))
+    y = np.arange(60) % 2
+    x[y == 1, 0] = rng.uniform(0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        members = [make_base(kind, LabeledDataset(x, y), rng) for kind in kinds]
+    alphas = rng.normal(0.5, 1.0, len(members))
+    alphas[rng.random(len(members)) < 0.2] = 0.0
+    x = probe_matrix(members, n_features, rng)
+    probs = np.array([proba_reference(m, x) for m in members])  # (M, n)
+    votes = (probs >= 0.5).astype(float)
+    total = float(sum(abs(a) for a in alphas))
+    want = {
+        "adaboost": np.full(x.shape[0], 0.5) if total == 0.0 else 0.5 * (alphas @ (2.0 * votes - 1.0) / total + 1.0),
+        "bagging": votes.mean(axis=0),
+    }
+    # the forms share one expansion center, which costs a naive Bayes member
+    # up to ~1e-8 against its own center where another member's variance is
+    # floored; away from that band of its threshold every member votes as
+    # the reference does
+    tol = 1e-7
+    clear = (np.abs(probs - 0.5) > tol).all(axis=0)
+    for name, model in (("adaboost", AdaBoostModel(members, alphas, n_features)),
+                        ("bagging", BaggingModel(members, n_features))):
+        assert np.abs(model._columns(x) - probs).max() <= tol
+        assert np.allclose(model.predict_proba_batch(x)[clear], want[name][clear], rtol=0, atol=1e-12)
+        assert np.array_equal(model.predict_batch(x)[clear], (want[name] >= 0.5)[clear])
 
 
 def test_stacking_meta_features_are_its_bases_probabilities():

@@ -191,20 +191,12 @@ def test_bootstrap_distinct_fraction_near_limit():
 
 
 def test_bagging_majority_vote_and_tie_break():
-    class Fixed:
-        def __init__(self, label):
-            self.label = label
-            self.n_features = 1
+    def bag(*labels):
+        return BaggingModel([ConstantModel(label, 1) for label in labels], n_features=1)
 
-        def predict_batch(self, x):
-            return np.full(np.asarray(x).shape[0], self.label, dtype=int)
-
-    from edgealloc.learners import BaggingModel
-
-    majority = BaggingModel([Fixed(1), Fixed(1), Fixed(0)], n_features=1)
-    assert majority.predict_batch(np.array([[0.5]])).tolist() == [1]
-    tie = BaggingModel([Fixed(1), Fixed(0)], n_features=1)
-    assert tie.predict_batch(np.array([[0.5]])).tolist() == [1]  # ties resolve to the positive class
+    assert bag(1, 1, 0).predict_batch(np.array([[0.5]])).tolist() == [1]
+    assert bag(0, 0, 1).predict_batch(np.array([[0.5]])).tolist() == [0]
+    assert bag(1, 0).predict_batch(np.array([[0.5]])).tolist() == [1]  # ties resolve to the positive class
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +344,23 @@ def _with(record, **changes):
             {"type": "stacking", "bases": [NB_RECORD, _with(LOGISTIC_RECORD, n_features=3, weights=[1.0] * 3,
              mu=[0.0] * 3, sigma=[1.0] * 3)], "meta": LOGISTIC_RECORD, "n_features": 2},
             "bases must all read",
+        ),
+        ({"type": "bagging", "members": [], "n_features": 2}, "at least one base model"),
+        ({"type": "adaboost", "members": [], "alphas": [], "n_features": 2}, "at least one base model"),
+        ({"type": "adaboost", "members": [NB_RECORD, LOGISTIC_RECORD], "alphas": [1.0], "n_features": 2},
+         "alphas has shape"),
+        ({"type": "adaboost", "members": [NB_RECORD], "alphas": [float("nan")], "n_features": 2}, "alphas must be finite"),
+        ({"type": "adaboost", "members": [NB_RECORD], "alphas": ["x"], "n_features": 2}, "alphas is not numeric"),
+        (
+            # B alone is finite, but about A's center its log-odds constant is
+            # inf - inf: each form is checked at the shared center
+            {"type": "stacking", "bases": [
+                {"type": "gaussian_nb", "means": [[0.0], [0.5]], "variances": [[1e-3], [1e-3]],
+                 "log_priors": [0.0, 0.0], "n_features": 1},
+                {"type": "gaussian_nb", "means": [[1e155], [1e155]], "variances": [[1.0], [2.0]],
+                 "log_priors": [0.0, 0.0], "n_features": 1},
+            ], "meta": dict(LOGISTIC_RECORD, n_features=2), "n_features": 1},
+            "overflow",
         ),
     ],
 )
