@@ -12,9 +12,17 @@ label).  Each model labels a row from that row alone, so the fused labels
 are those of labelling every row.  Voting then turns the per-node labels into
 a ranking: a positive node votes for itself, a negative node votes for
 everyone else.  Ties resolve by lowest load, then lowest node id, and the
-first k nodes of that single ranking are the picks.  The feature matrix
-itself is assembled in ``simulator``, which is also where ``ova_allocate``
-lives.
+first k nodes of that single ranking are the picks.
+
+The vote has a closed form, votes_i = 2*b_i + zeros - 1: every
+fused-positive node holds zeros + 1 votes and every negative node zeros - 1.
+So the ranking is the positive nodes by (load, node id), then the negative
+nodes by (load, node id), and the first pick is the least-loaded positive
+node, or the least-loaded node overall when none is positive.
+``rank_nodes`` selects those k positions in O(N) without tallying;
+``tally_votes`` remains for reading the votes off a decision.  The feature
+matrix itself is assembled in ``simulator``, which is also where
+``ova_allocate`` lives.
 """
 
 from __future__ import annotations
@@ -85,19 +93,45 @@ def tally_votes(fused: np.ndarray) -> np.ndarray:
     return 2 * fused + zeros - 1
 
 
-def rank_nodes(votes: np.ndarray, loads: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
-    """Positions ordered by votes desc, then load asc, then node id asc."""
-    return np.lexsort((node_ids, loads, -np.asarray(votes)))
+def rank_nodes(fused: np.ndarray, loads: np.ndarray, node_ids: np.ndarray, k: int) -> np.ndarray:
+    """The first k positions of the one-vs-all ranking, in ranking order.
+
+    The ranking orders nodes by votes desc, then load asc, then node id
+    asc.  By the vote's closed form (see the module docstring) that is the
+    fused-positive nodes by (load, node id), then the negative nodes by
+    (load, node id), so no vote is tallied.  One pick is a masked ``argmin``
+    (loads lie in [0, 1], so ``inf`` masks), with the node ids consulted
+    only on a tie.  For k picks, ``np.partition`` finds the k-th load of
+    the group the last pick comes from, and only the nodes that can still
+    be picked are sorted: that group's nodes at or below the cut, plus
+    every positive node when the picks run into the negative group.
+    """
+    positive = np.asarray(fused).astype(bool)
+    n_positive = int(np.count_nonzero(positive))
+    if k == 1:
+        group_loads = np.where(positive, loads, np.inf) if n_positive else loads
+        first = group_loads.argmin(keepdims=True)
+        at_min = group_loads == group_loads[first]
+        if np.count_nonzero(at_min) == 1:
+            return first
+        rows = np.flatnonzero(at_min)
+        return rows[node_ids[rows].argmin(keepdims=True)]
+    if n_positive >= k:
+        rows = np.flatnonzero(positive & (loads <= np.partition(loads[positive], k - 1)[k - 1]))
+    else:
+        cut = np.partition(loads[~positive], k - n_positive - 1)[k - n_positive - 1]
+        rows = np.flatnonzero(positive | (loads <= cut))
+    return rows[np.lexsort((node_ids[rows], loads[rows], ~positive[rows]))[:k]]
 
 
 @dataclass(frozen=True)
 class AllocationDecision:
-    """Outcome of one allocation: fused labels, tallies, the k picks in
-    ranking order, and timing."""
+    """Outcome of one allocation: fused labels, the k picks in ranking
+    order, and timing.  The vote tallies and what settled the first pick
+    are derived from the fused labels on request."""
 
     node_ids: np.ndarray
     fused_labels: np.ndarray
-    votes: np.ndarray
     selected: tuple
     decision_ms: float
 
@@ -106,8 +140,20 @@ class AllocationDecision:
             raise ValueError("a decision must select at least one node")
         if self.decision_ms < 0:
             raise ValueError("decision time must be >= 0")
-        if np.any(self.votes < 0):
-            raise ValueError("vote tallies must be >= 0")
+
+    @property
+    def votes(self) -> np.ndarray:
+        return tally_votes(self.fused_labels)
+
+    @property
+    def decided_by(self) -> str:
+        """``single_positive`` when the vote alone picks the one positive
+        node, ``load_among_positives`` when load and id break a tie among
+        several, ``no_positive`` when every node is negative."""
+        n_positive = int(np.count_nonzero(self.fused_labels))
+        if n_positive == 1:
+            return "single_positive"
+        return "load_among_positives" if n_positive else "no_positive"
 
 
 def decide_from_features(
@@ -119,13 +165,13 @@ def decide_from_features(
     k: int = 1,
     started: float | None = None,
 ) -> AllocationDecision:
-    """Label (cascaded), fuse, vote and rank given a prebuilt (N, 5) feature matrix.
+    """Label (cascaded), fuse and pick given a prebuilt (N, 5) feature matrix.
 
     The (N, 3) label matrix is column-major, so each ensemble's column and
     the row-wise fusion over it read contiguous memory, and the cascade's
     rows are gathered with ``take``.  The k picks are the first k positions
     of the one ranking; the decision time runs from ``started`` (default:
-    now) to the end of the ranking.
+    now) to the end of the selection.
     """
     if started is None:
         started = time.perf_counter()
@@ -144,16 +190,11 @@ def decide_from_features(
     if rows.size:
         labels[rows, 2] = bundle.stacking.predict_batch(features.take(rows, axis=0))
     fused = fuse_batch(labels, scheme)
-    votes = tally_votes(fused)
-    order = rank_nodes(votes, loads, node_ids)
-    # the voting rule never leaves every tally at zero for N >= 2, but the
-    # ordering above already falls back to lowest load if it ever did
-    selected = tuple(int(node_ids[i]) for i in order[:k])
+    selected = tuple(int(node_ids[i]) for i in rank_nodes(fused, loads, node_ids, k))
     elapsed_ms = max((time.perf_counter() - started) * 1000.0, MIN_DECISION_MS)
     return AllocationDecision(
         node_ids=np.asarray(node_ids, dtype=int),
         fused_labels=np.asarray(fused, dtype=int),
-        votes=votes,
         selected=selected,
         decision_ms=elapsed_ms,
     )

@@ -348,6 +348,7 @@ def cmd_allocate(cfg: AppConfig, scheme, k, query_index, query_json, fmt) -> Non
                     "selected": chosen,
                     "votes": decision.votes.tolist(),
                     "fused_labels": decision.fused_labels.tolist(),
+                    "decided_by": decision.decided_by,
                     "decision_ms": decision.decision_ms,
                 },
                 sort_keys=True,
@@ -358,6 +359,7 @@ def cmd_allocate(cfg: AppConfig, scheme, k, query_index, query_json, fmt) -> Non
         click.echo(f"selected node(s): {chosen}")
         click.echo(f"votes: {decision.votes.tolist()}")
         click.echo(f"fused labels: {decision.fused_labels.tolist()}")
+        click.echo(f"decided by: {decision.decided_by}")
         click.echo(f"decision time: {decision.decision_ms:.3f} ms")
 
 

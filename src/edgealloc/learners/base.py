@@ -117,11 +117,18 @@ class _Model:
 
 
 class ConstantModel(_Model):
-    """Degenerate classifier returned for single-class training data."""
+    """Degenerate classifier returned for single-class training data.
+
+    A label other than 0 or 1, or an ``n_features`` that is not a positive
+    integer, raises ``DataError`` here."""
 
     def __init__(self, label: int, n_features: int):
+        if not (isinstance(label, (int, np.integer)) and label in (0, 1)):
+            raise DataError(f"constant model label must be 0 or 1, got {label!r}")
+        if not (isinstance(n_features, (int, np.integer)) and n_features >= 1):
+            raise DataError(f"constant model n_features must be a positive integer, got {n_features!r}")
         self.label = int(label)
-        self.n_features = n_features
+        self.n_features = int(n_features)
 
     def predict_proba_batch(self, x):
         x = self._check(x)

@@ -21,6 +21,13 @@ __all__ = ["model_from_dict", "save_bundle", "load_bundle"]
 MODEL_SCHEMA_VERSION = 1
 
 
+def _records(kind: str, d: dict, key: str) -> list:
+    """The models of list ``d[key]``, rebuilt."""
+    if not isinstance(d[key], list):
+        raise DataError(f"{kind} model record's {key} must be a list, got {d[key]!r:.200}")
+    return [model_from_dict(m) for m in d[key]]
+
+
 def model_from_dict(d: dict):
     """Rebuild a model from its ``to_dict()`` form; a malformed one raises ``DataError``."""
     kind = d.get("type") if isinstance(d, dict) else None
@@ -34,17 +41,11 @@ def model_from_dict(d: dict):
         if kind == "constant":
             return ConstantModel.from_dict(d)
         if kind == "adaboost":
-            return AdaBoostModel(
-                [model_from_dict(m) for m in d["members"]], d["alphas"], d["n_features"]
-            )
+            return AdaBoostModel(_records(kind, d, "members"), d["alphas"], d["n_features"])
         if kind == "bagging":
-            return BaggingModel([model_from_dict(m) for m in d["members"]], d["n_features"])
+            return BaggingModel(_records(kind, d, "members"), d["n_features"])
         if kind == "stacking":
-            return StackingModel(
-                [model_from_dict(b) for b in d["bases"]],
-                model_from_dict(d["meta"]),
-                d["n_features"],
-            )
+            return StackingModel(_records(kind, d, "bases"), model_from_dict(d["meta"]), d["n_features"])
     except KeyError as exc:
         raise DataError(f"{kind} model record is missing key {exc}") from None
     raise DataError(f"unknown model type {kind!r}")

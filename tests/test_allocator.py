@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgealloc.allocator import (
     EnsembleBundle,
@@ -117,6 +119,11 @@ def test_scheme_parsing():
 # ---------------------------------------------------------------------------
 
 
+def reference_ranking(fused, loads, node_ids, k):
+    """The full one-vs-all ranking, cut to k: votes desc, load asc, id asc."""
+    return np.lexsort((node_ids, loads, -tally_votes(fused)))[:k]
+
+
 def test_vote_tally_single_positive():
     assert tally_votes(np.array([1, 0, 0])).tolist() == [3, 1, 1]
 
@@ -134,6 +141,7 @@ def test_vote_bookkeeping_identity():
         votes = tally_votes(fused)
         expected_total = int((fused * 1 + (1 - fused) * (n - 1)).sum())
         assert votes.sum() == expected_total
+        assert (votes >= 0).all()
 
 
 def test_single_positive_node_always_wins():
@@ -143,10 +151,47 @@ def test_single_positive_node_always_wins():
         winner = int(rng.integers(0, n))
         fused = np.zeros(n, dtype=int)
         fused[winner] = 1
-        votes = tally_votes(fused)
         loads = rng.uniform(0, 1, n)
-        order = rank_nodes(votes, loads, np.arange(n))
-        assert order[0] == winner
+        assert rank_nodes(fused, loads, np.arange(n), 1).tolist() == [winner]
+
+
+@st.composite
+def ranking_cases(draw):
+    """(fused, loads, node_ids, k) with loads on a coarse grid, so ties are
+    common, and non-contiguous node ids in permuted order."""
+    n = draw(st.one_of(st.integers(1, 40), st.just(1000)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["mixed", "sparse", "all_positive", "all_negative"]))
+    if kind == "mixed":
+        fused = rng.integers(0, 2, n)
+    elif kind == "sparse":
+        fused = (rng.random(n) < 0.05).astype(int)
+    else:
+        fused = np.full(n, int(kind == "all_positive"))
+    loads = rng.integers(0, draw(st.integers(1, 6)), n) / 4.0
+    node_ids = rng.permutation(3 * n)[:n] + 7
+    k = draw(st.integers(1, n))
+    return fused, loads, node_ids, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking_cases())
+def test_rank_nodes_is_the_reference_ranking_cut_to_k(case):
+    fused, loads, node_ids, k = case
+    want = reference_ranking(fused, loads, node_ids, k)
+    assert rank_nodes(fused, loads, node_ids, k).tolist() == want.tolist()
+
+
+def test_rank_nodes_every_k_on_tied_loads():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 17, 1000):
+        loads = rng.integers(0, 3, n) / 2.0
+        node_ids = rng.permutation(2 * n)[:n]
+        for fused in (rng.integers(0, 2, n), np.ones(n, dtype=int), np.zeros(n, dtype=int)):
+            for k in range(1, n + 1) if n < 1000 else (1, 2, 3, 50, 999, 1000):
+                want = reference_ranking(fused, loads, node_ids, k)
+                assert rank_nodes(fused, loads, node_ids, k).tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +206,7 @@ def test_single_positive_label_selects_that_node():
     )
     assert decision.votes.tolist() == [3, 1, 1]
     assert decision.selected == (0,)
+    assert decision.decided_by == "single_positive"
 
 
 def test_all_positive_ties_break_by_load():
@@ -170,6 +216,7 @@ def test_all_positive_ties_break_by_load():
     )
     assert decision.votes.tolist() == [1, 1, 1]
     assert decision.selected == (1,)
+    assert decision.decided_by == "load_among_positives"
 
 
 def test_all_negative_two_nodes_tie_breaks_by_load():
@@ -179,6 +226,7 @@ def test_all_negative_two_nodes_tie_breaks_by_load():
     )
     assert decision.votes.tolist() == [1, 1]
     assert decision.selected == (1,)
+    assert decision.decided_by == "no_positive"
 
 
 def test_load_tie_breaks_by_node_id():
@@ -332,9 +380,7 @@ def test_cascade_matches_full_evaluation(scheme):
             labels = rng.integers(0, 2, (n, 3))
             decision, stubs, loads = cascade(labels, scheme, seed=trial)
             fused = fuse_batch(labels, scheme)
-            votes = tally_votes(fused)
-            order = rank_nodes(votes, loads, np.arange(n))
             assert decision.fused_labels.tolist() == fused.tolist()
-            assert decision.votes.tolist() == votes.tolist()
-            assert decision.selected == (int(order[0]),)
+            assert decision.votes.tolist() == tally_votes(fused).tolist()
+            assert decision.selected == tuple(rank_nodes(fused, loads, np.arange(n), 1).tolist())
             assert all(len(shown) > 0 for stub in stubs for shown in stub.shown)

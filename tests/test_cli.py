@@ -388,15 +388,19 @@ def test_allocate_schemes_can_differ(runner, tmp_path):
         },
     )
 
-    winners = {}
+    winners, decided_by = {}, {}
     for scheme in ("cs", "mvs"):
         result = runner.invoke(
             main, ["allocate", "--config", str(config), "--scheme", scheme, "--query-index", "0", "--format", "machine"]
         )
         assert result.exit_code == 0, result.output
-        winners[scheme] = json.loads(result.output)["selected"]
+        payload = json.loads(result.output)
+        winners[scheme], decided_by[scheme] = payload["selected"], payload["decided_by"]
+        human = runner.invoke(main, ["allocate", "--config", str(config), "--scheme", scheme, "--query-index", "0"])
+        assert f"decided by: {decided_by[scheme]}" in human.output.splitlines()
     assert winners["cs"] == [0]  # all-negative fallback: lowest load wins
     assert winners["mvs"] == [1]  # majority keeps the (1,1,0) node
+    assert decided_by == {"cs": "no_positive", "mvs": "single_positive"}
 
 
 def test_allocate_without_models_exits_3(runner, tmp_path):
@@ -440,6 +444,11 @@ LOAD_TREE = {
         {"type": "adaboost", "members": [LOAD_TREE, LOAD_TREE], "alphas": [1.0], "n_features": 5},
         {"type": "adaboost", "members": [LOAD_TREE], "alphas": [float("nan")], "n_features": 5},
         {"type": "adaboost", "members": [LOAD_TREE], "alphas": ["x"], "n_features": 5},
+        {"type": "constant", "label": "x", "n_features": 5},
+        {"type": "constant", "label": 2, "n_features": 5},
+        {"type": "constant", "label": 1, "n_features": "a"},
+        {"type": "bagging", "members": 5, "n_features": 5},
+        {"type": "stacking", "bases": 3, "meta": {"type": "constant", "label": 1, "n_features": 1}, "n_features": 5},
     ],
 )
 def test_allocate_with_a_malformed_model_file_exits_3(runner, tmp_path, boost):

@@ -362,6 +362,11 @@ def _with(record, **changes):
             ], "meta": dict(LOGISTIC_RECORD, n_features=2), "n_features": 1},
             "overflow",
         ),
+        ({"type": "constant", "label": "x", "n_features": 2}, "label must be 0 or 1"),
+        ({"type": "constant", "label": 2, "n_features": 2}, "label must be 0 or 1"),
+        ({"type": "constant", "label": 1, "n_features": "a"}, "n_features must be a positive integer"),
+        ({"type": "bagging", "members": 5, "n_features": 2}, "members must be a list"),
+        ({"type": "stacking", "bases": 3, "meta": LOGISTIC_RECORD, "n_features": 2}, "bases must be a list"),
     ],
 )
 def test_malformed_model_records_raise_data_error_when_loaded(tmp_path, record, message):

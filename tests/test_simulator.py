@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgealloc import simulator
-from edgealloc.allocator import decide_from_features
+from edgealloc import allocator, simulator
+from edgealloc.allocator import decide_from_features, tally_votes
 from edgealloc.bench import LearnerSetup, train_bundle
 from edgealloc.complexity import ComplexityClassifier
 from edgealloc.errors import ConfigError, DataError
@@ -379,6 +379,32 @@ def test_ova_allocate_replays_simulate_run(trained, scheme, k, monkeypatch):
     assert all(len(d.selected) == k for d in replayed)
     # the vote, not only the load tie-break, decides some of these picks
     assert any(0 < d.fused_labels.sum() < len(d.node_ids) for d in replayed)
+
+
+@pytest.mark.parametrize("load_mode", ["trace_replay", "queue_dynamics"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_decisions_never_tally_votes(trained, load_mode, k, monkeypatch):
+    config, classifier, bundle = trained
+    scenario = generate_scenario(replace(config, load_mode=load_mode))
+    made = []  # (decision, loads) of every decision, in order
+
+    def recording(features, node_ids, loads, *args, **kwargs):
+        made.append((decide_from_features(features, node_ids, loads, *args, **kwargs), loads.copy()))
+        return made[-1][0]
+
+    def no_tally(fused):
+        raise AssertionError("the decision path tallied votes")
+
+    monkeypatch.setattr(allocator, "tally_votes", no_tally)
+    monkeypatch.setattr(simulator, "decide_from_features", recording)
+    result = simulate_run(scenario, bundle, "mvs", classifier, k=k)
+    ova_allocate(scenario.queries[0], scenario.nodes, bundle, "cs", classifier, k=k)
+    monkeypatch.undo()
+
+    assert [d.selected[0] for d, _ in made[:-1]] == [r.selected_node for r in result.records]
+    for decision, loads in made:
+        order = np.lexsort((decision.node_ids, loads, -tally_votes(decision.fused_labels)))[:k]
+        assert decision.selected == tuple(decision.node_ids[order].tolist())
 
 
 @pytest.mark.parametrize("load_mode", ["trace_replay", "queue_dynamics"])
