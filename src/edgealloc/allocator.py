@@ -19,10 +19,10 @@ fused-positive node holds zeros + 1 votes and every negative node zeros - 1.
 So the ranking is the positive nodes by (load, node id), then the negative
 nodes by (load, node id), and the first pick is the least-loaded positive
 node, or the least-loaded node overall when none is positive.
-``rank_nodes`` selects those k positions in O(N) without tallying;
-``tally_votes`` remains for reading the votes off a decision.  The feature
-matrix itself is assembled in ``simulator``, which is also where
-``ova_allocate`` lives.
+``rank_nodes`` reads the picks off that form without tallying (the single
+pick in O(N)); ``tally_votes`` remains for reading the votes off a
+decision.  The feature matrix itself is assembled in ``simulator``, which
+is also where ``ova_allocate`` lives.
 """
 
 from __future__ import annotations
@@ -100,28 +100,20 @@ def rank_nodes(fused: np.ndarray, loads: np.ndarray, node_ids: np.ndarray, k: in
     asc.  By the vote's closed form (see the module docstring) that is the
     fused-positive nodes by (load, node id), then the negative nodes by
     (load, node id), so no vote is tallied.  One pick is a masked ``argmin``
-    (loads lie in [0, 1], so ``inf`` masks), with the node ids consulted
-    only on a tie.  For k picks, ``np.partition`` finds the k-th load of
-    the group the last pick comes from, and only the nodes that can still
-    be picked are sorted: that group's nodes at or below the cut, plus
-    every positive node when the picks run into the negative group.
+    in O(N) (loads lie in [0, 1], so ``inf`` masks), with the node ids
+    consulted only on a tie.  More than one pick sorts on the closed form's
+    two groups directly.
     """
     positive = np.asarray(fused).astype(bool)
-    n_positive = int(np.count_nonzero(positive))
-    if k == 1:
-        group_loads = np.where(positive, loads, np.inf) if n_positive else loads
-        first = group_loads.argmin(keepdims=True)
-        at_min = group_loads == group_loads[first]
-        if np.count_nonzero(at_min) == 1:
-            return first
-        rows = np.flatnonzero(at_min)
-        return rows[node_ids[rows].argmin(keepdims=True)]
-    if n_positive >= k:
-        rows = np.flatnonzero(positive & (loads <= np.partition(loads[positive], k - 1)[k - 1]))
-    else:
-        cut = np.partition(loads[~positive], k - n_positive - 1)[k - n_positive - 1]
-        rows = np.flatnonzero(positive | (loads <= cut))
-    return rows[np.lexsort((node_ids[rows], loads[rows], ~positive[rows]))[:k]]
+    if k > 1:
+        return np.lexsort((node_ids, loads, ~positive))[:k]
+    group_loads = np.where(positive, loads, np.inf) if positive.any() else loads
+    first = group_loads.argmin(keepdims=True)
+    at_min = group_loads == group_loads[first]
+    if np.count_nonzero(at_min) == 1:
+        return first
+    rows = np.flatnonzero(at_min)
+    return rows[node_ids[rows].argmin(keepdims=True)]
 
 
 @dataclass(frozen=True)

@@ -382,5 +382,5 @@ def test_cascade_matches_full_evaluation(scheme):
             fused = fuse_batch(labels, scheme)
             assert decision.fused_labels.tolist() == fused.tolist()
             assert decision.votes.tolist() == tally_votes(fused).tolist()
-            assert decision.selected == tuple(rank_nodes(fused, loads, np.arange(n), 1).tolist())
+            assert decision.selected == tuple(reference_ranking(fused, loads, np.arange(n), 1).tolist())
             assert all(len(shown) > 0 for stub in stubs for shown in stub.shown)

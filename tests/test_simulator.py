@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgealloc import allocator, simulator
-from edgealloc.allocator import decide_from_features, tally_votes
+from edgealloc.allocator import decide_from_features
 from edgealloc.bench import LearnerSetup, train_bundle
 from edgealloc.complexity import ComplexityClassifier
 from edgealloc.errors import ConfigError, DataError
@@ -27,6 +27,8 @@ from edgealloc.simulator import (
     statement_for_class,
     synthesize_training_set,
 )
+
+from test_allocator import reference_ranking
 
 
 def cfg(**kw):
@@ -354,38 +356,9 @@ def trained():
 @pytest.mark.parametrize("scheme", ["cs", "mvs"])
 @pytest.mark.parametrize("k", [1, 3])
 def test_ova_allocate_replays_simulate_run(trained, scheme, k, monkeypatch):
+    """ova_allocate replays simulate_run's picks; neither tallies votes, and
+    every pick is the full one-vs-all ranking's, under both load modes."""
     config, classifier, bundle = trained
-    scenario = generate_scenario(config)
-    decisions = []
-
-    def recording(*args, **kwargs):
-        decisions.append(decide_from_features(*args, **kwargs))
-        return decisions[-1]
-
-    monkeypatch.setattr(simulator, "decide_from_features", recording)
-    result = simulate_run(scenario, bundle, scheme, classifier, k=k)
-    monkeypatch.undo()
-    assert [d.selected[0] for d in decisions] == [r.selected_node for r in result.records]
-
-    replayed = []
-    for t, query in enumerate(scenario.queries):
-        for node, load in zip(scenario.nodes, scenario.loads_at(t)):
-            node.load = float(load)
-        decision = ova_allocate(
-            query, scenario.nodes, bundle, scheme, classifier, alpha=config.alpha, z=config.z, k=k
-        )
-        replayed.append(decision)
-    assert [d.selected for d in replayed] == [d.selected for d in decisions]
-    assert all(len(d.selected) == k for d in replayed)
-    # the vote, not only the load tie-break, decides some of these picks
-    assert any(0 < d.fused_labels.sum() < len(d.node_ids) for d in replayed)
-
-
-@pytest.mark.parametrize("load_mode", ["trace_replay", "queue_dynamics"])
-@pytest.mark.parametrize("k", [1, 3])
-def test_decisions_never_tally_votes(trained, load_mode, k, monkeypatch):
-    config, classifier, bundle = trained
-    scenario = generate_scenario(replace(config, load_mode=load_mode))
     made = []  # (decision, loads) of every decision, in order
 
     def recording(features, node_ids, loads, *args, **kwargs):
@@ -397,14 +370,29 @@ def test_decisions_never_tally_votes(trained, load_mode, k, monkeypatch):
 
     monkeypatch.setattr(allocator, "tally_votes", no_tally)
     monkeypatch.setattr(simulator, "decide_from_features", recording)
-    result = simulate_run(scenario, bundle, "mvs", classifier, k=k)
-    ova_allocate(scenario.queries[0], scenario.nodes, bundle, "cs", classifier, k=k)
-    monkeypatch.undo()
-
-    assert [d.selected[0] for d, _ in made[:-1]] == [r.selected_node for r in result.records]
-    for decision, loads in made:
-        order = np.lexsort((decision.node_ids, loads, -tally_votes(decision.fused_labels)))[:k]
-        assert decision.selected == tuple(decision.node_ids[order].tolist())
+    for load_mode in ("trace_replay", "queue_dynamics"):
+        scenario = generate_scenario(replace(config, load_mode=load_mode))
+        made.clear()
+        result = simulate_run(scenario, bundle, scheme, classifier, k=k)
+        run = [decision for decision, _ in made]
+        assert [d.selected[0] for d in run] == [r.selected_node for r in result.records]
+        for decision, loads in made:
+            assert decision.selected == tuple(
+                decision.node_ids[reference_ranking(decision.fused_labels, loads, decision.node_ids, k)].tolist()
+            )
+        if load_mode != "trace_replay":
+            continue
+        replayed = []
+        for t, query in enumerate(scenario.queries):
+            for node, load in zip(scenario.nodes, scenario.loads_at(t)):
+                node.load = float(load)
+            replayed.append(
+                ova_allocate(query, scenario.nodes, bundle, scheme, classifier, alpha=config.alpha, z=config.z, k=k)
+            )
+        assert [d.selected for d in replayed] == [d.selected for d in run]
+        assert all(len(d.selected) == k for d in replayed)
+        # the vote, not only the load tie-break, decides some of these picks
+        assert any(0 < d.fused_labels.sum() < len(d.node_ids) for d in replayed)
 
 
 @pytest.mark.parametrize("load_mode", ["trace_replay", "queue_dynamics"])
