@@ -20,14 +20,15 @@ So the ranking is the positive nodes by (load, node id), then the negative
 nodes by (load, node id), and the first pick is the least-loaded positive
 node, or the least-loaded node overall when none is positive.
 ``rank_nodes`` reads the picks off that form without tallying (the single
-pick in O(N)); ``tally_votes`` remains for reading the votes off a
-decision.  The feature matrix itself is assembled in ``simulator``, which
-is also where ``ova_allocate`` lives.
+pick in O(N)); ``tally_votes`` remains for reading the votes off the fused
+labels.  ``decide_from_features`` returns the fused labels and the picks as
+positions into the node arrays it was given.  ``simulator`` assembles the
+feature matrix, times the decision and indexes its node table by the picks;
+only its ``ova_allocate`` builds an ``AllocationDecision`` of node ids.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,11 +43,6 @@ __all__ = [
     "rank_nodes",
     "decide_from_features",
 ]
-
-# floor applied to measured decision times; protects throughput figures
-# against clock resolution
-MIN_DECISION_MS = 1e-3
-
 
 class FusionScheme(str, Enum):
     CS = "cs"  # conjunctive: allocate only on unanimity
@@ -118,20 +114,14 @@ def rank_nodes(fused: np.ndarray, loads: np.ndarray, node_ids: np.ndarray, k: in
 
 @dataclass(frozen=True)
 class AllocationDecision:
-    """Outcome of one allocation: fused labels, the k picks in ranking
-    order, and timing.  The vote tallies and what settled the first pick
-    are derived from the fused labels on request."""
+    """Outcome of one allocation: fused labels, the ids of the k picks in
+    ranking order, and timing.  The vote tallies and what settled the first
+    pick are derived from the fused labels on request."""
 
     node_ids: np.ndarray
     fused_labels: np.ndarray
     selected: tuple
     decision_ms: float
-
-    def __post_init__(self) -> None:
-        if len(self.selected) == 0:
-            raise ValueError("a decision must select at least one node")
-        if self.decision_ms < 0:
-            raise ValueError("decision time must be >= 0")
 
     @property
     def votes(self) -> np.ndarray:
@@ -155,18 +145,15 @@ def decide_from_features(
     bundle: EnsembleBundle,
     scheme: FusionScheme,
     k: int = 1,
-    started: float | None = None,
-) -> AllocationDecision:
+) -> tuple:
     """Label (cascaded), fuse and pick given a prebuilt (N, 5) feature matrix.
 
-    The (N, 3) label matrix is column-major, so each ensemble's column and
-    the row-wise fusion over it read contiguous memory, and the cascade's
-    rows are gathered with ``take``.  The k picks are the first k positions
-    of the one ranking; the decision time runs from ``started`` (default:
-    now) to the end of the selection.
+    Returns ``(fused, picks)``: the (N,) fused labels and the positions of
+    the first k nodes of the one ranking, in ranking order.  The (N, 3)
+    label matrix is column-major, so each ensemble's column and the
+    row-wise fusion over it read contiguous memory, and the cascade's rows
+    are gathered with ``take``.
     """
-    if started is None:
-        started = time.perf_counter()
     labels = np.zeros((features.shape[0], 3), dtype=int, order="F")
     labels[:, 0] = bundle.boost.predict_batch(features)
     if FusionScheme.parse(scheme) is FusionScheme.CS:
@@ -182,11 +169,4 @@ def decide_from_features(
     if rows.size:
         labels[rows, 2] = bundle.stacking.predict_batch(features.take(rows, axis=0))
     fused = fuse_batch(labels, scheme)
-    selected = tuple(int(node_ids[i]) for i in rank_nodes(fused, loads, node_ids, k))
-    elapsed_ms = max((time.perf_counter() - started) * 1000.0, MIN_DECISION_MS)
-    return AllocationDecision(
-        node_ids=np.asarray(node_ids, dtype=int),
-        fused_labels=np.asarray(fused, dtype=int),
-        selected=selected,
-        decision_ms=elapsed_ms,
-    )
+    return fused, rank_nodes(fused, loads, node_ids, k)

@@ -168,14 +168,13 @@ def run_cells(
     out_dir=None,
     resume: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    k: int = 1,
 ) -> tuple:
     """Run every cell; returns (results, failures).
 
     Failures are recorded as (cell label, message) and do not stop the
     sweep.  With ``out_dir`` set, each finished cell writes its run file,
     then its config record (scenario config, scheme, policy, learner setup,
-    complexity params, corpus entries and ``k``), and ``summary.csv`` is
+    complexity params and corpus entries), and ``summary.csv`` is
     written once at the end.  With ``resume`` as well, a cell is loaded back
     instead of re-run when its record equals the current one and its file
     holds one row per query, which makes interrupted sweeps restartable.
@@ -189,7 +188,7 @@ def run_cells(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    shared = dict(policy=asdict(policy), setup=asdict(setup), fcp=asdict(fcp_params), corpus=corpus.entries, k=k)
+    shared = dict(policy=asdict(policy), setup=asdict(setup), fcp=asdict(fcp_params), corpus=corpus.entries)
     bundles: dict = {}
     scenario = None  # the last cell's, reused while the config repeats
     results: list = []
@@ -224,7 +223,7 @@ def run_cells(
             if scenario is None or scenario.config != cell.config:
                 scenario = None  # only one scenario is ever alive
                 scenario = generate_scenario(cell.config)
-            result = simulate_run(scenario, bundles[key], cell.scheme, classifier, k=k)
+            result = simulate_run(scenario, bundles[key], cell.scheme, classifier)
             results.append(result)
             if out is not None:
                 record_path.unlink(missing_ok=True)  # a run file is never paired with a stale record

@@ -278,7 +278,8 @@ class TrainingQueryCorpus:
 
 
 def load_corpus(path, classes: Sequence[ComplexityClass] = DEFAULT_CLASSES) -> TrainingQueryCorpus:
-    """Read a tab-separated ``statement<TAB>class_label`` corpus file."""
+    """Read a tab-separated ``statement<TAB>class_label`` corpus file; a
+    malformed line raises ``DataError`` naming ``path:line``."""
     by_label = {c.label: c.id for c in classes}
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -292,6 +293,10 @@ def load_corpus(path, classes: Sequence[ComplexityClass] = DEFAULT_CLASSES) -> T
             statement, label = parts
             if label not in by_label:
                 raise DataError(f"{path}:{lineno}: unknown class label {label!r}")
+            try:
+                tokenize_statement(statement)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
             entries.append((statement, by_label[label]))
     return TrainingQueryCorpus(entries, classes)
 
@@ -341,9 +346,6 @@ class ComplexityClassifier:
         self._norms = np.sqrt((counts**2).sum(axis=1))
         self._labels = np.array([c for _, c in corpus.entries], dtype=np.int64)
         self._class_masks = [self._labels == c.id for c in corpus.classes]
-        for c, mask in zip(corpus.classes, self._class_masks):
-            if not mask.any():
-                raise DataError(f"no corpus entries for class {c.label!r}")
         self._memo = {}
 
     def _statistic(self, feature: TokenFeature) -> tuple:

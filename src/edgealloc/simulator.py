@@ -13,8 +13,10 @@ relevance operand of the nodes' confidence intervals, queue capacities) is
 built once per run;
 ``_decide_query`` then classifies the statement, fills the (N, 5) feature
 matrix (complexity, deadline, relevance, load, speed) and hands it to
-``decide_from_features``.  ``simulate_run`` calls it once per query and
-``ova_allocate`` once over a one-off table at the nodes' current loads.
+``decide_from_features``; the picks come back as positions into the table.
+``simulate_run`` calls it once per query and indexes the table, its record
+and the queue update by them.  ``ova_allocate`` calls it once over a one-off
+table at the nodes' current loads and alone maps the picks to node ids.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ _TRAINING_STREAM = 3
 
 _DISTRIBUTIONS = ("uniform", "gaussian")
 _LOAD_MODES = ("trace_replay", "queue_dynamics")
+
+# floor applied to measured decision times; protects throughput figures
+# against clock resolution
+MIN_DECISION_MS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -673,12 +679,14 @@ def _decide_query(
     classifier,
     alpha: float,
     k: int,
-) -> AllocationDecision:
+) -> tuple:
     """One decision: classify, fill the (N, 5) feature matrix, vote.
 
-    The decision time covers all of it, from classification to the vote.
-    The cyclic garbage collector waits meanwhile, as under ``timeit``: a
-    collection owed to earlier allocations would land in this decision's time.
+    Returns ``(fused, picks, decision_ms)``, the picks as positions into
+    ``table``.  The decision time covers all of it, from classification to
+    the vote, floored at ``MIN_DECISION_MS``.  The cyclic garbage collector
+    waits meanwhile, as under ``timeit``: a collection owed to earlier
+    allocations would land in this decision's time.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -691,7 +699,8 @@ def _decide_query(
         features[:, 2] = relevance_batch(query.constraints, table.bounds, alpha)
         features[:, 3] = loads
         features[:, 4] = table.speeds
-        return decide_from_features(features, table.ids, loads, bundle, scheme, k=k, started=started)
+        fused, picks = decide_from_features(features, table.ids, loads, bundle, scheme, k)
+        return fused, picks, max((time.perf_counter() - started) * 1000.0, MIN_DECISION_MS)
     finally:
         if collecting:
             gc.enable()
@@ -715,7 +724,8 @@ def ova_allocate(
     table = _node_table(nodes, z)
     _check_k(k, len(nodes))
     loads = np.array([node.load for node in nodes], dtype=float)
-    return _decide_query(query, table, loads, bundle, scheme, fcp, alpha, k)
+    fused, picks, decision_ms = _decide_query(query, table, loads, bundle, scheme, fcp, alpha, k)
+    return AllocationDecision(table.ids, fused, tuple(table.ids[picks].tolist()), decision_ms)
 
 
 def simulate_run(
@@ -736,7 +746,6 @@ def simulate_run(
     scheme = FusionScheme.parse(scheme)
     table = _node_table(scenario.nodes, cfg.z)
     _check_k(k, len(table.ids))
-    pos_of = {int(node_id): pos for pos, node_id in enumerate(table.ids)}
     replay = cfg.load_mode == "trace_replay"
     occupancy = np.zeros(len(table.ids), dtype=np.int64)
     drain = np.floor(table.speeds * cfg.service_rate).astype(np.int64)
@@ -752,13 +761,12 @@ def simulate_run(
     for t, query in enumerate(scenario.queries):
         if replay:
             loads = scenario.loads_at(t)
-        decision = _decide_query(query, table, loads, bundle, scheme, classifier, cfg.alpha, k)
-        picked = [pos_of[node_id] for node_id in decision.selected]
-        chosen = picked[0]
+        _, picks, decision_ms = _decide_query(query, table, loads, bundle, scheme, classifier, cfg.alpha, k)
+        chosen = picks[0]
         result.records.append(
             QueryRecord(
                 query_index=t,
-                decision_ms=decision.decision_ms,
+                decision_ms=decision_ms,
                 selected_node=int(table.ids[chosen]),
                 load_selected=float(loads[chosen]),
                 speed_selected=float(table.speeds[chosen]),
@@ -767,5 +775,5 @@ def simulate_run(
             )
         )
         if not replay:
-            loads = apply_allocation(occupancy, table.capacity, drain, picked)
+            loads = apply_allocation(occupancy, table.capacity, drain, picks)
     return result

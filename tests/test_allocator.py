@@ -316,12 +316,12 @@ def test_winner_matches_brute_force_for_all_combinations():
             features = np.column_stack(
                 [np.full(n, 0.5), np.full(n, 1.0), np.full(n, 0.2), loads, speeds]
             )
-            decision = decide_from_features(
+            got, picks = decide_from_features(
                 features, np.arange(n), loads, bundle_for(list(fused), loads), FusionScheme.CS
             )
             expected_winner, expected_votes = brute_force_winner(fused, loads)
-            assert decision.votes.tolist() == expected_votes
-            assert decision.selected[0] == expected_winner
+            assert tally_votes(got).tolist() == expected_votes
+            assert picks.tolist() == [expected_winner]
 
 
 # ---------------------------------------------------------------------------
@@ -331,32 +331,33 @@ def test_winner_matches_brute_force_for_all_combinations():
 
 def cascade(labels, scheme, seed=0):
     """Decide over len(labels) nodes whose (boost, bagging, stacking) labels
-    are the rows of ``labels``; returns the decision and the three stubs."""
+    are the rows of ``labels``; returns the fused labels, the picks, the
+    three stubs and the loads."""
     labels = np.asarray(labels, dtype=int).reshape(-1, 3)
     n = labels.shape[0]
     loads = np.random.default_rng(seed).permutation(n) / n + 0.01
     features = np.column_stack([np.full(n, 0.5), np.full(n, 1.0), np.full(n, 0.2), loads, np.full(n, 0.5)])
     stubs = [FixedLabelModel(labels[:, j], loads) for j in range(3)]
-    decision = decide_from_features(features, np.arange(n), loads, EnsembleBundle(*stubs), scheme)
-    return decision, stubs, loads
+    fused, picks = decide_from_features(features, np.arange(n), loads, EnsembleBundle(*stubs), scheme)
+    return fused, picks, stubs, loads
 
 
 def test_cs_cascade_shows_each_ensemble_only_the_rows_still_positive():
     labels = [[1, 1, 1], [0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 0, 0], [1, 1, 1]]
-    decision, (boost, bagging, stacking), loads = cascade(labels, FusionScheme.CS)
+    fused, _, (boost, bagging, stacking), loads = cascade(labels, FusionScheme.CS)
     assert boost.shown == [loads.tolist()]
     assert bagging.shown == [loads[[0, 2, 3, 5]].tolist()]
     assert stacking.shown == [loads[[0, 3, 5]].tolist()]
-    assert decision.fused_labels.tolist() == [1, 0, 0, 0, 0, 1]
+    assert fused.tolist() == [1, 0, 0, 0, 0, 1]
 
 
 def test_mvs_cascade_shows_stacking_only_the_disagreements():
     labels = [[1, 1, 0], [0, 1, 1], [1, 0, 0], [0, 0, 1], [1, 1, 1]]
-    decision, (boost, bagging, stacking), loads = cascade(labels, FusionScheme.MVS)
+    fused, _, (boost, bagging, stacking), loads = cascade(labels, FusionScheme.MVS)
     assert boost.shown == [loads.tolist()]
     assert bagging.shown == [loads.tolist()]
     assert stacking.shown == [loads[[1, 2]].tolist()]
-    assert decision.fused_labels.tolist() == [1, 1, 0, 0, 1]
+    assert fused.tolist() == [1, 1, 0, 0, 1]
 
 
 @pytest.mark.parametrize(
@@ -368,7 +369,7 @@ def test_mvs_cascade_shows_stacking_only_the_disagreements():
     ],
 )
 def test_cascade_skips_a_call_with_no_rows_left(scheme, labels, calls):
-    _, stubs, _ = cascade(labels, scheme)
+    _, _, stubs, _ = cascade(labels, scheme)
     assert [len(stub.shown) for stub in stubs] == calls
 
 
@@ -378,9 +379,8 @@ def test_cascade_matches_full_evaluation(scheme):
     for n in range(1, 7):
         for trial in range(60):
             labels = rng.integers(0, 2, (n, 3))
-            decision, stubs, loads = cascade(labels, scheme, seed=trial)
+            got, picks, stubs, loads = cascade(labels, scheme, seed=trial)
             fused = fuse_batch(labels, scheme)
-            assert decision.fused_labels.tolist() == fused.tolist()
-            assert decision.votes.tolist() == tally_votes(fused).tolist()
-            assert decision.selected == tuple(reference_ranking(fused, loads, np.arange(n), 1).tolist())
+            assert got.tolist() == fused.tolist()
+            assert picks.tolist() == reference_ranking(fused, loads, np.arange(n), 1).tolist()
             assert all(len(shown) > 0 for stub in stubs for shown in stub.shown)

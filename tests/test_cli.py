@@ -449,6 +449,7 @@ LOAD_TREE = {
         {"type": "constant", "label": 1, "n_features": "a"},
         {"type": "bagging", "members": 5, "n_features": 5},
         {"type": "stacking", "bases": 3, "meta": {"type": "constant", "label": 1, "n_features": 1}, "n_features": 5},
+        {"type": "constant", "label": 1, "n_features": 4},
     ],
 )
 def test_allocate_with_a_malformed_model_file_exits_3(runner, tmp_path, boost):

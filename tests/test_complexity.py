@@ -529,3 +529,13 @@ def test_corpus_file_with_bad_label_reports_line(tmp_path):
     path.write_text("select a from t\tO(n)\nselect b from t\tO(n!)\n", encoding="utf-8")
     with pytest.raises(DataError, match=":2"):
         load_corpus(path)
+
+
+@pytest.mark.parametrize("statement", ["!!!", ""])
+def test_corpus_file_with_a_tokenless_statement_reports_line(tmp_path, statement):
+    path = tmp_path / "corpus.tsv"
+    save_corpus(path, _single_corpus())
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(f"{statement}\tO(n)\n")
+    with pytest.raises(DataError, match=r"corpus\.tsv:4: statement"):
+        load_corpus(path)

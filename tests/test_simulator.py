@@ -356,30 +356,36 @@ def trained():
 @pytest.mark.parametrize("scheme", ["cs", "mvs"])
 @pytest.mark.parametrize("k", [1, 3])
 def test_ova_allocate_replays_simulate_run(trained, scheme, k, monkeypatch):
-    """ova_allocate replays simulate_run's picks; neither tallies votes, and
-    every pick is the full one-vs-all ranking's, under both load modes."""
+    """ova_allocate replays simulate_run's picks; neither tallies votes,
+    simulate_run builds no AllocationDecision, and every pick is the full
+    one-vs-all ranking's, under both load modes."""
     config, classifier, bundle = trained
-    made = []  # (decision, loads) of every decision, in order
+    made = []  # (fused, picks, node ids, loads) of every decision, in order
 
     def recording(features, node_ids, loads, *args, **kwargs):
-        made.append((decide_from_features(features, node_ids, loads, *args, **kwargs), loads.copy()))
-        return made[-1][0]
+        fused, picks = decide_from_features(features, node_ids, loads, *args, **kwargs)
+        made.append((fused, picks, node_ids, loads.copy()))
+        return fused, picks
 
     def no_tally(fused):
         raise AssertionError("the decision path tallied votes")
+
+    def no_decision(*args, **kwargs):
+        raise AssertionError("simulate_run built an AllocationDecision")
 
     monkeypatch.setattr(allocator, "tally_votes", no_tally)
     monkeypatch.setattr(simulator, "decide_from_features", recording)
     for load_mode in ("trace_replay", "queue_dynamics"):
         scenario = generate_scenario(replace(config, load_mode=load_mode))
         made.clear()
-        result = simulate_run(scenario, bundle, scheme, classifier, k=k)
-        run = [decision for decision, _ in made]
-        assert [d.selected[0] for d in run] == [r.selected_node for r in result.records]
-        for decision, loads in made:
-            assert decision.selected == tuple(
-                decision.node_ids[reference_ranking(decision.fused_labels, loads, decision.node_ids, k)].tolist()
-            )
+        with monkeypatch.context() as patch:
+            for module in (allocator, simulator):
+                patch.setattr(module, "AllocationDecision", no_decision)
+            result = simulate_run(scenario, bundle, scheme, classifier, k=k)
+        run = [tuple(node_ids[picks].tolist()) for _, picks, node_ids, _ in made]
+        assert [selected[0] for selected in run] == [r.selected_node for r in result.records]
+        for fused, picks, node_ids, loads in made:
+            assert picks.tolist() == reference_ranking(fused, loads, node_ids, k).tolist()
         if load_mode != "trace_replay":
             continue
         replayed = []
@@ -389,7 +395,7 @@ def test_ova_allocate_replays_simulate_run(trained, scheme, k, monkeypatch):
             replayed.append(
                 ova_allocate(query, scenario.nodes, bundle, scheme, classifier, alpha=config.alpha, z=config.z, k=k)
             )
-        assert [d.selected for d in replayed] == [d.selected for d in run]
+        assert [d.selected for d in replayed] == run
         assert all(len(d.selected) == k for d in replayed)
         # the vote, not only the load tie-break, decides some of these picks
         assert any(0 < d.fused_labels.sum() < len(d.node_ids) for d in replayed)
