@@ -118,7 +118,6 @@ class AllocationDecision:
     ranking order, and timing.  The vote tallies and what settled the first
     pick are derived from the fused labels on request."""
 
-    node_ids: np.ndarray
     fused_labels: np.ndarray
     selected: tuple
     decision_ms: float

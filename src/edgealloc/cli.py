@@ -184,32 +184,39 @@ def _write_training_csv(path: Path, data: LabeledDataset) -> None:
 
 
 def _read_training_csv(path: Path) -> LabeledDataset:
+    rows = []
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header) != _TRAINING_COLUMNS:
+                raise DataError(f"{path}: unexpected training set header {header}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    values = [float(v) for v in row]
+                except ValueError as exc:
+                    raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
+                if len(values) != 6 or not np.isfinite(values).all() or values[5] not in (0.0, 1.0):
+                    raise DataError(
+                        f"{path}, line {reader.line_num}: need five finite features and a 0/1 label, got {row}"
+                    )
+                rows.append(values)
     except OSError as exc:
         raise DataError(f"cannot open training set {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != _TRAINING_COLUMNS:
-            raise DataError(f"{path}: unexpected training set header {header}")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-            if len(values) != 6 or not np.isfinite(values).all() or values[5] not in (0.0, 1.0):
-                raise DataError(
-                    f"{path}, line {reader.line_num}: need five finite features and a 0/1 label, got {row}"
-                )
-            rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if not rows:
         raise DataError(f"{path}: training set is empty")
     table = np.asarray(rows)
     return LabeledDataset(table[:, :5], table[:, 5])
+
+
+def _write_default_trace(cfg: AppConfig) -> Path:
+    """Write the trace ``gen`` and ``bench`` use when none is configured, from
+    seed 0 whatever the scenario seed, so a sweep does not depend on which ran."""
+    return generate_utilization_trace(Path(cfg.output_dir) / "trace.csv", rows=cfg.bench.trace_rows, seed=0)
 
 
 @main.command("gen")
@@ -222,9 +229,8 @@ def cmd_gen(cfg: AppConfig) -> None:
     corpus = generate_query_corpus(per_class=cfg.corpus_per_class)
     save_corpus(out_dir / "corpus.tsv", corpus)
 
-    trace_path = out_dir / "trace.csv"
     if cfg.scenario.trace_path is None:
-        generate_utilization_trace(trace_path, rows=cfg.bench.trace_rows, seed=cfg.scenario.seed)
+        _write_default_trace(cfg)
 
     scenario = generate_scenario(cfg.scenario)
     save_scenario(out_dir / "scenario.json", scenario)
@@ -271,7 +277,7 @@ def cmd_train(cfg: AppConfig) -> None:
         )
 
 
-def _parse_query_json(spec: str, fallback_id: str = "adhoc") -> Query:
+def _parse_query_json(spec: str) -> Query:
     text = spec
     if not spec.lstrip().startswith("{"):
         try:
@@ -282,7 +288,7 @@ def _parse_query_json(spec: str, fallback_id: str = "adhoc") -> Query:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid query JSON: {exc}") from exc
-    return query_from_record(payload, fallback_id)
+    return query_from_record(payload)
 
 
 @main.command("allocate")
@@ -376,9 +382,7 @@ def cmd_bench(cfg: AppConfig, resume) -> None:
 
     trace_path = cfg.scenario.trace_path
     if "trace" in cfg.bench.distributions and trace_path is None:
-        trace_path = str(Path(cfg.output_dir) / "trace.csv")
-        if not Path(trace_path).exists():
-            generate_utilization_trace(trace_path, rows=cfg.bench.trace_rows, seed=0)
+        trace_path = str(_write_default_trace(cfg))
 
     (out_dir / "config.json").write_text(json.dumps(asdict(cfg), sort_keys=True, indent=2), encoding="utf-8")
     cells = grid_cells(

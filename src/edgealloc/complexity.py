@@ -277,28 +277,31 @@ class TrainingQueryCorpus:
         return len(self.entries)
 
 
-def load_corpus(path, classes: Sequence[ComplexityClass] = DEFAULT_CLASSES) -> TrainingQueryCorpus:
+def load_corpus(path) -> TrainingQueryCorpus:
     """Read a tab-separated ``statement<TAB>class_label`` corpus file; a
-    malformed line raises ``DataError`` naming ``path:line``."""
-    by_label = {c.label: c.id for c in classes}
+    malformed line or non-UTF-8 text raises ``DataError`` naming ``path``."""
+    by_label = {c.label: c.id for c in DEFAULT_CLASSES}
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'statement<TAB>label'")
-            statement, label = parts
-            if label not in by_label:
-                raise DataError(f"{path}:{lineno}: unknown class label {label!r}")
-            try:
-                tokenize_statement(statement)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            entries.append((statement, by_label[label]))
-    return TrainingQueryCorpus(entries, classes)
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'statement<TAB>label'")
+        statement, label = parts
+        if label not in by_label:
+            raise DataError(f"{path}:{lineno}: unknown class label {label!r}")
+        try:
+            tokenize_statement(statement)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        entries.append((statement, by_label[label]))
+    return TrainingQueryCorpus(entries, DEFAULT_CLASSES)
 
 
 def save_corpus(path, corpus: TrainingQueryCorpus) -> None:

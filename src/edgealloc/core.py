@@ -54,9 +54,6 @@ class QueryConstraints:
     def dims(self) -> int:
         return self.intervals.shape[0]
 
-    def __len__(self) -> int:
-        return self.dims
-
 
 @dataclass(frozen=True)
 class Query:

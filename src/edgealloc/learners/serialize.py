@@ -65,7 +65,7 @@ def load_bundle(path) -> tuple:
     """Read a model file; returns ({name: model}, metadata)."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("models"), dict):
         raise DataError(f"model file {path} must hold a JSON object with a 'models' mapping")

@@ -33,7 +33,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QueryRecord:
-    """Snapshot of one allocation decision."""
+    """Snapshot of one allocation decision.  ``load_min`` <= ``load_selected``
+    and ``speed_selected`` <= ``speed_max``; ``load_run`` checks both."""
 
     query_index: int
     decision_ms: float
@@ -42,12 +43,6 @@ class QueryRecord:
     speed_selected: float
     load_min: float
     speed_max: float
-
-    def __post_init__(self) -> None:
-        if self.load_min > self.load_selected + 1e-12:
-            raise ValueError("load_min cannot exceed the selected node's load")
-        if self.speed_selected > self.speed_max + 1e-12:
-            raise ValueError("the selected node's speed cannot exceed speed_max")
 
 
 @dataclass
@@ -204,7 +199,9 @@ def load_run(path, n_queries: int) -> RunResult:
     """Read back the file ``emit_run`` wrote for a run of ``n_queries`` queries.
 
     Raises ``DataError`` unless it holds queries 0..n_queries-1 in order, each
-    on a whole, parsable row; an interrupted write leaves the last row cut off.
+    on a whole, parsable row (an interrupted write leaves the last row cut
+    off) whose ``load_min`` is at most ``load_selected`` and ``speed_max`` at
+    least ``speed_selected``.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -228,6 +225,9 @@ def load_run(path, n_queries: int) -> RunResult:
         raise DataError(f"cannot read run file {path}: {exc}") from exc
     if not text.endswith("\n") or [r.query_index for r in result.records] != list(range(n_queries)):
         raise DataError(f"run file {path} does not hold queries 0..{n_queries - 1} on whole rows")
+    for r in result.records:
+        if r.load_min > r.load_selected + 1e-12 or r.speed_selected > r.speed_max + 1e-12:
+            raise DataError(f"run file {path}, query {r.query_index}: a load or speed exceeds its bound")
     return result
 
 

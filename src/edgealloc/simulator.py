@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import itertools
 import json
 import logging
 import math
@@ -195,17 +196,15 @@ def statement_for_class(class_id: int, literal: int) -> str:
     return template.format(n=literal)
 
 
-def generate_query_corpus(
-    per_class: int = 30, literal_start: int = 101
-) -> TrainingQueryCorpus:
+def generate_query_corpus(per_class: int = 30) -> TrainingQueryCorpus:
     """Labelled statement corpus: ``per_class`` entries per class, each with a
-    distinct numeric literal."""
+    distinct numeric literal (101, 102, ...)."""
     if per_class < 1:
         raise ValueError("per_class must be >= 1")
     entries = []
     for class_id in sorted(_TEMPLATES):
         for j in range(per_class):
-            entries.append((statement_for_class(class_id, literal_start + j), class_id))
+            entries.append((statement_for_class(class_id, 101 + j), class_id))
     return TrainingQueryCorpus(entries, DEFAULT_CLASSES)
 
 
@@ -325,9 +324,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     the synthetic distribution.
     """
     if cfg.trace_path is not None:
-        per_node = ingest_utilization_trace(cfg.trace_path, cfg.n_nodes, cfg.trace_column)
-        epochs = min(len(s) for s in per_node)
-        load_series = np.stack([s[:epochs] for s in per_node], axis=1)
+        load_series = ingest_utilization_trace(cfg.trace_path, cfg.n_nodes, cfg.trace_column)
     else:
         load_series = np.empty((cfg.n_queries, cfg.n_nodes))
 
@@ -386,13 +383,13 @@ def save_scenario(path, scenario: Scenario) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
-def query_from_record(record, fallback_id: str = "adhoc") -> Query:
+def query_from_record(record) -> Query:
     """Build a query from its JSON record.
 
     The record is an object with a ``statement`` string holding at least
     one token, ``constraints`` as [[min, max], ...] with min <= max, and
-    optionally an ``id`` and a ``deadline`` >= 0.  Anything else raises
-    ``DataError``; callers prefix the source.
+    optionally an ``id`` (default ``adhoc``) and a ``deadline`` >= 0.
+    Anything else raises ``DataError``; callers prefix the source.
     """
     if not isinstance(record, dict):
         raise DataError(f"a query must be a JSON object, got {type(record).__name__}")
@@ -402,7 +399,7 @@ def query_from_record(record, fallback_id: str = "adhoc") -> Query:
     try:
         tokenize_statement(statement)
         return Query(
-            id=str(record.get("id", fallback_id)),
+            id=str(record.get("id", "adhoc")),
             statement=statement,
             constraints=QueryConstraints(np.asarray(record["constraints"], dtype=float)),
             deadline=float(record.get("deadline", 0.0)),
@@ -460,10 +457,8 @@ def load_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def generate_utilization_trace(
-    path, rows: int = 60000, seed: int = 0, column: str = "cpu_util"
-) -> Path:
-    """Write a synthetic processor-utilisation trace (percent units).
+def generate_utilization_trace(path, rows: int = 60000, seed: int = 0) -> Path:
+    """Write a synthetic processor-utilisation trace (``step,cpu_util``, percent).
 
     The series drifts slowly (long sine period plus a tight AR(1) wiggle),
     mimicking how real utilisation evolves; consecutive samples stay close,
@@ -472,69 +467,66 @@ def generate_utilization_trace(
     rng = np.random.default_rng([seed, 0x7ACE])
     t = np.arange(rows)
     base = 35.0 + 18.0 * np.sin(2.0 * np.pi * t / 45000.0)
-    noise = np.empty(rows)
-    state = 0.0
-    shocks = rng.normal(0.0, 0.3, size=rows)
-    for i in range(rows):
-        state = 0.9 * state + shocks[i]
-        noise[i] = state
+    shocks = rng.normal(0.0, 0.3, size=rows).tolist()
+    noise = np.fromiter(itertools.accumulate(shocks, lambda state, shock: 0.9 * state + shock), float, rows)
     values = np.clip(base + noise, 1.0, 99.0)
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", column])
-        for i, v in enumerate(values):
-            writer.writerow([i, f"{v:.4f}"])
+    np.savetxt(
+        path, np.column_stack([t, values]), fmt=["%d", "%.4f"], delimiter=",",
+        header="step,cpu_util", comments="", newline="\r\n",
+    )
     return path
 
 
-def ingest_utilization_trace(path, n_nodes: int, column: Optional[str] = None) -> list:
-    """Read a delimited utilisation trace and split it round-robin over nodes.
+def ingest_utilization_trace(path, n_nodes: int, column: Optional[str] = None) -> np.ndarray:
+    """Read a delimited UTF-8 utilisation trace as an (epochs, n_nodes) load series.
 
     The file needs a header; ``column`` picks the utilisation column by name
     (default: the second column).  Every value must be a finite number.
     Values above 1 anywhere mark the column as percentages and the whole
     series is divided by 100 (the choice is logged); everything is clamped
-    to [0, 1].  Node i receives values[i::n_nodes], replayed cyclically when
-    the simulation outlasts the series.
+    to [0, 1].  The values fill the series row by row, so node i gets
+    values[i::n_nodes]; the last len(values) % n_nodes are dropped, and a
+    run that outlasts the series replays it cyclically.
     """
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     values = []
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: trace file is empty") from None
+            header = [h.strip() for h in header]
+            if column is None:
+                if len(header) < 2:
+                    raise DataError(f"{path}: no utilisation column found in header {header}")
+                col_idx = 1
+            else:
+                try:
+                    col_idx = header.index(column)
+                except ValueError:
+                    raise DataError(f"{path}: missing column {column!r} in header {header}") from None
+            for lineno, row in enumerate(reader, start=2):
+                if not "".join(row).strip():
+                    continue
+                if col_idx >= len(row):
+                    raise DataError(f"{path}:{lineno}: row has no column {col_idx + 1}")
+                try:
+                    value = float(row[col_idx])
+                except ValueError:
+                    value = math.nan  # reported below, with the non-finite values
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}:{lineno}: utilisation value {row[col_idx]!r} is not a finite number"
+                    )
+                values.append(value)
     except OSError as exc:
         raise DataError(f"cannot open trace {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: trace file is empty") from None
-        header = [h.strip() for h in header]
-        if column is None:
-            if len(header) < 2:
-                raise DataError(f"{path}: no utilisation column found in header {header}")
-            col_idx = 1
-        else:
-            try:
-                col_idx = header.index(column)
-            except ValueError:
-                raise DataError(f"{path}: missing column {column!r} in header {header}") from None
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if col_idx >= len(row):
-                raise DataError(f"{path}:{lineno}: row has no column {col_idx + 1}")
-            try:
-                value = float(row[col_idx])
-            except ValueError:
-                value = math.nan  # reported below, with the non-finite values
-            if not math.isfinite(value):
-                raise DataError(
-                    f"{path}:{lineno}: utilisation value {row[col_idx]!r} is not a finite number"
-                )
-            values.append(value)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     if len(values) < n_nodes:
         raise DataError(f"{path}: trace has {len(values)} rows, need at least {n_nodes}")
     arr = np.asarray(values, dtype=float)
@@ -547,8 +539,8 @@ def ingest_utilization_trace(path, n_nodes: int, column: Optional[str] = None) -
     )
     if percent:
         arr = arr / 100.0
-    arr = np.clip(arr, 0.0, 1.0)
-    return [arr[i::n_nodes] for i in range(n_nodes)]
+    epochs = len(arr) // n_nodes
+    return np.clip(arr[: epochs * n_nodes], 0.0, 1.0).reshape(epochs, n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +717,7 @@ def ova_allocate(
     _check_k(k, len(nodes))
     loads = np.array([node.load for node in nodes], dtype=float)
     fused, picks, decision_ms = _decide_query(query, table, loads, bundle, scheme, fcp, alpha, k)
-    return AllocationDecision(table.ids, fused, tuple(table.ids[picks].tolist()), decision_ms)
+    return AllocationDecision(fused, tuple(table.ids[picks].tolist()), decision_ms)
 
 
 def simulate_run(

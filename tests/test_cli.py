@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -84,6 +85,30 @@ def test_gen_is_byte_deterministic(runner, tmp_path):
     assert (tmp_path / "a" / "training.csv").read_bytes() == (
         tmp_path / "b" / "training.csv"
     ).read_bytes()
+
+
+def test_bench_runs_do_not_depend_on_whether_gen_ran_first(runner, tmp_path):
+    def runs(out_name, gen_seed):
+        out_dir = tmp_path / out_name
+        config = write_config(
+            tmp_path / f"{out_name}.yaml",
+            out_dir,
+            scenario={"n_nodes": 4, "dims": 1, "n_queries": 10, "seed": 5},
+            learners={"boost_rounds": 2, "bagging_bags": 2, "training_size": 300},
+            bench={"n_values": [3], "seeds": [0], "distributions": ["trace"], "trace_rows": 500},
+        )
+        if gen_seed is not None:
+            assert runner.invoke(main, ["gen", "--config", str(config), "--seed", str(gen_seed)]).exit_code == 0
+        result = runner.invoke(main, ["bench", "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        tables = {}
+        for path in sorted((out_dir / "bench").glob("run_*.csv")):
+            with open(path, newline="", encoding="utf-8") as fh:
+                tables[path.name] = [{k: v for k, v in row.items() if k != "decision_ms"} for row in csv.DictReader(fh)]
+        return tables
+
+    alone = runs("alone", None)
+    assert len(alone) == 2 and alone == runs("after_gen", 4)
 
 
 def test_gen_with_corrupt_config_exits_2_without_files(runner, tmp_path):
@@ -297,6 +322,20 @@ def test_train_on_a_malformed_training_row_exits_3_naming_the_line(runner, tmp_p
     assert result.exit_code == 3, result.output
     assert "training.csv, line 3" in result.output
     assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("gen", "trace.csv"), ("train", "training.csv"), ("allocate", "models.json"), ("allocate", "corpus.tsv")],
+)
+def test_an_input_file_that_is_not_utf8_exits_3_naming_it(runner, tmp_path, command, name):
+    config, out_dir = gen_and_train(runner, tmp_path)
+    path = out_dir / name
+    path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+    extra = ["--trace", str(path)] if name == "trace.csv" else []
+    result = runner.invoke(main, [command, "--config", str(config), *extra])
+    assert result.exit_code == 3, result.output
+    assert "data error" in result.output and str(path) in result.output
 
 
 # ---------------------------------------------------------------------------

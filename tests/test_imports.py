@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every name a module exports is imported somewhere."""
+"""Every name a module of the package imports is used in that module, every
+name a module exports is imported somewhere, and every name a package
+``__init__`` re-exports is imported from that package somewhere."""
 
 import ast
 import functools
@@ -61,3 +62,48 @@ def imported_by_name() -> frozenset:
 def test_every_exported_name_is_imported_somewhere(path):
     names = imported_by_name()
     assert [name for name in exported(path.read_text(encoding="utf-8")) if name not in names] == []
+
+
+def _package(path: Path) -> str:
+    """The dotted package a source file under ``src`` belongs to."""
+    return ".".join(path.parent.relative_to(ROOT / "src").parts)
+
+
+@functools.cache
+def imported_from_package() -> dict:
+    """For each module name, the names a ``from <module> import`` takes from
+    it across the source, the tests and the benchmark, relative imports
+    resolved; a package ``__init__`` is not counted for itself."""
+    names = {}
+    for top in ("src", "tests", "layerbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                module = node.module or ""
+                if node.level:
+                    parts = _package(path).split(".")
+                    base = parts[: len(parts) - node.level + 1]
+                    module = ".".join(base + ([module] if module else []))
+                    if path.name == "__init__.py" and module == _package(path):
+                        continue
+                names.setdefault(module, set()).update(alias.name for alias in node.names)
+    return names
+
+
+def reexported(path: Path) -> list:
+    """The names a package ``__init__`` binds by importing them from its modules."""
+    return [
+        alias.asname or alias.name
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("__init__.py")), ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_every_reexport_is_imported_from_its_package(path):
+    names = imported_from_package().get(_package(path), set())
+    assert [name for name in reexported(path) if name not in names] == []

@@ -69,13 +69,6 @@ def test_optimal_decision_gives_zero_gaps():
     assert gaps == (0.0, 0.0)
 
 
-def test_record_invariant_enforced():
-    with pytest.raises(ValueError):
-        record(load_sel=0.05, load_min=0.1)
-    with pytest.raises(ValueError):
-        record(speed_sel=0.95, speed_max=0.9)
-
-
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
@@ -149,6 +142,13 @@ def test_load_run_reads_back_what_emit_run_wrote(tmp_path):
     loaded = load_run(emit_run(original, tmp_path), 3)
     assert (loaded.scheme, loaded.distribution, loaded.n_nodes, loaded.seed) == ("mvs", "trace", 7, 4)
     assert loaded.records == original.records
+
+
+def test_load_run_rejects_a_row_that_breaks_a_record_invariant(tmp_path):
+    for bad in (record(load_sel=0.05, load_min=0.1, idx=1), record(speed_sel=0.95, speed_max=0.9, idx=1)):
+        path = emit_run(run_with([record(idx=0), bad, record(idx=2)]), tmp_path)
+        with pytest.raises(DataError, match=r"run_cs_uniform_n10_seed0\.csv, query 1:"):
+            load_run(path, 3)
 
 
 @pytest.mark.parametrize("cut", ["", "header", "whole_rows", "mid_row", "mid_value"])

@@ -1,3 +1,5 @@
+import csv
+import io
 import logging
 import warnings
 from dataclasses import replace
@@ -167,15 +169,16 @@ def test_percent_values_are_normalised(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("step,cpu\n0,50\n1,25\n2,100\n", encoding="utf-8")
     series = ingest_utilization_trace(path, n_nodes=1, column="cpu")
-    assert series[0].tolist() == [0.5, 0.25, 1.0]
+    assert series[:, 0].tolist() == [0.5, 0.25, 1.0]
 
 
 def test_round_robin_partition(tmp_path):
     path = tmp_path / "trace.csv"
-    path.write_text("step,cpu\n0,1\n1,2\n2,3\n3,4\n", encoding="utf-8")
+    path.write_text("step,cpu\n0,1\n1,2\n2,3\n3,4\n4,5\n", encoding="utf-8")
     series = ingest_utilization_trace(path, n_nodes=2, column="cpu")
-    assert series[0].tolist() == [0.01, 0.03]
-    assert series[1].tolist() == [0.02, 0.04]
+    assert series.shape == (2, 2)  # every node gets as many epochs; the odd row is cut
+    assert series[:, 0].tolist() == [0.01, 0.03]
+    assert series[:, 1].tolist() == [0.02, 0.04]
 
 
 def test_trace_shorter_than_run_wraps_cyclically(tmp_path):
@@ -203,7 +206,7 @@ def test_unparsable_row_reports_line_number(tmp_path):
 def test_whitespace_rows_are_skipped_and_a_blank_value_is_reported(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("step,cpu\n0,10\n\n , \n\t\n1,20\n", encoding="utf-8")
-    assert ingest_utilization_trace(path, 1, column="cpu")[0].tolist() == [0.1, 0.2]
+    assert ingest_utilization_trace(path, 1, column="cpu")[:, 0].tolist() == [0.1, 0.2]
     path.write_text("step,cpu\n0,10\n , \n2, \n", encoding="utf-8")
     with pytest.raises(DataError, match="trace.csv:4: utilisation value ' '"):
         ingest_utilization_trace(path, 1, column="cpu")
@@ -234,11 +237,37 @@ def test_generated_trace_is_smooth_and_ingestible(tmp_path):
     path = tmp_path / "trace.csv"
     generate_utilization_trace(path, rows=3000, seed=1)
     series = ingest_utilization_trace(path, n_nodes=3)
-    assert all(0.0 <= s.min() and s.max() <= 1.0 for s in series)
-    (raw,) = ingest_utilization_trace(path, n_nodes=1)
+    assert series.shape == (1000, 3) and 0.0 <= series.min() and series.max() <= 1.0
+    raw = ingest_utilization_trace(path, n_nodes=1)[:, 0]
     # utilisation evolves smoothly, so a round-robin split leaves nodes with
     # similar loads at each epoch
     assert np.abs(np.diff(raw)).max() < 0.05
+
+
+def _reference_trace(rows, seed):
+    """The trace file's text, from the AR(1) loop written one CSV row at a time."""
+    rng = np.random.default_rng([seed, 0x7ACE])
+    t = np.arange(rows)
+    base = 35.0 + 18.0 * np.sin(2.0 * np.pi * t / 45000.0)
+    noise = np.empty(rows)
+    state = 0.0
+    shocks = rng.normal(0.0, 0.3, size=rows)
+    for i in range(rows):
+        state = 0.9 * state + shocks[i]
+        noise[i] = state
+    values = np.clip(base + noise, 1.0, 99.0)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["step", "cpu_util"])
+    for i, v in enumerate(values):
+        writer.writerow([i, f"{v:.4f}"])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("seed, rows", [(0, 60000), (1, 5000), (7, 5000), (4, 1)])
+def test_generated_trace_matches_the_reference_loop(tmp_path, seed, rows):
+    path = generate_utilization_trace(tmp_path / "trace.csv", rows=rows, seed=seed)
+    assert path.read_bytes() == _reference_trace(rows, seed).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +427,7 @@ def test_ova_allocate_replays_simulate_run(trained, scheme, k, monkeypatch):
         assert [d.selected for d in replayed] == run
         assert all(len(d.selected) == k for d in replayed)
         # the vote, not only the load tie-break, decides some of these picks
-        assert any(0 < d.fused_labels.sum() < len(d.node_ids) for d in replayed)
+        assert any(0 < d.fused_labels.sum() < len(d.fused_labels) for d in replayed)
 
 
 @pytest.mark.parametrize("load_mode", ["trace_replay", "queue_dynamics"])
