@@ -411,17 +411,6 @@ class GaussianNBModel(_Model):
         return cls(d["means"], d["variances"], d["log_priors"], d["n_features"])
 
 
-def _expansion_center(models: Sequence, n_features: int) -> np.ndarray:
-    """One center to expand several quadratic log-odds about: per feature, the
-    center of the naive Bayes model with the smallest variance there (where
-    cancellation would cost most), or 0 when none is naive Bayes."""
-    nb = [m for m in models if isinstance(m, GaussianNBModel)]
-    if not nb:
-        return np.zeros(n_features)
-    least = np.array([m.variances.min(axis=0) for m in nb]).argmin(axis=0)
-    return np.array([m.center for m in nb])[least, np.arange(n_features)]
-
-
 class LogisticModel(_Model):
     """Logistic unit trained by full-batch gradient descent on standardised
     inputs; weights start at zero, so training is deterministic.
@@ -489,13 +478,16 @@ class _BaseColumns:
     one-leaf root ``{"prob": label}``, which reads back exactly
     ``float(label)``.  When every model is one of them, the forest's own
     (k, n) output is returned, uncopied; otherwise the (k, n) result is the
-    transpose of a C-ordered (n, k) matrix.  The naive Bayes and logistic models
-    are quadratic forms in the features: their coefficients, expanded about
-    one shared center, stack into two (F, m) matrices, so with ``d = x -
-    center`` one ``d @ lin + (d*d) @ quad + const`` and one sigmoid give
-    their m rows.  An empty model list, a model of another kind (an
-    ensemble, say) or arity, and a form that overflows at the shared center
-    raise ``DataError`` here.
+    transpose of a C-ordered (n, k) matrix.  The naive Bayes and logistic
+    models are quadratic forms in the features.  Each naive Bayes model is
+    expanded about its own center, so a floored variance cancels no more
+    than it does in the model itself; models with one center share a group,
+    and the logistic models, which have no quadratic term, join the first
+    group (center 0 when no model is naive Bayes).  A group's coefficients
+    stack into two (F, m) matrices, so with ``d = x - center`` one ``d @ lin
+    + (d*d) @ quad + const`` and one sigmoid give its m rows.  An empty
+    model list, a model of another kind (an ensemble, say) or arity, and a
+    form that overflows at its group's center raise ``DataError`` here.
     """
 
     def __init__(self, models: Sequence, n_features: int):
@@ -508,29 +500,37 @@ class _BaseColumns:
                 raise DataError(f"ensemble bases must all read the model's {n_features} features")
         self.k = len(models)
         leaves = [j for j, m in enumerate(models) if isinstance(m, (TreeModel, ConstantModel))]
-        forms = [m for m in models if isinstance(m, (GaussianNBModel, LogisticModel))]
         self._tree_rows = np.array(leaves, dtype=np.intp)
-        self._form_rows = np.array([j for j in range(self.k) if j not in leaves], dtype=np.intp)
         roots = [models[j].root if isinstance(models[j], TreeModel) else {"prob": models[j].label} for j in leaves]
         self._forest = _CompiledForest(roots, n_features) if roots else None
-        if forms:
-            self._center = _expansion_center(forms, n_features)
-            kinds = ["naive Bayes" if isinstance(m, GaussianNBModel) else "logistic" for m in forms]
-            lin, quad, const = zip(*(_checked_form(kind, m, self._center) for kind, m in zip(kinds, forms)))
-            self._lin, self._quad = (np.ascontiguousarray(np.array(c).T) for c in (lin, quad))  # (F, m)
-            self._const = np.array(const)
+        centers = [m.center for m in models if isinstance(m, GaussianNBModel)] or [np.zeros(n_features)]
+        groups: dict = {}  # center bytes -> (center, positions of its models)
+        for j, m in enumerate(models):
+            if j not in leaves:
+                center = m.center if isinstance(m, GaussianNBModel) else centers[0]
+                groups.setdefault(center.tobytes(), (center, []))[1].append(j)
+        self._groups = [self._group(models, rows, center) for center, rows in groups.values()]
+
+    @staticmethod
+    def _group(models: Sequence, rows: list, center: np.ndarray) -> tuple:
+        """(rows, center, lin (F, m), quad (F, m), const (m,)) of the m forms at ``rows``."""
+        kinds = ["naive Bayes" if isinstance(models[j], GaussianNBModel) else "logistic" for j in rows]
+        lin, quad, const = zip(*(_checked_form(kind, models[j], center) for kind, j in zip(kinds, rows)))
+        return (np.array(rows, dtype=np.intp), center,
+                np.ascontiguousarray(np.array(lin).T), np.ascontiguousarray(np.array(quad).T), np.array(const))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if not self._form_rows.size:
+        if not self._groups:
             return self._forest.leaf_probs(x)
         out = np.empty((x.shape[0], self.k)).T  # rows of a C-ordered (n, k) matrix
         if self._forest is not None:
             out[self._tree_rows] = self._forest.leaf_probs(x)
-        d = x - self._center
-        margins = d @ self._lin
-        margins += (d * d) @ self._quad
-        margins += self._const
-        out[self._form_rows] = _sigmoid(margins).T
+        for rows, center, lin, quad, const in self._groups:
+            d = x - center
+            margins = d @ lin
+            margins += (d * d) @ quad
+            margins += const
+            out[rows] = _sigmoid(margins).T
         return out
 
 

@@ -352,13 +352,13 @@ def _with(record, **changes):
         ({"type": "adaboost", "members": [NB_RECORD], "alphas": [float("nan")], "n_features": 2}, "alphas must be finite"),
         ({"type": "adaboost", "members": [NB_RECORD], "alphas": ["x"], "n_features": 2}, "alphas is not numeric"),
         (
-            # B alone is finite, but about A's center its log-odds constant is
-            # inf - inf: each form is checked at the shared center
+            # the logistic base alone is finite, but about the naive Bayes
+            # center its log-odds constant is inf: a logistic form is checked
+            # at the center of the group it joins
             {"type": "stacking", "bases": [
-                {"type": "gaussian_nb", "means": [[0.0], [0.5]], "variances": [[1e-3], [1e-3]],
-                 "log_priors": [0.0, 0.0], "n_features": 1},
                 {"type": "gaussian_nb", "means": [[1e155], [1e155]], "variances": [[1.0], [2.0]],
                  "log_priors": [0.0, 0.0], "n_features": 1},
+                {"type": "logistic", "weights": [1e155], "bias": 0.0, "mu": [0.0], "sigma": [1.0], "n_features": 1},
             ], "meta": dict(LOGISTIC_RECORD, n_features=2), "n_features": 1},
             "overflow",
         ),
