@@ -1,12 +1,19 @@
 import csv
+import hashlib
 import warnings
 from dataclasses import replace
 
 import pytest
 
 from edgealloc import bench
-from edgealloc.bench import BenchCell, LearnerSetup, run_cells
-from edgealloc.simulator import LabelingPolicy, ScenarioConfig, generate_scenario, save_scenario
+from edgealloc.bench import BenchCell, LearnerSetup, grid_cells, run_cells
+from edgealloc.simulator import (
+    LabelingPolicy,
+    ScenarioConfig,
+    generate_scenario,
+    generate_utilization_trace,
+    save_scenario,
+)
 
 warnings.filterwarnings("ignore", message=".*single class.*")
 
@@ -138,3 +145,27 @@ def test_cells_of_one_config_share_one_scenario(tmp_path, monkeypatch):
     save_scenario(tmp_path / "after.json", built[1])
     save_scenario(tmp_path / "fresh.json", generate_scenario(cells[0].config))
     assert (tmp_path / "after.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
+# sha256 of the picks below, one line of comma-separated node ids per run;
+# a change that moves any pick changes it
+PICKS_DIGEST = "c53932332466c99a5be828de978f14b7351daad74a9b45662fc01dedfe7c4b3f"
+
+
+def test_picks_match_the_pinned_digest(tmp_path):
+    # a small fixed grid through the default learner setup: CS and MVS on
+    # uniform and gaussian nodes at N 10 and 50, one trace cell at dims 10,
+    # and one queue-dynamics run under the default policy
+    trace = generate_utilization_trace(tmp_path / "trace.csv", rows=2000, seed=0)
+    cells = grid_cells(replace(BASE, n_queries=200), ["cs", "mvs"], ["uniform", "gaussian"], (10, 50), (0,))
+    cells += grid_cells(replace(BASE, n_queries=200, dims=10), ["cs"], ["trace"], (50,), (0,), trace_path=str(trace))
+    runs, failures = run_cells(cells, POLICY)
+    assert not failures
+    queue = ScenarioConfig(n_nodes=20, n_queries=200, dims=5, distribution="gaussian",
+                           load_mode="queue_dynamics", service_rate=1.5, queue_capacity=20)
+    queued, failures = run_cells([BenchCell(queue, "mvs")], LabelingPolicy())
+    assert not failures
+    digest = hashlib.sha256()
+    for result in runs + queued:
+        digest.update(",".join(map(str, picks(result))).encode() + b"\n")
+    assert digest.hexdigest() == PICKS_DIGEST
