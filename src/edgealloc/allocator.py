@@ -8,8 +8,10 @@ boost then bagging then stacking, each on the rows whose fused label it can
 still change: under CS bagging gets the rows boost called 1 and stacking
 those both called 1 (skipped entries are 0); under MVS stacking gets the
 rows where boost and bagging disagree (skipped entries take their shared
-label).  Each model labels a row from that row alone, so the fused labels
-are those of labelling every row.  Voting then turns the per-node labels into
+label).  Each model labels a row from that row alone, whether it reads the
+label from its threshold-grid table or computes it, and boosting sums its
+members' votes in member order whatever the batch; so the fused labels are
+those of labelling every row.  Voting then turns the per-node labels into
 a ranking: a positive node votes for itself, a negative node votes for
 everyone else.  Ties resolve by lowest load, then lowest node id, and the
 first k nodes of that single ranking are the picks.

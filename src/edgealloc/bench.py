@@ -9,6 +9,7 @@ triple; this keeps N-sweeps comparable and cheap.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -174,10 +175,11 @@ def run_cells(
     Failures are recorded as (cell label, message) and do not stop the
     sweep.  With ``out_dir`` set, each finished cell writes its run file,
     then its config record (scenario config, scheme, policy, learner setup,
-    complexity params and corpus entries), and ``summary.csv`` is
-    written once at the end.  With ``resume`` as well, a cell is loaded back
-    instead of re-run when its record equals the current one and its file
-    holds one row per query, which makes interrupted sweeps restartable.
+    complexity params, corpus entries and the sha256 of a trace cell's trace
+    file), and ``summary.csv`` is written once at the end.  With ``resume``
+    as well, a cell is loaded back instead of re-run when its record equals
+    the current one and its file holds one row per query, which makes
+    interrupted sweeps restartable.
     A cell whose config equals the previous run cell's (``grid_cells`` puts
     the schemes innermost) reuses that cell's scenario; ``simulate_run``
     leaves a scenario as it found it.
@@ -190,6 +192,7 @@ def run_cells(
 
     shared = dict(policy=asdict(policy), setup=asdict(setup), fcp=asdict(fcp_params), corpus=corpus.entries)
     bundles: dict = {}
+    trace_digests: dict = {}  # trace path -> sha256 of its bytes, None if unreadable
     scenario = None  # the last cell's, reused while the config repeats
     results: list = []
     failures: list = []
@@ -203,7 +206,13 @@ def run_cells(
         if out is not None:
             path = out / f"run_{label}.csv"
             record_path = path.with_suffix(".json")
-            record = json.dumps(dict(shared, config=asdict(cell.config), scheme=cell.scheme), sort_keys=True, indent=2)
+            record = dict(shared, config=asdict(cell.config), scheme=cell.scheme)
+            trace = cell.config.trace_path
+            if trace is not None:
+                if trace not in trace_digests:
+                    trace_digests[trace] = _file_digest(trace)
+                record["trace_sha256"] = trace_digests[trace]
+            record = json.dumps(record, sort_keys=True, indent=2)
             if resume and path.exists():
                 try:
                     if not record_path.exists():
@@ -239,3 +248,12 @@ def run_cells(
     if out is not None and results:
         emit_summary(results, out)
     return results, failures
+
+
+def _file_digest(path) -> Optional[str]:
+    """sha256 of a file's bytes; None when it cannot be read, and the cell
+    that needs it then fails where it reads the file."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError:
+        return None

@@ -10,11 +10,15 @@ One compile rule holds for every model: it compiles in its constructor.  A
 tree compiles into a ``_CompiledForest`` of one, a naive Bayes or logistic
 model into its quadratic log-odds form, and an ensemble its members into one
 ``_BaseColumns``, so a malformed record raises ``DataError`` when it is
-built, never at the first prediction.
+built, never at the first prediction.  An ensemble's trees also tabulate on
+the ``_ThresholdGrid`` their thresholds form, when it has at most
+``GRID_CELLS_MAX`` cells: the forest fills the table once, and a prediction
+then looks its rows up.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,6 +38,9 @@ __all__ = [
 ]
 
 LEARNER_KINDS = ("cart_tree", "random_tree", "gaussian_nb", "logistic")
+
+# the most cells a threshold grid may have; past it the forest answers
+GRID_CELLS_MAX = 2**16
 
 
 class LabeledDataset:
@@ -235,6 +242,45 @@ class _CompiledForest:
             value = flat.take(self.features.take(node) + offsets)
             node = self.first_child.take(node) + ~(value <= self.thresholds.take(node))
         return self.probs.take(node)
+
+
+class _ThresholdGrid:
+    """The cells of the grid a forest's split thresholds form.
+
+    Per split feature, the sorted distinct non-NaN thresholds ``cuts`` cut
+    the line into ``cuts.size + 1`` intervals: ``cuts.searchsorted(v)`` is
+    v's interval, so interval i is ``(cuts[i-1], cuts[i]]`` and values past
+    the last cut, NaN included, make the last.  Every test ``x <= t`` of the
+    forest has one outcome in a cell, the product of one interval per split
+    feature, so anything computed from the forest alone is constant on it.
+    A table of shape ``shape`` holds one value per cell and ``table[index(x)]``
+    reads each row's.  ``rows`` holds one representative per cell in C order,
+    its intervals' upper cuts and NaN for the last (not inf, so an inf cut
+    stays exact); features no split reads are 0.  A forest without splits
+    has one cell.  ``of`` gives None past ``GRID_CELLS_MAX`` cells.
+    """
+
+    def __init__(self, features: list, cuts: list, n_features: int):
+        self.features, self.cuts = features, cuts
+        self.shape = tuple(c.size + 1 for c in cuts)
+        self.rows = np.zeros((math.prod(self.shape), n_features))
+        axes = np.meshgrid(*(np.append(c, np.nan) for c in cuts), indexing="ij")
+        for f, axis in zip(features, axes):
+            self.rows[:, f] = axis.ravel()
+
+    @classmethod
+    def of(cls, forest: _CompiledForest, n_features: int) -> Optional["_ThresholdGrid"]:
+        split = ~np.isnan(forest.thresholds)  # a leaf's threshold is NaN
+        features, thresholds = forest.features[split], forest.thresholds[split]
+        used = np.unique(features).tolist() or [0]
+        cuts = [np.unique(thresholds[features == f]) for f in used]
+        if math.prod(c.size + 1 for c in cuts) > GRID_CELLS_MAX:
+            return None
+        return cls(used, cuts, n_features)
+
+    def index(self, x: np.ndarray) -> tuple:
+        """The cells of the rows of the (n, F) matrix x, one index array per axis."""
+        return tuple(cuts.searchsorted(x[:, f]) for f, cuts in zip(self.features, self.cuts))
 
 
 class TreeModel(_Model):
@@ -476,18 +522,21 @@ class _BaseColumns:
 
     Trees and constants share one ``_CompiledForest``; a constant is a
     one-leaf root ``{"prob": label}``, which reads back exactly
-    ``float(label)``.  When every model is one of them, the forest's own
-    (k, n) output is returned, uncopied; otherwise the (k, n) result is the
-    transpose of a C-ordered (n, k) matrix.  The naive Bayes and logistic
-    models are quadratic forms in the features.  Each naive Bayes model is
-    expanded about its own center, so a floored variance cancels no more
-    than it does in the model itself; models with one center share a group,
-    and the logistic models, which have no quadratic term, join the first
-    group (center 0 when no model is naive Bayes).  A group's coefficients
-    stack into two (F, m) matrices, so with ``d = x - center`` one ``d @ lin
-    + (d*d) @ quad + const`` and one sigmoid give its m rows.  An empty
-    model list, a model of another kind (an ensemble, say) or arity, and a
-    form that overflows at its group's center raise ``DataError`` here.
+    ``float(label)``.  The forest fills a table of the T leaf probabilities
+    per cell of its ``_ThresholdGrid``, and a call reads the rows' cells from
+    it; past ``GRID_CELLS_MAX`` cells the forest runs on the rows.  When
+    every model is a tree or a constant, that (k, n) output is returned
+    uncopied; otherwise the (k, n) result is the transpose of a C-ordered
+    (n, k) matrix.  The naive Bayes and logistic models are quadratic forms
+    in the features.  Each naive Bayes model is expanded about its own
+    center, so a floored variance cancels no more than it does in the model
+    itself; models with one center share a group, and the logistic models,
+    which have no quadratic term, join the first group (center 0 when no
+    model is naive Bayes).  A group's coefficients stack into two (F, m)
+    matrices, so with ``d = x - center`` one ``d @ lin + (d*d) @ quad +
+    const`` and one sigmoid give its m rows.  An empty model list, a model
+    of another kind (an ensemble, say) or arity, and a form that overflows
+    at its group's center raise ``DataError`` here.
     """
 
     def __init__(self, models: Sequence, n_features: int):
@@ -503,6 +552,10 @@ class _BaseColumns:
         self._tree_rows = np.array(leaves, dtype=np.intp)
         roots = [models[j].root if isinstance(models[j], TreeModel) else {"prob": models[j].label} for j in leaves]
         self._forest = _CompiledForest(roots, n_features) if roots else None
+        self._grid = _ThresholdGrid.of(self._forest, n_features) if roots else None
+        self._tree_table = None  # (T,) + grid shape leaf probabilities
+        if self._grid is not None:
+            self._tree_table = self._forest.leaf_probs(self._grid.rows).reshape((len(roots),) + self._grid.shape)
         centers = [m.center for m in models if isinstance(m, GaussianNBModel)] or [np.zeros(n_features)]
         groups: dict = {}  # center bytes -> (center, positions of its models)
         for j, m in enumerate(models):
@@ -519,12 +572,18 @@ class _BaseColumns:
         return (np.array(rows, dtype=np.intp), center,
                 np.ascontiguousarray(np.array(lin).T), np.ascontiguousarray(np.array(quad).T), np.array(const))
 
+    def _trees(self, x: np.ndarray) -> np.ndarray:
+        """(T, n) leaf probabilities of the trees and constants."""
+        if self._grid is None:
+            return self._forest.leaf_probs(x)
+        return self._tree_table[(slice(None),) + self._grid.index(x)]
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if not self._groups:
-            return self._forest.leaf_probs(x)
+            return self._trees(x)
         out = np.empty((x.shape[0], self.k)).T  # rows of a C-ordered (n, k) matrix
         if self._forest is not None:
-            out[self._tree_rows] = self._forest.leaf_probs(x)
+            out[self._tree_rows] = self._trees(x)
         for rows, center, lin, quad, const in self._groups:
             d = x - center
             margins = d @ lin

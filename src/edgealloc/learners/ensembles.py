@@ -4,7 +4,9 @@ The three trained ensembles feed the decision fusion stage, so they share
 one prediction surface with the base learners (hard label from probability
 >= 0.5) and are deterministic given (data, specs, seed).  Each compiles its
 members or bases, once, into one ``_BaseColumns`` evaluator in its
-constructor; a stacking model's meta learner evaluates itself.
+constructor; a stacking model's meta learner evaluates itself.  Boosting and
+bagging over trees and constants also tabulate their labels on the members'
+threshold grid there.
 """
 
 from __future__ import annotations
@@ -40,34 +42,60 @@ _ERR_CLAMP = 1e-10
 
 
 class _Voting(_Model):
-    """Members' hard labels, from one evaluator over all members."""
+    """Members' hard labels, from one evaluator over all members.
+
+    When every member is a tree or a constant, the ensemble's label is
+    constant on each cell of its members' ``_ThresholdGrid``, so the
+    constructor labels one representative row per cell and ``predict_batch``
+    looks each row's cell up in that table.  With another kind of member, or
+    a grid past ``GRID_CELLS_MAX`` cells, it labels the rows themselves.
+    Either way a row's label comes from that row alone.
+    """
 
     def __init__(self, members: Sequence, n_features: int):
         self.members = list(members)
         self.n_features = n_features
         self._columns = _BaseColumns(self.members, n_features)
+        grid = self._columns._grid
+        tabulate = grid is not None and not self._columns._groups
+        self._table = self._labels(grid.rows).reshape(grid.shape) if tabulate else None
 
     def _member_labels(self, x: np.ndarray) -> np.ndarray:
         """(M, n) hard labels of the M members for the n rows of x."""
         return self._columns(x) >= 0.5
+
+    def _labels(self, x: np.ndarray) -> np.ndarray:
+        """The vote's labels of the n rows of x, without the table."""
+        return (self.predict_proba_batch(x) >= 0.5).astype(int)
+
+    def predict_batch(self, x):
+        x = self._check(x)
+        if self._table is None:
+            return self._labels(x)
+        return self._table[self._columns._grid.index(x)]
 
 
 class AdaBoostModel(_Voting):
     """Discrete boosting ensemble: weighted vote of reweighted base learners.
 
     ``alphas`` must hold one finite number per member, else ``DataError``.
+    The margin adds the members' weighted votes in member order, so a row's
+    sum, and its label at a tie, do not depend on the batch it came in.
     """
 
     def __init__(self, members: Sequence, alphas: Sequence[float], n_features: int):
-        super().__init__(members, n_features)
-        self.alphas = _record_array("adaboost alphas", alphas, (len(self.members),))
+        members = list(members)
+        self.alphas = _record_array("adaboost alphas", alphas, (len(members),))
         self._total = float(sum(abs(a) for a in self.alphas.tolist()))
+        super().__init__(members, n_features)  # tabulating votes, so alphas come first
 
     def predict_proba_batch(self, x):
         x = self._check(x)
         if self._total == 0.0:
             return np.full(x.shape[0], 0.5)
-        margin = self.alphas @ (2.0 * self._member_labels(x) - 1.0)
+        margin = np.zeros(x.shape[0])
+        for alpha, vote in zip(self.alphas.tolist(), 2.0 * self._member_labels(x) - 1.0):
+            margin += alpha * vote
         return 0.5 * (margin / self._total + 1.0)
 
     def to_dict(self) -> dict:
@@ -137,12 +165,20 @@ class StackingModel(_Model):
 
 
 def model_shape(model) -> dict:
-    """Member count and deepest tree of an ensemble; for stacking also the
-    kind of each base and the meta learner's stored record."""
-    members = model.bases if isinstance(model, StackingModel) else model.members
+    """Member count, deepest tree and table size (``table_cells``, None when
+    the forest answers) of an ensemble; for stacking also the kind of each
+    base and the meta learner's stored record.  A voting ensemble's table
+    holds its labels, stacking's its tree bases' leaf probabilities."""
+    stacking = isinstance(model, StackingModel)
+    members = model.bases if stacking else model.members
     depths = [m._forest.depth for m in members if isinstance(m, TreeModel)]
-    shape = {"members": len(members), "max_tree_depth": max(depths, default=None)}
-    if isinstance(model, StackingModel):
+    table = model._columns._tree_table if stacking else model._table
+    shape = {
+        "members": len(members),
+        "max_tree_depth": max(depths, default=None),
+        "table_cells": None if table is None else len(model._columns._grid.rows),
+    }
+    if stacking:
         shape["base_kinds"] = [b.to_dict()["type"] for b in members]
         shape["meta"] = model.meta.to_dict()
     return shape

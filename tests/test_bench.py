@@ -115,6 +115,25 @@ def test_resume_reruns_a_run_file_written_under_another_config(tmp_path):
     assert picks(again) == picks(fresh)
 
 
+def test_resume_reruns_a_trace_cell_whose_trace_changed(tmp_path):
+    trace = tmp_path / "trace.csv"
+    generate_utilization_trace(trace, rows=500, seed=0)
+    cell = BenchCell(replace(BASE, n_nodes=3, n_queries=20, trace_path=str(trace)), "cs")
+    (first,), failures = run_cells([cell], POLICY, setup=SMALL_SETUP, out_dir=tmp_path / "out")
+    assert not failures
+    generate_utilization_trace(trace, rows=20, seed=0)  # same path, other contents
+    messages = []
+    (resumed,), failures = run_cells([cell], POLICY, setup=SMALL_SETUP, out_dir=tmp_path / "out",
+                                     resume=True, progress=messages.append)
+    assert not failures
+    assert "records another config; running again" in messages[0]
+    (fresh,), failures = run_cells([cell], POLICY, setup=SMALL_SETUP, out_dir=tmp_path / "fresh")
+    assert not failures
+    assert picks(resumed) == picks(fresh) != picks(first)
+    name = f"run_{cell.label()}.csv"
+    assert run_rows(tmp_path / "out" / name) == run_rows(tmp_path / "fresh" / name)
+
+
 def run_rows(path):
     """A run file's rows without the measured ``decision_ms`` column."""
     with open(path, newline="", encoding="utf-8") as fh:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -242,11 +243,18 @@ def test_training_report_records_model_shape(runner, tmp_path):
     def depth(node):
         return 0 if "prob" in node else 1 + max(depth(node["left"]), depth(node["right"]))
 
+    def cuts(node):
+        return [] if "prob" in node else [(node["feature"], node["threshold"])] + cuts(node["left"]) + cuts(node["right"])
+
     for name, members in (("boost", "members"), ("bagging", "members"), ("stacking", "bases")):
         shape = report[f"shape_{name}"]
         records = models[name][members]
         assert shape["members"] == len(records) >= 1
         assert shape["max_tree_depth"] == max(depth(r["root"]) for r in records if "root" in r)
+        # one cell per interval of every split feature's distinct thresholds
+        distinct = {cut for r in records if "root" in r for cut in cuts(r["root"])}
+        features = {f for f, _ in distinct}
+        assert shape["table_cells"] == math.prod(1 + sum(g == f for g, _ in distinct) for f in features) > 1
     stacking = report["shape_stacking"]
     assert stacking["base_kinds"] == ["cart_tree", "random_tree", "gaussian_nb", "logistic"]
     meta = models["stacking"]["meta"]

@@ -12,6 +12,7 @@ evaluates both as quadratic forms compiled once, which must match them to
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from edgealloc.learners import (
     train_base,
     train_stacking,
 )
+from edgealloc.learners import base
 from edgealloc.learners.base import _CompiledForest
 
 
@@ -430,6 +432,76 @@ def test_stacking_meta_features_are_its_bases_probabilities():
 
 
 # ---------------------------------------------------------------------------
+# threshold-grid tables against the forest
+# ---------------------------------------------------------------------------
+
+
+# thresholds that trees drawn with shared=True pick from; inf, -inf and NaN
+# also turn up among the distinct ones
+SHARED_THRESHOLDS = (-np.inf, 0.25, 0.5, 0.75, np.inf, np.nan)
+
+
+def grid_tree(rng, n_features, depth, shared):
+    if depth == 0 or rng.random() < 0.2:
+        return leaf(float(rng.integers(0, 5)) / 4)
+    if shared or rng.random() < 0.2:
+        threshold = float(rng.choice(SHARED_THRESHOLDS))
+    else:
+        threshold = float(rng.uniform(0, 1))
+    return split(int(rng.integers(n_features)), threshold,
+                 grid_tree(rng, n_features, depth - 1, shared), grid_tree(rng, n_features, depth - 1, shared))
+
+
+def without_tables(build):
+    """``build()`` with the grid cap at 0, so its forest answers every row."""
+    with mock.patch.object(base, "GRID_CELLS_MAX", 0):
+        model = build()
+    assert model._table is None and model._columns._grid is None
+    return model
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_features=st.integers(1, 4),
+    n_members=st.integers(1, 8),
+    shared=st.booleans(),
+)
+def test_table_labels_match_the_forest_path(seed, n_features, n_members, shared):
+    rng = np.random.default_rng(seed)
+    members = [ConstantModel(int(rng.integers(2)), n_features) if rng.random() < 0.2
+               else TreeModel(grid_tree(rng, n_features, 3, shared), n_features) for _ in range(n_members)]
+    alphas = rng.choice([0.5, 1.0, 1.5, -1.0], n_members)  # small multiples tie often
+    roots = [m.root for m in members if isinstance(m, TreeModel)]
+    x = probe_rows(roots, n_features, rng)
+    x[rng.random(x.shape) < 0.05] = np.inf
+    x[rng.random(x.shape) < 0.05] = -np.inf
+    for build in (lambda: AdaBoostModel(members, alphas, n_features), lambda: BaggingModel(members, n_features)):
+        model, forest_only = build(), without_tables(build)
+        assert model._table is not None
+        assert np.array_equal(model._columns(x), forest_only._columns(x))
+        assert np.array_equal(model.predict_batch(x), forest_only.predict_batch(x))
+        for row in x[:: max(1, x.shape[0] // 20)]:
+            assert model.predict_batch(row) == forest_only.predict_batch(row)
+
+
+def test_ensembles_past_the_cap_or_with_a_naive_bayes_member_get_no_table():
+    # five ten-cut chains, one per feature: 11**5 cells, past the cap
+    chains = [TreeModel(chain(10, feature=f), 5) for f in range(5)]
+    nb = train_base(BaseLearnerSpec(kind="gaussian_nb"), training_data(), seed=0)
+    rng = np.random.default_rng(8)
+    x = np.vstack([probe_rows([c.root for c in chains], 5, rng), probe_matrix([nb], 5, rng)])
+    # with equal weights boosting votes as bagging does, a tie included
+    for model, grid in ((BaggingModel(chains, 5), False), (AdaBoostModel(chains, np.ones(5), 5), False),
+                        (BaggingModel(chains[:2] + [nb], 5), True)):
+        assert model._table is None and (model._columns._grid is not None) == grid
+        probs = np.array([proba_reference(m, x) for m in model.members])
+        clear = (np.abs(probs - 0.5) > 1e-9).all(axis=0)
+        want = (probs >= 0.5).mean(axis=0) >= 0.5
+        assert np.array_equal(model.predict_batch(x)[clear], want[clear])
+
+
+# ---------------------------------------------------------------------------
 # the row contract the cascade relies on
 # ---------------------------------------------------------------------------
 
@@ -459,10 +531,19 @@ def all_models():
         }
         for kind in ("cart_tree", "random_tree"):
             models[kind] = train_base(BaseLearnerSpec(kind=kind, max_depth=4), data, seed=4)
+    # without a table, so the forest path that fills one labels the rows:
+    # the margin sums to -8.9e-16 in member order, which the probability
+    # rounds to 0.5 (label 1); a matrix product rounds it differently at
+    # different batch sizes
+    models["boost_ties"] = without_tables(lambda: AdaBoostModel(
+        [ConstantModel(label, data.arity) for label in (1, 0, 1, 1)], [3.0, 11.760000000000002, 3.15, 5.61], data.arity
+    ))
     return models
 
 
-@pytest.mark.parametrize("name", ["constant", "cart_tree", "random_tree", "gaussian_nb", "logistic", "boost", "bagging", "stacking"])
+@pytest.mark.parametrize(
+    "name", ["constant", "cart_tree", "random_tree", "gaussian_nb", "logistic", "boost", "bagging", "stacking", "boost_ties"]
+)
 def test_each_row_is_labelled_from_that_row_alone(all_models, name):
     model = all_models[name]
     rng = np.random.default_rng(5)
