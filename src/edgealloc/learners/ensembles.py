@@ -64,9 +64,7 @@ class _Voting(_Model):
         """(M, n) hard labels of the M members for the n rows of x."""
         return self._columns(x) >= 0.5
 
-    def _labels(self, x: np.ndarray) -> np.ndarray:
-        """The vote's labels of the n rows of x, without the table."""
-        return (self.predict_proba_batch(x) >= 0.5).astype(int)
+    _labels = _Model.predict_batch  # the vote's labels of the rows themselves, without the table
 
     def predict_batch(self, x):
         x = self._check(x)

@@ -1,5 +1,6 @@
 """The flat tree evaluator against a recursive walk, the ensembles' member
-evaluator against the per-model formulas, and the row contract.
+evaluator against the per-model formulas, the threshold-grid tables against
+the forest they cache, and the row contract.
 
 ``walk`` below is the reference: it follows one row down a tree's dict form
 exactly as the split rule reads (``x <= threshold`` goes left, anything
@@ -37,7 +38,6 @@ from edgealloc.learners import (
     train_base,
     train_stacking,
 )
-from edgealloc.learners import base
 from edgealloc.learners.base import _CompiledForest
 
 
@@ -454,7 +454,7 @@ def grid_tree(rng, n_features, depth, shared):
 
 def without_tables(build):
     """``build()`` with the grid cap at 0, so its forest answers every row."""
-    with mock.patch.object(base, "GRID_CELLS_MAX", 0):
+    with mock.patch("edgealloc.learners.base.GRID_CELLS_MAX", 0):
         model = build()
     assert model._table is None and model._columns._grid is None
     return model
