@@ -113,7 +113,7 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> AppCon
             raw = parse(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except (yaml.YAMLError, ValueError) as exc:
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     raw = {} if raw is None else raw
     if not isinstance(raw, dict):
@@ -286,7 +286,7 @@ def _parse_query_json(spec: str) -> Query:
             raise DataError(f"cannot read query file {spec}: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"invalid query JSON: {exc}") from exc
     return query_from_record(payload)
 
@@ -382,6 +382,11 @@ def cmd_bench(cfg: AppConfig, resume) -> None:
 
     trace_path = cfg.scenario.trace_path
     if "trace" in cfg.bench.distributions and trace_path is None:
+        if cfg.bench.trace_rows < max(cfg.bench.n_values):
+            raise ConfigError(
+                f"bench.trace_rows is {cfg.bench.trace_rows}, but a trace cell with "
+                f"{max(cfg.bench.n_values)} nodes needs at least that many rows"
+            )
         trace_path = str(_write_default_trace(cfg))
 
     (out_dir / "config.json").write_text(json.dumps(asdict(cfg), sort_keys=True, indent=2), encoding="utf-8")

@@ -102,8 +102,15 @@ class BaseLearnerSpec:
 
 
 class _Model:
-    """Common prediction surface: hard labels from probability >= 0.5."""
+    """Common prediction surface: hard labels from probability >= 0.5.
 
+    A model's record is its type plus its constructor's arguments: ``kind``
+    is the type and ``FIELDS`` names the arguments, so ``to_dict`` is the one
+    writer and ``serialize.model_from_dict`` the one reader of every kind.
+    """
+
+    kind: str
+    FIELDS: tuple
     n_features: int
 
     def predict_proba_batch(self, x: np.ndarray) -> np.ndarray:
@@ -122,31 +129,35 @@ class _Model:
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         return (self.predict_proba_batch(x) >= 0.5).astype(int)
 
+    def to_dict(self) -> dict:
+        """The record: an array field as a list, a model as its own record."""
+        return {"type": self.kind, **{f: _record_value(getattr(self, f)) for f in self.FIELDS}}
+
+
+def _record_value(value):
+    if isinstance(value, _Model):
+        return value.to_dict()
+    if isinstance(value, list):
+        return [_record_value(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
 
 class ConstantModel(_Model):
     """Degenerate classifier returned for single-class training data.
 
-    A label other than 0 or 1, or an ``n_features`` that is not a positive
-    integer, raises ``DataError`` here."""
+    A label other than 0 or 1 raises ``DataError`` here."""
+
+    kind, FIELDS = "constant", ("label", "n_features")
 
     def __init__(self, label: int, n_features: int):
         if not (isinstance(label, (int, np.integer)) and label in (0, 1)):
             raise DataError(f"constant model label must be 0 or 1, got {label!r}")
-        if not (isinstance(n_features, (int, np.integer)) and n_features >= 1):
-            raise DataError(f"constant model n_features must be a positive integer, got {n_features!r}")
         self.label = int(label)
         self.n_features = int(n_features)
 
     def predict_proba_batch(self, x):
         x = self._check(x)
         return np.full(x.shape[0], float(self.label))
-
-    def to_dict(self) -> dict:
-        return {"type": "constant", "label": self.label, "n_features": self.n_features}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConstantModel":
-        return cls(d["label"], d["n_features"])
 
 
 def _weighted_gini(pos_w: np.ndarray, tot_w: np.ndarray) -> np.ndarray:
@@ -226,7 +237,7 @@ class _CompiledForest:
         columns = list(zip(*nodes))
         try:
             self.thresholds, self.probs = (np.array(c, dtype=float) for c in columns[1::2])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"tree node threshold or prob is not a number: {exc}") from None
         self.features, self.first_child = (np.array(c, dtype=np.intp) for c in columns[0::2])
 
@@ -288,8 +299,11 @@ class TreeModel(_Model):
 
     ``feature_subset_size`` turns it into a random tree: each split only
     considers a seeded random subset of features.  Leaf probability is the
-    weighted positive fraction of the rows that reached the leaf.
+    weighted positive fraction of the rows that reached the leaf.  ``kind``,
+    "cart_tree" or "random_tree", is set per tree and is its record's type.
     """
+
+    FIELDS = ("root", "n_features")
 
     def __init__(self, root: dict, n_features: int, kind: str = "cart_tree"):
         self.root = root
@@ -343,13 +357,6 @@ class TreeModel(_Model):
     def predict_proba_batch(self, x):
         return self._forest.leaf_probs(self._check(x))[0]
 
-    def to_dict(self) -> dict:
-        return {"type": self.kind, "root": self.root, "n_features": self.n_features}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeModel":
-        return cls(d["root"], d["n_features"], kind=d["type"])
-
 
 def _sigmoid(margin: np.ndarray) -> np.ndarray:
     """Probability of the positive class from log-odds, in place; margins are
@@ -365,7 +372,7 @@ def _record_array(name: str, value, shape: tuple) -> np.ndarray:
     """A model record's numeric field as a finite float array of ``shape``."""
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{name} is not numeric: {exc}") from None
     if arr.shape != shape:
         raise DataError(f"{name} has shape {arr.shape}, expected {shape}")
@@ -396,6 +403,7 @@ class GaussianNBModel(_Model):
     <= 0 raises ``DataError`` here.
     """
 
+    kind, FIELDS = "gaussian_nb", ("means", "variances", "log_priors", "n_features")
     VAR_FLOOR = 1e-9
 
     def __init__(self, means, variances, log_priors, n_features):
@@ -443,19 +451,6 @@ class GaussianNBModel(_Model):
         d = self._check(x) - self.center
         return _sigmoid(d @ self.lin + (d * d) @ self.quad + self.const)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "gaussian_nb",
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-            "log_priors": self.log_priors.tolist(),
-            "n_features": self.n_features,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianNBModel":
-        return cls(d["means"], d["variances"], d["log_priors"], d["n_features"])
-
 
 class LogisticModel(_Model):
     """Logistic unit trained by full-batch gradient descent on standardised
@@ -466,6 +461,8 @@ class LogisticModel(_Model):
     once, so prediction is ``x @ lin + const``.  A record with non-finite
     values, the wrong shape or a ``sigma`` <= 0 raises ``DataError`` here.
     """
+
+    kind, FIELDS = "logistic", ("weights", "bias", "mu", "sigma", "n_features")
 
     def __init__(self, weights, bias, mu, sigma, n_features):
         self.n_features = n_features
@@ -500,20 +497,6 @@ class LogisticModel(_Model):
 
     def predict_proba_batch(self, x):
         return _sigmoid(self._check(x) @ self.lin + self.const)
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "logistic",
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "mu": self.mu.tolist(),
-            "sigma": self.sigma.tolist(),
-            "n_features": self.n_features,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LogisticModel":
-        return cls(d["weights"], d["bias"], d["mu"], d["sigma"], d["n_features"])
 
 
 class _BaseColumns:

@@ -81,6 +81,8 @@ class AdaBoostModel(_Voting):
     sum, and its label at a tie, do not depend on the batch it came in.
     """
 
+    kind, FIELDS = "adaboost", ("members", "alphas", "n_features")
+
     def __init__(self, members: Sequence, alphas: Sequence[float], n_features: int):
         members = list(members)
         self.alphas = _record_array("adaboost alphas", alphas, (len(members),))
@@ -96,14 +98,6 @@ class AdaBoostModel(_Voting):
             margin += alpha * vote
         return 0.5 * (margin / self._total + 1.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "adaboost",
-            "members": [m.to_dict() for m in self.members],
-            "alphas": self.alphas.tolist(),
-            "n_features": self.n_features,
-        }
-
 
 class BaggingModel(_Voting):
     """Majority vote over learners trained on bootstrap resamples.
@@ -112,15 +106,10 @@ class BaggingModel(_Voting):
     resolves to the positive class.
     """
 
+    kind, FIELDS = "bagging", ("members", "n_features")
+
     def predict_proba_batch(self, x):
         return self._member_labels(self._check(x)).mean(axis=0)
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "bagging",
-            "members": [m.to_dict() for m in self.members],
-            "n_features": self.n_features,
-        }
 
 
 class StackingModel(_Model):
@@ -131,6 +120,8 @@ class StackingModel(_Model):
     ``predict_proba_batch``.  A meta learner whose arity is not the number of
     bases raises ``DataError`` here, as do the bases ``_BaseColumns`` refuses.
     """
+
+    kind, FIELDS = "stacking", ("bases", "meta", "n_features")
 
     def __init__(self, bases: Sequence, meta, n_features: int,
                  heldout_label_reads_during_base_fit: int = 0):
@@ -153,14 +144,6 @@ class StackingModel(_Model):
     def predict_proba_batch(self, x):
         return self.meta.predict_proba_batch(self._meta_features(self._check(x)))
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "stacking",
-            "bases": [b.to_dict() for b in self.bases],
-            "meta": self.meta.to_dict(),
-            "n_features": self.n_features,
-        }
-
 
 def model_shape(model) -> dict:
     """Member count, deepest tree and table size (``table_cells``, None when
@@ -177,7 +160,7 @@ def model_shape(model) -> dict:
         "table_cells": None if table is None else len(model._columns._grid.rows),
     }
     if stacking:
-        shape["base_kinds"] = [b.to_dict()["type"] for b in members]
+        shape["base_kinds"] = [b.kind for b in members]
         shape["meta"] = model.meta.to_dict()
     return shape
 

@@ -2,9 +2,12 @@
 
 The format is self-describing: every record carries a ``type`` tag and the
 top-level file pins a schema version, so model files written by ``train``
-can be consumed by ``allocate`` across releases.  Loading builds each model
-through its constructor, which compiles it (see ``learners.base``), so a
-malformed record raises ``DataError`` at load, never at the first predict.
+can be consumed by ``allocate`` across releases.  A record is its type plus
+its constructor's arguments, the fields its class names in ``FIELDS`` (see
+``learners.base._Model``): ``_Model.to_dict`` writes it and
+``model_from_dict`` reads it.  Loading builds each model through its
+constructor, which compiles it (see ``learners.base``), so a malformed
+record raises ``DataError`` at load, never at the first predict.
 """
 
 from __future__ import annotations
@@ -20,35 +23,38 @@ __all__ = ["model_from_dict", "save_bundle", "load_bundle"]
 
 MODEL_SCHEMA_VERSION = 1
 
-
-def _records(kind: str, d: dict, key: str) -> list:
-    """The models of list ``d[key]``, rebuilt."""
-    if not isinstance(d[key], list):
-        raise DataError(f"{kind} model record's {key} must be a list, got {d[key]!r:.200}")
-    return [model_from_dict(m) for m in d[key]]
+# record type -> class; a tree's kind is set per instance, so both name TreeModel
+_TYPES = {cls.kind: cls for cls in (ConstantModel, GaussianNBModel, LogisticModel, AdaBoostModel, BaggingModel,
+                                    StackingModel)}
+_TYPES.update(cart_tree=TreeModel, random_tree=TreeModel)
 
 
 def model_from_dict(d: dict):
-    """Rebuild a model from its ``to_dict()`` form; a malformed one raises ``DataError``."""
+    """Rebuild a model from its ``to_dict()`` form; a malformed one raises ``DataError``.
+
+    ``members`` and ``bases`` are lists of records and ``meta`` is one, and
+    ``n_features`` is a positive int for every kind."""
     kind = d.get("type") if isinstance(d, dict) else None
+    cls = _TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DataError(f"unknown model type {kind!r}")
     try:
-        if kind in ("cart_tree", "random_tree"):
-            return TreeModel.from_dict(d)
-        if kind == "gaussian_nb":
-            return GaussianNBModel.from_dict(d)
-        if kind == "logistic":
-            return LogisticModel.from_dict(d)
-        if kind == "constant":
-            return ConstantModel.from_dict(d)
-        if kind == "adaboost":
-            return AdaBoostModel(_records(kind, d, "members"), d["alphas"], d["n_features"])
-        if kind == "bagging":
-            return BaggingModel(_records(kind, d, "members"), d["n_features"])
-        if kind == "stacking":
-            return StackingModel(_records(kind, d, "bases"), model_from_dict(d["meta"]), d["n_features"])
+        fields = {f: d[f] for f in cls.FIELDS}
     except KeyError as exc:
         raise DataError(f"{kind} model record is missing key {exc}") from None
-    raise DataError(f"unknown model type {kind!r}")
+    n_features = fields["n_features"]
+    if isinstance(n_features, bool) or not isinstance(n_features, int) or n_features < 1:
+        raise DataError(f"{kind} model n_features must be a positive integer, got {n_features!r:.200}")
+    for key in ("members", "bases"):
+        if key in fields:
+            if not isinstance(fields[key], list):
+                raise DataError(f"{kind} model record's {key} must be a list, got {fields[key]!r:.200}")
+            fields[key] = [model_from_dict(m) for m in fields[key]]
+    if "meta" in fields:
+        fields["meta"] = model_from_dict(fields["meta"])
+    if cls is TreeModel:
+        fields["kind"] = kind
+    return cls(**fields)
 
 
 def save_bundle(path, models: dict, metadata: dict | None = None) -> None:
@@ -65,7 +71,7 @@ def load_bundle(path) -> tuple:
     """Read a model file; returns ({name: model}, metadata)."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("models"), dict):
         raise DataError(f"model file {path} must hold a JSON object with a 'models' mapping")
@@ -74,5 +80,8 @@ def load_bundle(path) -> tuple:
         raise DataError(
             f"model file {path} has schema version {version}, expected {MODEL_SCHEMA_VERSION}"
         )
-    models = {name: model_from_dict(d) for name, d in payload["models"].items()}
+    try:
+        models = {name: model_from_dict(d) for name, d in payload["models"].items()}
+    except (DataError, RecursionError) as exc:  # RecursionError: records nested too deep
+        raise DataError(f"model file {path}: {exc}") from None
     return models, payload.get("metadata", {})

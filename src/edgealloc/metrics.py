@@ -200,8 +200,8 @@ def load_run(path, n_queries: int) -> RunResult:
 
     Raises ``DataError`` unless it holds queries 0..n_queries-1 in order, each
     on a whole, parsable row (an interrupted write leaves the last row cut
-    off) whose ``load_min`` is at most ``load_selected`` and ``speed_max`` at
-    least ``speed_selected``.
+    off) of finite values whose ``load_min`` is at most ``load_selected``,
+    ``speed_max`` at least ``speed_selected`` and ``decision_ms`` positive.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -226,6 +226,9 @@ def load_run(path, n_queries: int) -> RunResult:
     if not text.endswith("\n") or [r.query_index for r in result.records] != list(range(n_queries)):
         raise DataError(f"run file {path} does not hold queries 0..{n_queries - 1} on whole rows")
     for r in result.records:
+        values = (r.decision_ms, r.load_selected, r.load_min, r.speed_selected, r.speed_max)
+        if not (all(map(math.isfinite, values)) and r.decision_ms > 0):
+            raise DataError(f"run file {path}, query {r.query_index}: needs finite values and decision_ms > 0")
         if r.load_min > r.load_selected + 1e-12 or r.speed_selected > r.speed_max + 1e-12:
             raise DataError(f"run file {path}, query {r.query_index}: a load or speed exceeds its bound")
     return result

@@ -415,7 +415,7 @@ def load_scenario(path) -> Scenario:
     file for anything that does not describe a valid scenario."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"scenario {path} must be a JSON object, got {type(payload).__name__}")

@@ -91,6 +91,32 @@ def test_resume_reuses_a_complete_run_file_and_reruns_a_truncated_one(tmp_path, 
     assert len(truncated.read_text(encoding="utf-8").splitlines()) == 21
 
 
+@pytest.mark.parametrize("stale", ["record_not_utf8", "decision_ms_negative"])
+def test_resume_reruns_a_cell_whose_files_cannot_be_taken_back(tmp_path, monkeypatch, stale):
+    cells = [BenchCell(replace(BASE, n_nodes=4, n_queries=20), scheme) for scheme in ("cs", "mvs")]
+    (_, first), failures = run_cells(cells, POLICY, setup=SMALL_SETUP, out_dir=tmp_path)
+    assert not failures
+    run_path = tmp_path / f"run_{cells[1].label()}.csv"
+    if stale == "record_not_utf8":
+        run_path.with_suffix(".json").write_bytes(b"\xff\xfe")
+    else:
+        with open(run_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        with open(run_path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([rows[0]] + [row[:-1] + ["-0.500000"] for row in rows[1:]])
+    ran = []
+    simulate = bench.simulate_run
+    monkeypatch.setattr(bench, "simulate_run", lambda scenario, *a, **kw: ran.append(scenario.config) or simulate(scenario, *a, **kw))
+    messages = []
+    (_, again), failures = run_cells(cells, POLICY, setup=SMALL_SETUP, out_dir=tmp_path, resume=True,
+                                     progress=messages.append)
+    assert not failures
+    assert ran == [cells[1].config]
+    assert "skipped" in messages[0] and "running again" in messages[1]
+    assert picks(again) == picks(first)
+    assert min(again.decision_times_ms()) > 0
+
+
 def test_resume_reruns_a_run_file_written_under_another_config(tmp_path):
     narrow = BenchCell(replace(BASE, n_nodes=4, n_queries=20), "cs")
     wide = BenchCell(replace(narrow.config, dims=5, alpha=3.0), "cs")

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from edgealloc import bench
@@ -16,8 +17,15 @@ from edgealloc.allocator import FusionScheme
 from edgealloc.cli import AppConfig, _parse_query_json, load_config, main
 from edgealloc.core import DatasetDigest, NodeState, Query, QueryConstraints
 from edgealloc.errors import ConfigError, DataError
-from edgealloc.learners import model_from_dict, save_bundle
-from edgealloc.simulator import Scenario, ScenarioConfig, load_scenario, save_scenario
+from edgealloc.learners import load_bundle, model_from_dict, save_bundle
+from edgealloc.simulator import (
+    Scenario,
+    ScenarioConfig,
+    generate_scenario,
+    load_scenario,
+    save_scenario,
+    synthesize_training_set,
+)
 
 
 @pytest.fixture
@@ -119,6 +127,19 @@ def test_gen_with_corrupt_config_exits_2_without_files(runner, tmp_path):
     result = runner.invoke(main, ["gen", "--config", str(config)])
     assert result.exit_code == 2
     assert not out_dir.exists()
+
+
+# deeper than the interpreter's recursion limit
+DEEP_JSON = "[" * 100_000
+
+
+@pytest.mark.parametrize("name", ["config.json", "config.yaml"])
+def test_a_config_nested_too_deep_exits_2(runner, tmp_path, name):
+    config = tmp_path / name
+    config.write_text(DEEP_JSON, encoding="utf-8")
+    result = runner.invoke(main, ["gen", "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert f"cannot parse config {config}" in result.output
 
 
 def test_gen_with_unknown_key_exits_2(runner, tmp_path):
@@ -497,6 +518,7 @@ LOAD_TREE = {
         {"type": "bagging", "members": 5, "n_features": 5},
         {"type": "stacking", "bases": 3, "meta": {"type": "constant", "label": 1, "n_features": 1}, "n_features": 5},
         {"type": "constant", "label": 1, "n_features": 4},
+        {"type": "bagging", "members": [LOAD_TREE], "n_features": 5.0},
     ],
 )
 def test_allocate_with_a_malformed_model_file_exits_3(runner, tmp_path, boost):
@@ -604,6 +626,17 @@ def test_allocate_with_a_malformed_query_json_exits_3(runner, tmp_path, query, m
     assert message in result.output
 
 
+@pytest.mark.parametrize("name", ["query.json", "scenario.json", "models.json"])
+def test_an_input_file_nested_too_deep_exits_3_naming_it(runner, tmp_path, name):
+    config, scenario_path, _ = two_node_setup(tmp_path)
+    path = (tmp_path if name == "query.json" else scenario_path.parent) / name
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    options = ["--query-json", str(path)] if name == "query.json" else []
+    result = runner.invoke(main, ["allocate", "--config", str(config), *options])
+    assert result.exit_code == 3, result.output
+    assert ("invalid query JSON" if name == "query.json" else str(path)) in result.output
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
@@ -684,6 +717,49 @@ CONFIGS = [config_mapping(Path("out")), json.loads(json.dumps(asdict(AppConfig()
 CONFIG_PATHS = [(i, path) for i, config in enumerate(CONFIGS) for path in _paths(config)]
 
 
+def _trained_models() -> dict:
+    scenario = generate_scenario(ScenarioConfig(n_nodes=1, n_queries=1, dims=1, seed=5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        data = synthesize_training_set(scenario, AppConfig().policy, 300)
+        bundle = bench.train_bundle(data, bench.LearnerSetup(boost_rounds=3, bagging_bags=3), seed=5)
+    return dict(zip(("boost", "bagging", "stacking"), bundle.models()))
+
+
+TRAINED_MODELS = _trained_models()
+# every path into the model file ``save_bundle`` writes for them
+MODEL_PATHS = list(_paths({"schema_version": 1, "models": {n: m.to_dict() for n, m in TRAINED_MODELS.items()},
+                           "metadata": {}}))
+THRESHOLD_PATH = next(p for p in MODEL_PATHS if p[-1:] == ("threshold",))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(path=("models", "bagging", "n_features"), value=5.0, delete=False)
+@example(path=THRESHOLD_PATH, value=10**400, delete=False)
+@given(st.sampled_from(MODEL_PATHS), json_values, st.booleans())
+def test_model_file_reader_raises_only_data_error(tmp_path, path, value, delete):
+    model_path = tmp_path / "models.json"
+    save_bundle(model_path, TRAINED_MODELS)
+    payload = json.loads(model_path.read_text(encoding="utf-8"))
+    if path == ():
+        payload = value
+    elif delete:
+        *parents, last = path
+        holder = payload
+        for key in parents:
+            holder = holder[key]
+        del holder[last]
+    else:
+        _set(payload, path, value)
+    model_path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        models, _ = load_bundle(model_path)
+    except DataError as exc:
+        assert str(model_path) in str(exc)
+        return
+    assert isinstance(models, dict)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(CONFIG_PATHS), json_values, st.booleans())
 def test_config_reader_raises_only_config_error(tmp_path, where, value, delete):
@@ -733,3 +809,13 @@ def test_bench_runs_grid_and_is_resumable(runner, tmp_path):
     again = runner.invoke(main, ["bench", "--config", str(config)])
     assert again.exit_code == 0
     assert again.output.count("skipped") == 4
+
+
+def test_bench_with_a_default_trace_shorter_than_a_cell_exits_2_before_any_cell(runner, tmp_path):
+    out_dir = tmp_path / "out"
+    bench_grid = {"n_values": [3, 5], "seeds": [0], "distributions": ["uniform", "trace"], "trace_rows": 4}
+    config = write_config(tmp_path / "config.yaml", out_dir, bench=bench_grid)
+    result = runner.invoke(main, ["bench", "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert "bench.trace_rows" in result.output
+    assert not list(out_dir.glob("bench/run_*"))

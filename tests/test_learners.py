@@ -1,3 +1,4 @@
+import inspect
 import json
 import warnings
 
@@ -19,6 +20,8 @@ from edgealloc.learners import (
     train_base,
     train_stacking,
 )
+from edgealloc.learners import serialize
+from edgealloc.learners.base import LEARNER_KINDS
 
 
 def dataset(features, labels):
@@ -308,9 +311,55 @@ def test_bundle_rejects_unknown_schema(tmp_path):
         load_bundle(path)
 
 
+def test_a_model_file_nested_as_deep_as_json_parses_raises_data_error(tmp_path):
+    constant = '{"type": "constant", "label": 1, "n_features": 2}'
+    link = '{"type": "stacking", "bases": [%s, %s], "n_features": 2, "meta": ' % (constant, constant)
+
+    def text(depth):  # a chain of stacking models, each the next one's meta learner
+        return '{"schema_version": 1, "models": {"x": ' + link * depth + constant + "}" * depth + "}}"
+
+    def parses(depth):  # called as deep in the stack as load_bundle calls json.loads
+        try:
+            return json.loads(text(depth)) is not None
+        except RecursionError:
+            return False
+
+    lo, hi = 1, 10_000  # the deepest chain json.loads reads; rebuilding it needs a deeper stack
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if parses(mid) else (lo, mid - 1)
+    path = tmp_path / "models.json"
+    path.write_text(text(lo), encoding="utf-8")
+    with pytest.raises(DataError, match="model file"):
+        load_bundle(path)
+
+
 def test_model_from_dict_rejects_unknown_type():
     with pytest.raises(DataError):
         model_from_dict({"type": "mystery"})
+
+
+def test_every_kind_round_trips_through_its_one_field_list():
+    data = separable_2d(n=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        models = [
+            train_base(BaseLearnerSpec(kind="cart_tree"), dataset([[0.0, 0.0], [1.0, 1.0]], [1, 1]), seed=0),
+            *(train_base(BaseLearnerSpec(kind=kind), data, seed=0) for kind in LEARNER_KINDS),
+            train_adaboost(data, 3, BaseLearnerSpec(kind="cart_tree", max_depth=2), seed=0),
+            train_bagging(data, 3, BaseLearnerSpec(kind="cart_tree", max_depth=2), seed=0),
+            train_stacking(data, _stacking_specs(), BaseLearnerSpec(kind="logistic"), seed=0),
+        ]
+    assert sorted(m.to_dict()["type"] for m in models) == sorted(serialize._TYPES)
+    for model in models:
+        record = model.to_dict()
+        assert model_from_dict(json.loads(json.dumps(record))).to_dict() == record
+        # the record's fields are the constructor's arguments, bar the tree's
+        # kind (its type) and stacking's leakage counter (not stored)
+        params = inspect.signature(type(model)).parameters
+        assert list(type(model).FIELDS) == [
+            p for p in params if p not in ("kind", "heldout_label_reads_during_base_fit")
+        ]
 
 
 NB_RECORD = {"type": "gaussian_nb", "means": [[0.2, 0.4], [0.6, 0.8]], "variances": [[0.1, 0.2], [0.3, 0.4]],

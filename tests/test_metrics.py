@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -145,7 +146,14 @@ def test_load_run_reads_back_what_emit_run_wrote(tmp_path):
 
 
 def test_load_run_rejects_a_row_that_breaks_a_record_invariant(tmp_path):
-    for bad in (record(load_sel=0.05, load_min=0.1, idx=1), record(speed_sel=0.95, speed_max=0.9, idx=1)):
+    for bad in (
+        record(load_sel=0.05, load_min=0.1, idx=1),
+        record(speed_sel=0.95, speed_max=0.9, idx=1),
+        record(ms=-0.5, idx=1),
+        record(ms=0.0, idx=1),
+        record(ms=math.inf, idx=1),
+        record(load_min=math.nan, idx=1),
+    ):
         path = emit_run(run_with([record(idx=0), bad, record(idx=2)]), tmp_path)
         with pytest.raises(DataError, match=r"run_cs_uniform_n10_seed0\.csv, query 1:"):
             load_run(path, 3)
