@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import warnings
 from dataclasses import replace
 
@@ -214,3 +215,40 @@ def test_picks_match_the_pinned_digest(tmp_path):
     for result in runs + queued:
         digest.update(",".join(map(str, picks(result))).encode() + b"\n")
     assert digest.hexdigest() == PICKS_DIGEST
+
+
+# sha256 of the records ``train_bundle`` writes on each layerbench workload's
+# training config (seed 0); a change that moves any threshold, leaf
+# probability or weight changes it
+RECORD_DIGESTS = {
+    "sweep-small-n uniform": "1d8a1f4894fa5f0dfaec46e54f6accfc8b07e02bf157ab2948c4ee77412a82bc",
+    "sweep-small-n gaussian": "bd74f61a3c4dd80b6f13c9024302c0c33cc207ad404cc17a2b1d21bac4a043d0",
+    "replay-large-n": "ae8ced5b68fe2ad89041e35d4e3ba2092ebb6f5fa7d7bf9ad044afae3a9e1e1f",
+    "queue-feedback": "f09c1e5199ec28076b2e61c547020a4496b5e9c5fe2e02e75442e37bc799ea4b",
+}
+
+
+def test_trained_records_match_the_pinned_digests(tmp_path):
+    trace = generate_utilization_trace(tmp_path / "trace.csv", rows=60000, seed=0)
+    sweep = ScenarioConfig(n_nodes=1, n_queries=1, dims=1)
+    configs = {
+        "sweep-small-n uniform": (sweep, POLICY),
+        "sweep-small-n gaussian": (replace(sweep, distribution="gaussian"), POLICY),
+        "replay-large-n": (
+            ScenarioConfig(n_nodes=1, n_queries=1, dims=10, alpha=1.0, trace_path=str(trace)),
+            LabelingPolicy(max_relevance=0.6, max_load=0.5, min_speed=0.0),
+        ),
+        "queue-feedback": (
+            ScenarioConfig(n_nodes=1, n_queries=1, dims=5, distribution="gaussian",
+                           load_mode="queue_dynamics", service_rate=1.5, queue_capacity=20),
+            LabelingPolicy(),
+        ),
+    }
+    setup = LearnerSetup()
+    digests = {}
+    for name, (cfg, policy) in configs.items():
+        data = bench.synthesize_training_set(generate_scenario(cfg), policy, setup.training_size)
+        bundle = bench.train_bundle(data, setup, seed=0)
+        records = [json.dumps(m.to_dict(), sort_keys=True) for m in bundle.models()]
+        digests[name] = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digests == RECORD_DIGESTS
