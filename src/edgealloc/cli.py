@@ -310,14 +310,11 @@ def cmd_allocate(cfg: AppConfig, scheme, k, query_index, query_json, fmt) -> Non
         if not path.exists():
             raise DataError(f"missing {path}; run 'edgealloc gen' and 'edgealloc train' first")
     scenario = load_scenario(scenario_path)
-    models, _meta = load_bundle(models_path)
+    models, _meta = load_bundle(models_path, n_features=5)  # a decision's five context features
     try:
         bundle = EnsembleBundle(models["boost"], models["bagging"], models["stacking"])
     except KeyError as exc:
         raise DataError(f"model file {models_path} is missing ensemble {exc}") from exc
-    for name, model in zip(("boost", "bagging", "stacking"), bundle.models()):
-        if model.n_features != 5:
-            raise DataError(f"model file {models_path}: {name} reads {model.n_features} features, not 5")
     corpus_path = out_dir / "corpus.tsv"
     corpus = load_corpus(corpus_path) if corpus_path.exists() else generate_query_corpus(cfg.corpus_per_class)
     classifier = ComplexityClassifier(corpus, cfg.fcp)

@@ -6,6 +6,17 @@ naive Bayes, and a logistic unit trained by full-batch gradient descent.
 All of them accept per-row sample weights so they can sit under boosting,
 and all are deterministic given their seed.
 
+A tree is fit from one ranking of its dataset: per feature, the rows by
+value, then by row.  A ``LabeledDataset`` sorts each feature once into
+dense integer rank keys, and ``subset`` carries the rule by gathering the
+keys, so a bootstrap sample ranks its rows by a stable sort of small
+integers.  ``TreeModel.fit`` reads the ranking once and splits it by each
+node's mask instead of sorting the node's rows again.  Filtering a ranking
+keeps the order a stable sort of the node's rows gives, weights add up
+along it in sequence, and a leaf still sums its rows' weights in row
+order: every threshold and leaf probability is the one a sort per node
+would give, bit for bit.
+
 One compile rule holds for every model: it compiles in its constructor.  A
 tree compiles into a ``_CompiledForest`` of one, a naive Bayes or logistic
 model into its quadratic log-odds form, and an ensemble its members into one
@@ -44,7 +55,18 @@ GRID_CELLS_MAX = 2**16
 
 
 class LabeledDataset:
-    """Feature matrix plus binary labels; rows all share one arity."""
+    """Feature matrix plus binary labels; rows all share one arity.
+
+    A tree ranks the rows of each feature by value, then by row: that is
+    the order a stable sort of the feature gives, and the one every split
+    is scored in.  Each feature has dense rank keys, from one stable float
+    sort the first time a ranking or a subset needs them: equal values (NaNs
+    among themselves too) share a key and a larger value has a larger key,
+    in the smallest unsigned type that holds them.  ``subset`` gathers the
+    keys, so a subset ranks its rows with a stable sort of those small
+    integers and gets the order a stable float sort of its own features
+    would: by value, then by its own row.
+    """
 
     def __init__(self, features, labels):
         x = np.asarray(features, dtype=float)
@@ -59,6 +81,7 @@ class LabeledDataset:
             raise ValueError("labels must be 0 or 1")
         self.features = x
         self.labels = y
+        self._keys = self._ranking = None  # (F, n) each, computed when first read
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -67,9 +90,37 @@ class LabeledDataset:
     def arity(self) -> int:
         return self.features.shape[1]
 
+    def _rank_keys(self) -> np.ndarray:
+        """(F, n) dense rank keys: row f orders the rows by feature f's value."""
+        if self._keys is None:
+            columns = self.features.T
+            self._ranking = np.argsort(columns, axis=1, kind="stable")
+            ranked = np.take_along_axis(columns, self._ranking, axis=1)
+            rises = (ranked[:, 1:] != ranked[:, :-1]) & ~(np.isnan(ranked[:, 1:]) & np.isnan(ranked[:, :-1]))
+            dense = np.zeros(ranked.shape, dtype=np.intp)
+            np.cumsum(rises, axis=1, out=dense[:, 1:])
+            self._keys = np.empty(dense.shape, dtype=np.min_scalar_type(dense.max(initial=0)))
+            np.put_along_axis(self._keys, self._ranking, dense, axis=1)
+        return self._keys
+
+    def ranking(self) -> np.ndarray:
+        """(F, n) rows ranked per feature, by value and then by row."""
+        if self._ranking is None:
+            self._ranking = np.argsort(self._rank_keys(), axis=1, kind="stable")
+        return self._ranking
+
     def subset(self, indices) -> "LabeledDataset":
+        """The rows at ``indices`` (repeats allowed).  It carries the
+        ranking rule: its keys are gathered from this dataset's, so it ranks
+        by value, then by its own row, without sorting a float.  Labels
+        already checked are not checked again."""
         idx = np.asarray(indices, dtype=int)
-        return LabeledDataset(self.features[idx], self.labels[idx])
+        if idx.ndim != 1 or idx.size == 0:
+            raise ValueError("a subset needs a non-empty 1-D index array")
+        sub = object.__new__(LabeledDataset)
+        sub.features, sub.labels = self.features[idx], self.labels[idx]
+        sub._keys, sub._ranking = self._rank_keys()[:, idx], None
+        return sub
 
     def positive_fraction(self) -> float:
         return float(self.labels.mean())
@@ -166,40 +217,38 @@ def _weighted_gini(pos_w: np.ndarray, tot_w: np.ndarray) -> np.ndarray:
     return 2.0 * p * (1.0 - p)
 
 
-def _best_split(x, y, w, feature_ids, min_leaf):
-    """Best (feature, threshold) by weighted gini; ties resolve to the first
-    feature in iteration order and the lowest threshold."""
-    n = x.shape[0]
-    total_w = w.sum()
-    total_pos = float(w[y == 1].sum())
-    best = None  # (impurity, feature, threshold)
-    for f in feature_ids:
-        order = np.argsort(x[:, f], kind="mergesort")
-        xv = x[order, f]
-        wv = w[order]
-        pv = wv * y[order]
-        cum_w = np.cumsum(wv)
-        cum_pos = np.cumsum(pv)
-        boundaries = np.nonzero(xv[1:] != xv[:-1])[0]
-        if boundaries.size == 0:
+def _best_split(x, ranked, w, wy, total_w, total_pos, feature_ids, min_leaf):
+    """Best (feature, threshold) by weighted gini over one node's rows.
+
+    ``ranked`` holds the node's rows per feature by value, then by row, and
+    ``x`` the dataset's (F, n) feature columns.  Every candidate feature is
+    scored in one (k, m) pass: weights add up along each ranked row in
+    sequence, and boundaries between equal values or leaving a side with
+    fewer than ``min_leaf`` rows score inf.  Ties resolve to the first
+    feature in ``feature_ids`` and the lowest threshold, and a later
+    feature must beat the best by more than 1e-15.
+    """
+    m = ranked.shape[1]
+    order = ranked[feature_ids]
+    values = x[feature_ids[:, None], order]
+    lo, hi = min_leaf - 1, m - min_leaf  # boundary j leaves j + 1 rows on the left
+    wl = np.cumsum(w[order[:, :hi]], axis=1)[:, lo:]
+    pl = np.cumsum(wy[order[:, :hi]], axis=1)[:, lo:]
+    wr = total_w - wl
+    pr = total_pos - pl
+    child = wl * _weighted_gini(pl, wl) + wr * _weighted_gini(pr, wr)
+    child[values[:, lo + 1:hi + 1] == values[:, lo:hi]] = np.inf
+    best = None  # (impurity, position in feature_ids, boundary)
+    for k, i in enumerate(child.argmin(axis=1).tolist()):
+        cand = float(child[k, i])
+        if cand == np.inf:  # no boundary between distinct values
             continue
-        left_n = boundaries + 1
-        valid = (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        boundaries = boundaries[valid]
-        if boundaries.size == 0:
-            continue
-        wl = cum_w[boundaries]
-        pl = cum_pos[boundaries]
-        wr = total_w - wl
-        pr = total_pos - pl
-        child = wl * _weighted_gini(pl, wl) + wr * _weighted_gini(pr, wr)
-        i = int(np.argmin(child))
-        cand = float(child[i])
         if best is None or cand < best[0] - 1e-15:
-            b = boundaries[i]
-            thr = float((xv[b] + xv[b + 1]) / 2.0)
-            best = (cand, int(f), thr)
-    return best
+            best = (cand, k, lo + i)
+    if best is None:
+        return None
+    cand, k, b = best
+    return cand, int(feature_ids[k]), float((values[k, b] + values[k, b + 1]) / 2.0)
 
 
 class _CompiledForest:
@@ -322,36 +371,55 @@ class TreeModel(_Model):
         sample_weight: Optional[np.ndarray] = None,
         kind: str = "cart_tree",
     ) -> "TreeModel":
-        x, y = data.features, data.labels
+        """Grow a tree on ``data`` from the dataset's one ranking.
+
+        ``data.ranking()`` ranks the rows of each feature by value, then by
+        row, once per dataset, so boosting's rounds share one ranking and a
+        subset sorts only its gathered rank keys.  A node keeps its rows in
+        that order: a split filters each feature's ranked rows by the
+        node's mask, which keeps the order a stable sort of the node's rows
+        would give.  So the weights add up in the sequence a per-node sort
+        adds them, and a leaf's probability still sums the node's weights
+        in row order: every threshold and probability is the one that
+        sorting each node's rows again would give.
+        """
+        y = data.labels
         w = _normalised_weights(sample_weight, len(data))
         if feature_subset_size is not None and rng is None:
             raise ValueError("feature subsampling requires a random generator")
-
-        def grow(idx: np.ndarray, depth: int) -> dict:
+        x = np.ascontiguousarray(data.features.T)  # (F, n)
+        wy = w * y
+        # nodes grow depth first, left before right, so a random tree draws
+        # its feature subsets in one fixed order; a loop, not a recursive
+        # closure, whose reference cycle would keep these arrays alive until
+        # the garbage collector ran
+        root: dict = {}
+        stack = [(root, np.arange(len(data)), data.ranking(), 0)]
+        while stack:
+            node, idx, ranked, depth = stack.pop()
             yw = w[idx]
             total = yw.sum()
             pos = float(yw[y[idx] == 1].sum())
             prob = pos / total if total > 0 else 0.5
-            if depth >= max_depth or prob in (0.0, 1.0) or idx.size < 2 * min_leaf:
-                return {"prob": prob}
-            if feature_subset_size is not None:
-                k = min(feature_subset_size, x.shape[1])
-                feats = np.sort(rng.choice(x.shape[1], size=k, replace=False))
-            else:
-                feats = np.arange(x.shape[1])
-            split = _best_split(x[idx], y[idx], yw, feats, min_leaf)
+            split = None
+            if not (depth >= max_depth or prob in (0.0, 1.0) or idx.size < 2 * min_leaf):
+                if feature_subset_size is not None:
+                    k = min(feature_subset_size, data.arity)
+                    feats = np.sort(rng.choice(data.arity, size=k, replace=False))
+                else:
+                    feats = np.arange(data.arity)
+                split = _best_split(x, ranked, w, wy, total, pos, feats, min_leaf)
             if split is None:
-                return {"prob": prob}
+                node["prob"] = prob
+                continue
             _, f, thr = split
-            mask = x[idx, f] <= thr
-            return {
-                "feature": f,
-                "threshold": thr,
-                "left": grow(idx[mask], depth + 1),
-                "right": grow(idx[~mask], depth + 1),
-            }
-
-        root = grow(np.arange(len(data)), 0)
+            left = x[f] <= thr
+            mask, goes_left = left[idx], left[ranked]
+            n_left = int(mask.sum())
+            node.update(feature=f, threshold=thr, left={}, right={})
+            stack.append((node["right"], idx[~mask], ranked[~goes_left].reshape(data.arity, idx.size - n_left),
+                          depth + 1))
+            stack.append((node["left"], idx[mask], ranked[goes_left].reshape(data.arity, n_left), depth + 1))
         return cls(root, data.arity, kind=kind)
 
     def predict_proba_batch(self, x):

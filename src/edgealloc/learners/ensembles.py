@@ -79,14 +79,19 @@ class AdaBoostModel(_Voting):
     ``alphas`` must hold one finite number per member, else ``DataError``.
     The margin adds the members' weighted votes in member order, so a row's
     sum, and its label at a tie, do not depend on the batch it came in.
+    ``stop_reason`` says why training stopped (see ``train_adaboost``); it is
+    set at training time and is not part of the record, so a loaded model's
+    is None.
     """
 
     kind, FIELDS = "adaboost", ("members", "alphas", "n_features")
 
-    def __init__(self, members: Sequence, alphas: Sequence[float], n_features: int):
+    def __init__(self, members: Sequence, alphas: Sequence[float], n_features: int,
+                 stop_reason: str | None = None):
         members = list(members)
         self.alphas = _record_array("adaboost alphas", alphas, (len(members),))
         self._total = float(sum(abs(a) for a in self.alphas.tolist()))
+        self.stop_reason = stop_reason
         super().__init__(members, n_features)  # tabulating votes, so alphas come first
 
     def predict_proba_batch(self, x):
@@ -147,9 +152,10 @@ class StackingModel(_Model):
 
 def model_shape(model) -> dict:
     """Member count, deepest tree and table size (``table_cells``, None when
-    the forest answers) of an ensemble; for stacking also the kind of each
-    base and the meta learner's stored record.  A voting ensemble's table
-    holds its labels, stacking's its tree bases' leaf probabilities."""
+    the forest answers) of an ensemble; for boosting also why training
+    stopped (``stop_reason``), for stacking the kind of each base and the
+    meta learner's stored record.  A voting ensemble's table holds its
+    labels, stacking's its tree bases' leaf probabilities."""
     stacking = isinstance(model, StackingModel)
     members = model.bases if stacking else model.members
     depths = [m._forest.depth for m in members if isinstance(m, TreeModel)]
@@ -159,6 +165,8 @@ def model_shape(model) -> dict:
         "max_tree_depth": max(depths, default=None),
         "table_cells": None if table is None else len(model._columns._grid.rows),
     }
+    if isinstance(model, AdaBoostModel):
+        shape["stop_reason"] = model.stop_reason
     if stacking:
         shape["base_kinds"] = [b.kind for b in members]
         shape["meta"] = model.meta.to_dict()
@@ -186,6 +194,8 @@ def train_adaboost(
     stop early once the error reaches 0.5 (the member is dropped unless it
     is the only one) or hits 0 (the member is kept with a capped weight).
     Misclassified rows gain weight; weights renormalise to 1 each round.
+    The model's ``stop_reason`` is "error_at_least_half", "zero_error" or,
+    when every round ran, "round_limit".
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -193,22 +203,27 @@ def train_adaboost(
     n = len(data)
     w = np.full(n, 1.0 / n)
     members, alphas = [], []
+    stop_reason = "round_limit"
     for t in range(rounds):
         model = train_base(spec, data, seed=_child_seed(seed, t), sample_weight=w)
         pred = model.predict_batch(x)
         miss = pred != y
         err = float(w[miss].sum())
+        if err >= 0.5:
+            stop_reason = "error_at_least_half"
+        elif err == 0.0:
+            stop_reason = "zero_error"
         if err >= 0.5 and members:
             break
         clamped = min(max(err, _ERR_CLAMP), 1.0 - _ERR_CLAMP)
         alpha = 0.5 * math.log((1.0 - clamped) / clamped)
         members.append(model)
         alphas.append(alpha)
-        if err == 0.0 or err >= 0.5:
+        if stop_reason != "round_limit":
             break
         w = w * np.exp(np.where(miss, alpha, -alpha))
         w = w / w.sum()
-    return AdaBoostModel(members, alphas, data.arity)
+    return AdaBoostModel(members, alphas, data.arity, stop_reason=stop_reason)
 
 
 def bootstrap_indices(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -29,11 +29,14 @@ _TYPES = {cls.kind: cls for cls in (ConstantModel, GaussianNBModel, LogisticMode
 _TYPES.update(cart_tree=TreeModel, random_tree=TreeModel)
 
 
-def model_from_dict(d: dict):
+def model_from_dict(d: dict, n_features: int | None = None):
     """Rebuild a model from its ``to_dict()`` form; a malformed one raises ``DataError``.
 
     ``members`` and ``bases`` are lists of records and ``meta`` is one, and
-    ``n_features`` is a positive int for every kind."""
+    ``n_features`` is a positive int for every kind.  It must also fit the
+    record's place, checked before any constructor runs: the caller's
+    ``n_features`` when given, the parent's for members and bases, and the
+    number of bases for a meta learner."""
     kind = d.get("type") if isinstance(d, dict) else None
     cls = _TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
@@ -42,16 +45,18 @@ def model_from_dict(d: dict):
         fields = {f: d[f] for f in cls.FIELDS}
     except KeyError as exc:
         raise DataError(f"{kind} model record is missing key {exc}") from None
-    n_features = fields["n_features"]
-    if isinstance(n_features, bool) or not isinstance(n_features, int) or n_features < 1:
-        raise DataError(f"{kind} model n_features must be a positive integer, got {n_features!r:.200}")
+    arity = fields["n_features"]
+    if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
+        raise DataError(f"{kind} model n_features must be a positive integer, got {arity!r:.200}")
+    if n_features is not None and arity != n_features:
+        raise DataError(f"{kind} model reads {arity!r:.200} features where {n_features} are expected")
     for key in ("members", "bases"):
         if key in fields:
             if not isinstance(fields[key], list):
                 raise DataError(f"{kind} model record's {key} must be a list, got {fields[key]!r:.200}")
-            fields[key] = [model_from_dict(m) for m in fields[key]]
+            fields[key] = [model_from_dict(m, arity) for m in fields[key]]
     if "meta" in fields:
-        fields["meta"] = model_from_dict(fields["meta"])
+        fields["meta"] = model_from_dict(fields["meta"], len(fields["bases"]))
     if cls is TreeModel:
         fields["kind"] = kind
     return cls(**fields)
@@ -67,8 +72,9 @@ def save_bundle(path, models: dict, metadata: dict | None = None) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
-def load_bundle(path) -> tuple:
-    """Read a model file; returns ({name: model}, metadata)."""
+def load_bundle(path, n_features: int | None = None) -> tuple:
+    """Read a model file; returns ({name: model}, metadata).  With
+    ``n_features`` given, every top-level model must read that many."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
@@ -81,7 +87,7 @@ def load_bundle(path) -> tuple:
             f"model file {path} has schema version {version}, expected {MODEL_SCHEMA_VERSION}"
         )
     try:
-        models = {name: model_from_dict(d) for name, d in payload["models"].items()}
+        models = {name: model_from_dict(d, n_features) for name, d in payload["models"].items()}
     except (DataError, RecursionError) as exc:  # RecursionError: records nested too deep
         raise DataError(f"model file {path}: {exc}") from None
     return models, payload.get("metadata", {})

@@ -760,6 +760,24 @@ def test_model_file_reader_raises_only_data_error(tmp_path, path, value, delete)
     assert isinstance(models, dict)
 
 
+@pytest.mark.parametrize("n_features", [2**70, 6])
+def test_allocate_refuses_models_that_read_other_than_five_features(runner, tmp_path, n_features):
+    # every record of every model reads n_features; the reader refuses the
+    # first before any model is built, so no table of cells x n_features is made
+    config, _, _ = two_node_setup(tmp_path)
+    model_path = tmp_path / "out" / "models.json"
+    save_bundle(model_path, TRAINED_MODELS)
+    payload = json.loads(model_path.read_text(encoding="utf-8"))
+    for path in MODEL_PATHS:
+        if path[-1:] == ("n_features",):
+            _set(payload, path, n_features)
+    model_path.write_text(json.dumps(payload), encoding="utf-8")
+    result = runner.invoke(main, ["allocate", "--config", str(config)])
+    assert result.exit_code == 3, result.output
+    assert str(model_path) in result.output
+    assert f"reads {n_features} features where 5 are expected" in result.output
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(CONFIG_PATHS), json_values, st.booleans())
 def test_config_reader_raises_only_config_error(tmp_path, where, value, delete):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgealloc.errors import DataError
 from edgealloc.learners import (
@@ -11,6 +13,7 @@ from edgealloc.learners import (
     BaseLearnerSpec,
     ConstantModel,
     LabeledDataset,
+    StackingModel,
     bootstrap_indices,
     load_bundle,
     model_from_dict,
@@ -21,7 +24,8 @@ from edgealloc.learners import (
     train_stacking,
 )
 from edgealloc.learners import serialize
-from edgealloc.learners.base import LEARNER_KINDS
+from edgealloc.learners.ensembles import model_shape
+from edgealloc.learners.base import LEARNER_KINDS, TreeModel
 
 
 def dataset(features, labels):
@@ -169,6 +173,126 @@ def test_adaboost_perfect_member_gets_capped_weight_and_stops():
     model = train_adaboost(data, rounds=10, spec=BaseLearnerSpec(kind="cart_tree", max_depth=4), seed=0)
     assert len(model.members) == 1
     assert model.alphas[0] == pytest.approx(0.5 * np.log((1 - 1e-10) / 1e-10))
+
+
+def _no_signal(n=20):
+    """One constant feature and balanced labels: no tree beats error 0.5."""
+    return dataset(np.zeros((n, 1)), np.arange(n) % 2)
+
+
+@pytest.mark.parametrize(
+    "data, rounds, depth, reason, members",
+    [
+        (separable_2d(n=30), 10, 4, "zero_error", 1),
+        (_no_signal(), 10, 2, "error_at_least_half", 1),
+        (banded_1d(), 3, 1, "round_limit", 3),
+    ],
+)
+def test_adaboost_records_why_it_stopped(data, rounds, depth, reason, members):
+    model = train_adaboost(data, rounds=rounds, spec=BaseLearnerSpec(kind="cart_tree", max_depth=depth), seed=0)
+    assert (model.stop_reason, len(model.members)) == (reason, members)
+    assert model_shape(model)["stop_reason"] == reason
+    assert "stop_reason" not in model.to_dict()  # the record, and so models.json, does not hold it
+    assert model_from_dict(model.to_dict()).stop_reason is None
+
+
+# ---------------------------------------------------------------------------
+# tree fit against the per-node sort it replaces
+# ---------------------------------------------------------------------------
+
+
+def reference_best_split(x, y, w, feature_ids, min_leaf):
+    """Best (impurity, feature, threshold) by weighted gini, sorting each
+    feature of the node's rows anew; ties resolve to the first feature and
+    the lowest threshold, and a later feature must win by more than 1e-15."""
+
+    def gini(pos_w, tot_w):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p = np.divide(pos_w, tot_w, out=np.zeros_like(pos_w), where=tot_w > 0)
+        return 2.0 * p * (1.0 - p)
+
+    n = x.shape[0]
+    total_w = w.sum()
+    total_pos = float(w[y == 1].sum())
+    best = None
+    for f in feature_ids:
+        order = np.argsort(x[:, f], kind="mergesort")
+        xv = x[order, f]
+        wv = w[order]
+        cum_w = np.cumsum(wv)
+        cum_pos = np.cumsum(wv * y[order])
+        boundaries = np.nonzero(xv[1:] != xv[:-1])[0]
+        left_n = boundaries + 1
+        boundaries = boundaries[(left_n >= min_leaf) & (n - left_n >= min_leaf)]
+        if boundaries.size == 0:
+            continue
+        wl, pl = cum_w[boundaries], cum_pos[boundaries]
+        child = wl * gini(pl, wl) + (total_w - wl) * gini(total_pos - pl, total_w - wl)
+        i = int(np.argmin(child))
+        if best is None or float(child[i]) < best[0] - 1e-15:
+            b = boundaries[i]
+            best = (float(child[i]), int(f), float((xv[b] + xv[b + 1]) / 2.0))
+    return best
+
+
+def reference_tree(data, max_depth, min_leaf, feature_subset_size=None, rng=None, sample_weight=None):
+    """The root of the tree ``TreeModel.fit`` grows, by a sort per node."""
+    x, y = data.features, data.labels
+    w = np.full(len(data), 1.0 / len(data)) if sample_weight is None else sample_weight / sample_weight.sum()
+
+    def grow(idx, depth):
+        yw = w[idx]
+        total = yw.sum()
+        prob = float(yw[y[idx] == 1].sum()) / total if total > 0 else 0.5
+        if depth >= max_depth or prob in (0.0, 1.0) or idx.size < 2 * min_leaf:
+            return {"prob": prob}
+        if feature_subset_size is None:
+            feats = np.arange(x.shape[1])
+        else:
+            feats = np.sort(rng.choice(x.shape[1], size=min(feature_subset_size, x.shape[1]), replace=False))
+        split = reference_best_split(x[idx], y[idx], yw, feats, min_leaf)
+        if split is None:
+            return {"prob": prob}
+        _, f, thr = split
+        mask = x[idx, f] <= thr
+        return {"feature": f, "threshold": thr, "left": grow(idx[mask], depth + 1), "right": grow(idx[~mask], depth + 1)}
+
+    return grow(np.arange(len(data)), 0)
+
+
+@st.composite
+def tree_cases(draw):
+    """A dataset with heavy ties (values from a small set, -0.0 and NaN
+    among them), perhaps a bootstrap subset of it or a subset of that, and
+    the weights and hyperparameters of one tree."""
+    n_features = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 3.0, float("nan")])
+    x = np.array(draw(st.lists(st.lists(values, min_size=n_features, max_size=n_features), min_size=n, max_size=n)))
+    data = LabeledDataset(x.reshape(n, n_features), draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    for _ in range(draw(st.integers(0, 2))):  # a subset, then a subset of the subset
+        data = data.subset(draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=40)))
+    weights = None
+    if draw(st.booleans()):  # boosting's: a positive weight per row, grown or shrunk per miss
+        alpha = draw(st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1.5]))
+        misses = draw(st.lists(st.integers(-3, 3), min_size=len(data), max_size=len(data)))
+        weights = np.exp(alpha * np.array(misses, dtype=float))
+    kind = draw(st.sampled_from(["cart_tree", "random_tree"]))
+    subset_size = draw(st.integers(1, n_features)) if kind == "random_tree" else None
+    return data, weights, kind, subset_size, draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 99))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree_cases())
+def test_tree_fit_matches_the_per_node_sort_reference(case):
+    data, weights, kind, subset_size, depth, min_leaf, seed = case
+    # the ranking is the order a stable sort of the dataset's own features gives
+    assert (data.ranking() == np.argsort(data.features.T, axis=1, kind="stable")).all()
+    rng = np.random.default_rng(seed) if subset_size else None
+    tree = TreeModel.fit(data, depth, min_leaf, subset_size, rng, weights, kind=kind)
+    rng = np.random.default_rng(seed) if subset_size else None
+    expected = reference_tree(data, depth, min_leaf, subset_size, rng, weights)
+    assert json.dumps(tree.root, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +479,11 @@ def test_every_kind_round_trips_through_its_one_field_list():
         record = model.to_dict()
         assert model_from_dict(json.loads(json.dumps(record))).to_dict() == record
         # the record's fields are the constructor's arguments, bar the tree's
-        # kind (its type) and stacking's leakage counter (not stored)
+        # kind (its type), stacking's leakage counter and boosting's stop
+        # reason (both set at training time, not stored)
         params = inspect.signature(type(model)).parameters
         assert list(type(model).FIELDS) == [
-            p for p in params if p not in ("kind", "heldout_label_reads_during_base_fit")
+            p for p in params if p not in ("kind", "heldout_label_reads_during_base_fit", "stop_reason")
         ]
 
 
@@ -387,12 +512,12 @@ def _with(record, **changes):
         (
             {"type": "stacking", "bases": [NB_RECORD, LOGISTIC_RECORD], "meta": _with(LOGISTIC_RECORD, n_features=3,
              weights=[1.0] * 3, mu=[0.0] * 3, sigma=[1.0] * 3), "n_features": 2},
-            "meta learner reads 3 features",
+            "logistic model reads 3 features where 2 are expected",  # the reader's check, before the meta is built
         ),
         (
             {"type": "stacking", "bases": [NB_RECORD, _with(LOGISTIC_RECORD, n_features=3, weights=[1.0] * 3,
              mu=[0.0] * 3, sigma=[1.0] * 3)], "meta": LOGISTIC_RECORD, "n_features": 2},
-            "bases must all read",
+            "logistic model reads 3 features where 2 are expected",  # the reader's check, before the base is built
         ),
         ({"type": "bagging", "members": [], "n_features": 2}, "at least one base model"),
         ({"type": "adaboost", "members": [], "alphas": [], "n_features": 2}, "at least one base model"),
@@ -425,6 +550,16 @@ def test_malformed_model_records_raise_data_error_when_loaded(tmp_path, record, 
     path.write_text(json.dumps({"schema_version": 1, "models": {"stacking": record}}), encoding="utf-8")
     with pytest.raises(DataError, match=message):
         load_bundle(path)
+
+
+def test_ensemble_constructors_refuse_bases_of_another_arity():
+    # the reader refuses such records first; a model built directly is checked too
+    nb, wide = model_from_dict(NB_RECORD), model_from_dict(_with(LOGISTIC_RECORD, n_features=3, weights=[1.0] * 3,
+                                                                 mu=[0.0] * 3, sigma=[1.0] * 3))
+    with pytest.raises(DataError, match="bases must all read"):
+        BaggingModel([nb, wide], 2)
+    with pytest.raises(DataError, match="meta learner reads 3 features"):
+        StackingModel([nb, nb], wide, 2)
 
 
 # ---------------------------------------------------------------------------
