@@ -29,6 +29,15 @@ _TYPES = {cls.kind: cls for cls in (ConstantModel, GaussianNBModel, LogisticMode
 _TYPES.update(cart_tree=TreeModel, random_tree=TreeModel)
 
 
+# a record whose n_features does not fit its place, by place; an ensemble's
+# base and a meta learner are refused in the words their parents' constructors use
+_ARITY_ERRORS = {
+    "model": "{kind} model reads {arity} features where {n} are expected",
+    "base": "ensemble bases must all read the model's {n} features, not {arity} ({kind} base)",
+    "meta": "stacking meta learner reads {arity} features, not one per base ({n})",
+}
+
+
 def model_from_dict(d: dict, n_features: int | None = None):
     """Rebuild a model from its ``to_dict()`` form; a malformed one raises ``DataError``.
 
@@ -37,6 +46,10 @@ def model_from_dict(d: dict, n_features: int | None = None):
     record's place, checked before any constructor runs: the caller's
     ``n_features`` when given, the parent's for members and bases, and the
     number of bases for a meta learner."""
+    return _read(d, n_features, "model")
+
+
+def _read(d, n_features: int | None, place: str):
     kind = d.get("type") if isinstance(d, dict) else None
     cls = _TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
@@ -49,14 +62,14 @@ def model_from_dict(d: dict, n_features: int | None = None):
     if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
         raise DataError(f"{kind} model n_features must be a positive integer, got {arity!r:.200}")
     if n_features is not None and arity != n_features:
-        raise DataError(f"{kind} model reads {arity!r:.200} features where {n_features} are expected")
+        raise DataError(_ARITY_ERRORS[place].format(kind=kind, arity=f"{arity!r:.200}", n=n_features))
     for key in ("members", "bases"):
         if key in fields:
             if not isinstance(fields[key], list):
                 raise DataError(f"{kind} model record's {key} must be a list, got {fields[key]!r:.200}")
-            fields[key] = [model_from_dict(m, arity) for m in fields[key]]
+            fields[key] = [_read(m, arity, "base") for m in fields[key]]
     if "meta" in fields:
-        fields["meta"] = model_from_dict(fields["meta"], len(fields["bases"]))
+        fields["meta"] = _read(fields["meta"], len(fields["bases"]), "meta")
     if cls is TreeModel:
         fields["kind"] = kind
     return cls(**fields)

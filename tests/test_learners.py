@@ -512,12 +512,12 @@ def _with(record, **changes):
         (
             {"type": "stacking", "bases": [NB_RECORD, LOGISTIC_RECORD], "meta": _with(LOGISTIC_RECORD, n_features=3,
              weights=[1.0] * 3, mu=[0.0] * 3, sigma=[1.0] * 3), "n_features": 2},
-            "logistic model reads 3 features where 2 are expected",  # the reader's check, before the meta is built
+            "meta learner reads 3 features",  # the reader's check, before the meta is built
         ),
         (
             {"type": "stacking", "bases": [NB_RECORD, _with(LOGISTIC_RECORD, n_features=3, weights=[1.0] * 3,
              mu=[0.0] * 3, sigma=[1.0] * 3)], "meta": LOGISTIC_RECORD, "n_features": 2},
-            "logistic model reads 3 features where 2 are expected",  # the reader's check, before the base is built
+            "bases must all read",  # the reader's check, before the base is built
         ),
         ({"type": "bagging", "members": [], "n_features": 2}, "at least one base model"),
         ({"type": "adaboost", "members": [], "alphas": [], "n_features": 2}, "at least one base model"),
