@@ -28,7 +28,7 @@ from .learners import (
     train_stacking,
 )
 from .learners.ensembles import _stratified_split, model_shape
-from .metrics import emit_run, emit_summary, load_run
+from .metrics import RunResult, emit_run, emit_summary, load_run
 from .simulator import (
     LabelingPolicy,
     ScenarioConfig,
@@ -81,11 +81,7 @@ class BenchCell:
     scheme: FusionScheme
 
     def label(self) -> str:
-        dist = self.config.distribution if self.config.trace_path is None else "trace"
-        return (
-            f"{FusionScheme.parse(self.scheme).value}_{dist}"
-            f"_n{self.config.n_nodes}_seed{self.config.seed}"
-        )
+        return RunResult.for_cell(self.scheme, self.config).label()
 
 
 def train_bundle(data: LabeledDataset, setup: LearnerSetup, seed: int) -> EnsembleBundle:

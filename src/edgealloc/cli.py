@@ -28,7 +28,7 @@ import yaml
 from .allocator import EnsembleBundle, FusionScheme
 from .bench import LearnerSetup, grid_cells, run_cells, train_bundle_with_report
 from .complexity import ComplexityClassifier, ComplexityParams, load_corpus, save_corpus
-from .core import Query, read_config
+from .core import CONTEXT_FEATURES, Query, read_config
 from .errors import ConfigError, DataError
 from .learners import LabeledDataset, load_bundle, save_bundle
 from .simulator import (
@@ -67,8 +67,10 @@ class BenchGrid:
     trace_rows: int = 60000
 
     def __post_init__(self) -> None:
-        if not self.n_values or not self.seeds or not self.distributions:
-            raise ConfigError("bench grid needs n_values, seeds and distributions")
+        for key in ("n_values", "seeds", "distributions"):
+            values = getattr(self, key)
+            if not values or len(set(values)) != len(values):
+                raise ConfigError(f"{key} must be non-empty without repeats, got {list(values)}")
         for d in self.distributions:
             if d not in ("uniform", "gaussian", "trace"):
                 raise ConfigError(f"unknown bench distribution {d!r}")
@@ -172,7 +174,7 @@ def main() -> None:
     """Allocate analytics queries to simulated edge nodes."""
 
 
-_TRAINING_COLUMNS = ("complexity", "deadline", "relevance", "load", "speed", "label")
+_TRAINING_COLUMNS = CONTEXT_FEATURES + ("label",)
 
 
 def _write_training_csv(path: Path, data: LabeledDataset) -> None:
@@ -198,7 +200,7 @@ def _read_training_csv(path: Path) -> LabeledDataset:
                     values = [float(v) for v in row]
                 except ValueError as exc:
                     raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
-                if len(values) != 6 or not np.isfinite(values).all() or values[5] not in (0.0, 1.0):
+                if len(values) != len(_TRAINING_COLUMNS) or not np.isfinite(values).all() or values[-1] not in (0.0, 1.0):
                     raise DataError(
                         f"{path}, line {reader.line_num}: need five finite features and a 0/1 label, got {row}"
                     )
@@ -210,7 +212,7 @@ def _read_training_csv(path: Path) -> LabeledDataset:
     if not rows:
         raise DataError(f"{path}: training set is empty")
     table = np.asarray(rows)
-    return LabeledDataset(table[:, :5], table[:, 5])
+    return LabeledDataset(table[:, :-1], table[:, -1])
 
 
 def _write_default_trace(cfg: AppConfig) -> Path:
@@ -310,7 +312,7 @@ def cmd_allocate(cfg: AppConfig, scheme, k, query_index, query_json, fmt) -> Non
         if not path.exists():
             raise DataError(f"missing {path}; run 'edgealloc gen' and 'edgealloc train' first")
     scenario = load_scenario(scenario_path)
-    models, _meta = load_bundle(models_path, n_features=5)  # a decision's five context features
+    models, _meta = load_bundle(models_path, n_features=len(CONTEXT_FEATURES))
     try:
         bundle = EnsembleBundle(models["boost"], models["bagging"], models["stacking"])
     except KeyError as exc:

@@ -1,11 +1,14 @@
 """Shared domain types: queries, their constraints, node digests and states.
 
-The decision engine sees each (query, node) pair as five features: the
-query's complexity scalar and deadline, the node's data relevance for the
-query, and the node's load and speed.  ``complexity_scalar`` collapses a
-complexity vector into the first of them; ``simulator`` assembles the
-feature matrix.  ``read_config`` builds any of the frozen config
-dataclasses from plain YAML/JSON data.
+The decision engine sees each (query, node) pair as one context row of
+features: the query's complexity scalar and deadline, the node's data
+relevance for the query, and the node's load and speed.  The row's layout
+lives here and only here: ``CONTEXT_FEATURES`` names the features in column
+order and ``context_matrix`` fills a matrix from them, for the decisions
+and the training set ``simulator`` builds and the training CSV ``cli``
+writes.  ``complexity_scalar`` collapses a complexity vector into the first
+feature.  ``read_config`` builds any of the frozen config dataclasses from
+plain YAML/JSON data.
 """
 
 from __future__ import annotations
@@ -26,9 +29,13 @@ __all__ = [
     "Query",
     "DatasetDigest",
     "NodeState",
+    "CONTEXT_FEATURES",
     "complexity_scalar",
+    "context_matrix",
     "read_config",
 ]
+
+CONTEXT_FEATURES = ("complexity", "deadline", "relevance", "load", "speed")
 
 DEFAULT_QUEUE_CAPACITY = 100
 
@@ -133,6 +140,20 @@ def complexity_scalar(vector: ComplexityVector) -> float:
     k = len(vector.memberships)
     best = vector.argmax()
     return vector.memberships[best] * (best + 1) / k
+
+
+def context_matrix(n: int, complexity, deadline, relevance, load, speed) -> np.ndarray:
+    """The (n, 5) context matrix, one row per (query, node) pair, column j
+    holding feature ``CONTEXT_FEATURES[j]``; each feature is a scalar or an
+    (n,) array.  Filled column by column, without a loop, because every
+    decision calls it."""
+    out = np.empty((n, len(CONTEXT_FEATURES)))
+    out[:, 0] = complexity
+    out[:, 1] = deadline
+    out[:, 2] = relevance
+    out[:, 3] = load
+    out[:, 4] = speed
+    return out
 
 
 _KINDS = {int: "an integer", float: "a finite number", str: "a string"}

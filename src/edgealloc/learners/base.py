@@ -650,8 +650,8 @@ def _normalised_weights(sample_weight, n: int) -> np.ndarray:
     w = np.asarray(sample_weight, dtype=float)
     if w.shape != (n,):
         raise ValueError("sample_weight must match the number of rows")
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("sample weights must be non-negative with positive sum")
+    if np.any(w < 0) or not 0 < w.sum() < math.inf:  # a NaN or inf weight fails the sum
+        raise ValueError("sample weights must be finite and non-negative with positive sum")
     return w / w.sum()
 
 

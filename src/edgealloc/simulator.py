@@ -10,12 +10,15 @@ count face the same workload.
 
 Every allocation goes through one path.  A node table (ids, speeds, the
 relevance operand of the nodes' confidence intervals, queue capacities) is
-built once per run;
-``_decide_query`` then classifies the statement, fills the (N, 5) feature
-matrix (complexity, deadline, relevance, load, speed) and hands it to
+built once per run; ``_decide_query`` then classifies the statement, fills
+the (N, 5) context matrix with ``core.context_matrix`` and hands it to
 ``decide_from_features``; the picks come back as positions into the table.
-``simulate_run`` calls it once per query and indexes the table, its record
-and the queue update by them.  ``ova_allocate`` calls it once over a one-off
+``synthesize_training_set`` fills its rows with the same kernel, so the
+column layout is ``core.CONTEXT_FEATURES`` on both sides.  ``simulate_run``
+calls ``_decide_query`` once per query and indexes the table, its
+``QueryRecord`` and the queue update by the picks; the run's descriptor and
+label come from ``RunResult.for_cell`` and its file layout from
+``metrics.RUN_COLUMNS``.  ``ova_allocate`` calls it once over a one-off
 table at the nodes' current loads and alone maps the picks to node ids.
 """
 
@@ -38,7 +41,7 @@ from scipy.special import ndtr
 
 from .allocator import AllocationDecision, EnsembleBundle, FusionScheme, decide_from_features
 from .complexity import ComplexityClassifier, TrainingQueryCorpus, DEFAULT_CLASSES, tokenize_statement
-from .core import DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar, read_config
+from .core import DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar, context_matrix, read_config
 from .errors import ConfigError, DataError
 from .learners import LabeledDataset
 from .metrics import QueryRecord, RunResult
@@ -472,7 +475,7 @@ def generate_utilization_trace(path, rows: int = 60000, seed: int = 0) -> Path:
     values = np.clip(base + noise, 1.0, 99.0)
     path = Path(path)
     np.savetxt(
-        path, np.column_stack([t, values]), fmt=["%d", "%.4f"], delimiter=",",
+        path, np.stack([t, values], axis=1), fmt=["%d", "%.4f"], delimiter=",",
         header="step,cpu_util", comments="", newline="\r\n",
     )
     return path
@@ -618,7 +621,9 @@ def synthesize_training_set(
         100.0 * positives / size,
         policy,
     )
-    features = np.column_stack([complexity, deadlines, relevances, loads, speeds])
+    features = context_matrix(
+        size, complexity=complexity, deadline=deadlines, relevance=relevances, load=loads, speed=speeds
+    )
     return LabeledDataset(features, labels)
 
 
@@ -672,7 +677,7 @@ def _decide_query(
     alpha: float,
     k: int,
 ) -> tuple:
-    """One decision: classify, fill the (N, 5) feature matrix, vote.
+    """One decision: classify, fill the (N, 5) context matrix, vote.
 
     Returns ``(fused, picks, decision_ms)``, the picks as positions into
     ``table``.  The decision time covers all of it, from classification to
@@ -685,12 +690,10 @@ def _decide_query(
     try:
         started = time.perf_counter()
         vector, _ = classifier.classify_statement(query.statement)
-        features = np.empty((len(table.ids), 5))
-        features[:, 0] = complexity_scalar(vector)
-        features[:, 1] = query.deadline
-        features[:, 2] = relevance_batch(query.constraints, table.bounds, alpha)
-        features[:, 3] = loads
-        features[:, 4] = table.speeds
+        features = context_matrix(
+            len(table.ids), complexity=complexity_scalar(vector), deadline=query.deadline,
+            relevance=relevance_batch(query.constraints, table.bounds, alpha), load=loads, speed=table.speeds,
+        )
         fused, picks = decide_from_features(features, table.ids, loads, bundle, scheme, k)
         return fused, picks, max((time.perf_counter() - started) * 1000.0, MIN_DECISION_MS)
     finally:
@@ -744,12 +747,7 @@ def simulate_run(
     loads = occupancy / table.capacity
     speed_max = float(table.speeds.max())
 
-    result = RunResult(
-        scheme=scheme.value,
-        distribution=cfg.distribution if cfg.trace_path is None else "trace",
-        n_nodes=cfg.n_nodes,
-        seed=cfg.seed,
-    )
+    result = RunResult.for_cell(scheme, cfg)
     for t, query in enumerate(scenario.queries):
         if replay:
             loads = scenario.loads_at(t)

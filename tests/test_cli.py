@@ -829,6 +829,28 @@ def test_bench_runs_grid_and_is_resumable(runner, tmp_path):
     assert again.output.count("skipped") == 4
 
 
+def test_bench_resumed_after_it_finished_rewrites_the_same_summary(runner, tmp_path):
+    config = write_config(tmp_path / "config.yaml", tmp_path / "out")
+    assert runner.invoke(main, ["bench", "--config", str(config)]).exit_code == 0
+    summary = tmp_path / "out" / "bench" / "summary.csv"
+    fresh = summary.read_bytes()
+    again = runner.invoke(main, ["bench", "--config", str(config)])
+    assert again.exit_code == 0 and again.output.count("skipped") == 4, again.output
+    assert summary.read_bytes() == fresh
+
+
+@pytest.mark.parametrize(
+    "key, values", [("n_values", [5, 3, 5]), ("seeds", [0, 0]), ("distributions", ["uniform", "uniform"])]
+)
+def test_bench_grid_with_a_repeated_value_exits_2_naming_the_key(runner, tmp_path, key, values):
+    grid = dict(config_mapping(tmp_path)["bench"], **{key: values})
+    config = write_config(tmp_path / "config.yaml", tmp_path / "out", bench=grid)
+    result = runner.invoke(main, ["bench", "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert key in result.output and "repeats" in result.output
+    assert not (tmp_path / "out" / "bench").exists()
+
+
 def test_bench_with_a_default_trace_shorter_than_a_cell_exits_2_before_any_cell(runner, tmp_path):
     out_dir = tmp_path / "out"
     bench_grid = {"n_values": [3, 5], "seeds": [0], "distributions": ["uniform", "trace"], "trace_rows": 4}

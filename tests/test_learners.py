@@ -295,6 +295,15 @@ def test_tree_fit_matches_the_per_node_sort_reference(case):
     assert json.dumps(tree.root, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+@pytest.mark.parametrize("kind", LEARNER_KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_train_base_refuses_a_non_finite_sample_weight(kind, bad):
+    data = dataset([[0.0, 0.0], [0.1, 0.2], [0.9, 1.0], [1.0, 0.8]], [0, 0, 1, 1])
+    with pytest.raises(ValueError, match="sample weights must be finite") as caught:
+        train_base(BaseLearnerSpec(kind=kind, max_depth=2), data, seed=0, sample_weight=[1.0, bad, 1.0, 1.0])
+    assert caught.type is ValueError  # not the model-file error DataError
+
+
 # ---------------------------------------------------------------------------
 # bagging
 # ---------------------------------------------------------------------------

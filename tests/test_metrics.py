@@ -12,7 +12,6 @@ from edgealloc.metrics import (
     emit_run,
     emit_summary,
     load_run,
-    optimality_gaps,
     summarise_runs,
 )
 
@@ -55,19 +54,24 @@ def test_throughput_rejects_zero_total():
 # ---------------------------------------------------------------------------
 
 
+def gaps(rec):
+    """(load_gap, speed_gap) of one record, as its run file holds them."""
+    run = run_with([rec])
+    return (float(run.column("load_gap")[0]), float(run.column("speed_gap")[0]))
+
+
 def test_gap_computation():
-    load_gap, speed_gap = optimality_gaps(record(load_sel=0.3, load_min=0.1))
+    load_gap, speed_gap = gaps(record(load_sel=0.3, load_min=0.1))
     assert load_gap == pytest.approx(0.2)
 
 
 def test_fastest_node_selected_gives_zero_speed_gap():
-    _, speed_gap = optimality_gaps(record(speed_sel=0.9, speed_max=0.9))
+    _, speed_gap = gaps(record(speed_sel=0.9, speed_max=0.9))
     assert speed_gap == 0.0
 
 
 def test_optimal_decision_gives_zero_gaps():
-    gaps = optimality_gaps(record(load_sel=0.1, load_min=0.1, speed_sel=0.9, speed_max=0.9))
-    assert gaps == (0.0, 0.0)
+    assert gaps(record(load_sel=0.1, load_min=0.1, speed_sel=0.9, speed_max=0.9)) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,3 +178,24 @@ def test_load_run_rejects_empty_and_cut_files(tmp_path, cut):
     path.write_text(text[:keep], encoding="utf-8")
     with pytest.raises(DataError):
         load_run(path, 3)
+
+
+def test_a_summary_reads_the_same_from_fresh_runs_and_their_files(tmp_path):
+    # values past the ninth decimal, where the file's rounding of a gap and
+    # the gap of the file's rounded loads differ
+    rng = np.random.default_rng(0)
+    results = []
+    for seed in range(3):
+        loads, speeds = np.sort(rng.uniform(0, 1, (2, 50, 2)), axis=-1)
+        recs = [
+            record(load_sel=load[1], load_min=load[0], speed_sel=speed[0], speed_max=speed[1], ms=ms, idx=i)
+            for i, (load, speed, ms) in enumerate(zip(loads, speeds, rng.uniform(0.1, 2, 50)))
+        ]
+        results.append(run_with(recs, seed=seed))
+    loaded = [load_run(emit_run(r, tmp_path / "runs"), 50) for r in results]
+    assert (np.round(loaded[0].load_gaps(), 9) != loaded[0].column("load_gap")).any()  # the case is exercised
+    fresh = emit_summary(results, tmp_path / "fresh").read_bytes()
+    assert emit_summary(loaded, tmp_path / "loaded").read_bytes() == fresh
+    for r, back in zip(results, loaded):
+        for col in ("load_gap", "speed_gap", "load_selected", "decision_ms"):
+            np.testing.assert_array_equal(r.column(col), back.column(col))

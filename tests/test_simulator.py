@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 from edgealloc import allocator, simulator
 from edgealloc.allocator import decide_from_features
 from edgealloc.bench import LearnerSetup, train_bundle
+from edgealloc.cli import _write_training_csv
 from edgealloc.complexity import ComplexityClassifier
+from edgealloc.core import CONTEXT_FEATURES, complexity_scalar
 from edgealloc.errors import ConfigError, DataError
+from edgealloc.relevance import confidence_intervals, relevance_batch
 from edgealloc.simulator import (
     LabelingPolicy,
     ScenarioConfig,
@@ -428,6 +431,58 @@ def test_ova_allocate_replays_simulate_run(trained, scheme, k, monkeypatch):
         assert all(len(d.selected) == k for d in replayed)
         # the vote, not only the load tie-break, decides some of these picks
         assert any(0 < d.fused_labels.sum() < len(d.fused_labels) for d in replayed)
+
+
+def test_each_decision_column_holds_its_own_feature(trained, monkeypatch):
+    """Column j of every matrix a run hands ``decide_from_features`` is
+    feature ``CONTEXT_FEATURES[j]``, each computed here on its own."""
+    config, classifier, bundle = trained
+    seen = []
+
+    def recording(features, *args, **kwargs):
+        seen.append(features.copy())
+        return decide_from_features(features, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "decide_from_features", recording)
+    scenario = generate_scenario(config)
+    simulate_run(scenario, bundle, "mvs", classifier)
+    nodes = scenario.nodes
+    ci = confidence_intervals(
+        np.stack([n.digest.means for n in nodes]),
+        np.stack([n.digest.spreads for n in nodes]),
+        np.array([n.digest.cardinality for n in nodes]),
+        config.z,
+    )
+    assert len(seen) == len(scenario.queries)
+    for t, (query, features) in enumerate(zip(scenario.queries, seen)):
+        expected = {
+            "complexity": complexity_scalar(classifier.classify_statement(query.statement)[0]),
+            "deadline": query.deadline,
+            "relevance": relevance_batch(query.constraints.intervals, ci, config.alpha),
+            "load": scenario.loads_at(t),
+            "speed": [n.speed for n in nodes],
+        }
+        assert features.shape == (len(nodes), len(CONTEXT_FEATURES))
+        for j, name in enumerate(CONTEXT_FEATURES):
+            np.testing.assert_array_equal(features[:, j], np.broadcast_to(expected[name], len(nodes)), err_msg=name)
+
+
+def test_training_rows_and_their_csv_header_share_the_decision_layout(tmp_path):
+    """The training CSV's header is ``CONTEXT_FEATURES`` plus the label, and
+    each synthesized column is the feature its header names."""
+    config = cfg(deadline_max=10.0)
+    policy = LabelingPolicy(max_relevance=0.5, max_load=0.5, min_speed=0.4)
+    data = synthesize_training_set(generate_scenario(config), policy, 600)
+    _write_training_csv(tmp_path / "training.csv", data)
+    with open(tmp_path / "training.csv", newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    assert header == list(CONTEXT_FEATURES) + ["label"]
+    column = {name: data.features[:, j] for j, name in enumerate(header[:-1])}
+    # the labels are the policy on the relevance, load and speed columns, and not with load and speed swapped
+    assert (policy.label(column["relevance"], column["load"], column["speed"]) == data.labels).all()
+    assert (policy.label(column["relevance"], column["speed"], column["load"]) != data.labels).any()
+    assert 0 < column["complexity"].min() and column["complexity"].max() <= 1
+    assert column["deadline"].max() > 1  # drawn on [0, deadline_max)
 
 
 @pytest.mark.parametrize("load_mode", ["trace_replay", "queue_dynamics"])
