@@ -73,8 +73,8 @@ class EnsembleBundle:
 
 
 def fuse_batch(labels: np.ndarray, scheme: FusionScheme) -> np.ndarray:
-    """Row-wise fusion of an (N, 3) binary label matrix."""
-    scheme = FusionScheme.parse(scheme)
+    """Row-wise fusion of an (N, 3) binary label matrix under a
+    ``FusionScheme``; a scheme's name is parsed at the entry points."""
     if scheme is FusionScheme.CS:
         return labels.prod(axis=1)
     return (labels.sum(axis=1) >= 2).astype(labels.dtype)
@@ -147,7 +147,8 @@ def decide_from_features(
     scheme: FusionScheme,
     k: int = 1,
 ) -> tuple:
-    """Label (cascaded), fuse and pick given a prebuilt (N, 5) feature matrix.
+    """Label (cascaded), fuse and pick given a prebuilt (N, 5) feature matrix
+    and a ``FusionScheme``; a scheme's name is parsed at the entry points.
 
     Returns ``(fused, picks)``: the (N,) fused labels and the positions of
     the first k nodes of the one ranking, in ranking order.  The (N, 3)
@@ -157,7 +158,7 @@ def decide_from_features(
     """
     labels = np.zeros((features.shape[0], 3), dtype=int, order="F")
     labels[:, 0] = bundle.boost.predict_batch(features)
-    if FusionScheme.parse(scheme) is FusionScheme.CS:
+    if scheme is FusionScheme.CS:
         rows = np.flatnonzero(labels[:, 0])
         if rows.size:
             labels[rows, 1] = bundle.bagging.predict_batch(features.take(rows, axis=0))

@@ -14,6 +14,7 @@ plain YAML/JSON data.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -39,6 +40,9 @@ CONTEXT_FEATURES = ("complexity", "deadline", "relevance", "load", "speed")
 
 DEFAULT_QUEUE_CAPACITY = 100
 
+# node ids, queue capacities and cardinalities are held in int64 node-table arrays
+INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class QueryConstraints:
@@ -53,8 +57,10 @@ class QueryConstraints:
             raise ValueError(f"expected constraint shape (L, 2), got {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("constraints need at least one dimension")
-        if not np.all(arr[:, 0] <= arr[:, 1]):
-            raise ValueError("constraint minima must not exceed maxima, nor any bound be NaN")
+        if not np.isfinite(arr).all():
+            raise ValueError("constraint bounds must be finite, not NaN or inf")
+        if not (arr[:, 0] <= arr[:, 1]).all():
+            raise ValueError("constraint minima must not exceed maxima")
         object.__setattr__(self, "intervals", arr)
 
     @property
@@ -74,8 +80,8 @@ class Query:
     def __post_init__(self) -> None:
         if not self.statement or not self.statement.strip():
             raise ValueError("query statement must be non-empty")
-        if not self.deadline >= 0:
-            raise ValueError(f"deadline must be >= 0, got {self.deadline}")
+        if not 0 <= self.deadline < math.inf:
+            raise ValueError(f"deadline must be finite and >= 0, got {self.deadline}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,8 @@ class DatasetDigest:
             raise ValueError("means and spreads must be finite")
         if np.any(spreads < 0):
             raise ValueError("spreads must be non-negative")
-        if self.cardinality < 1:
-            raise ValueError(f"cardinality must be >= 1, got {self.cardinality}")
+        if not 1 <= self.cardinality <= INT64_MAX:
+            raise ValueError(f"cardinality must be in [1, 2**63 - 1], got {self.cardinality!r:.200}")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "spreads", spreads)
 
@@ -126,8 +132,10 @@ class NodeState:
             raise ValueError(f"load must be in [0, 1], got {self.load}")
         if not 0.0 <= self.speed <= 1.0:
             raise ValueError(f"speed must be in [0, 1], got {self.speed}")
-        if self.queue_capacity < 1:
-            raise ValueError("queue capacity must be >= 1")
+        if not -INT64_MAX - 1 <= self.node_id <= INT64_MAX:
+            raise ValueError(f"node id must be in [-2**63, 2**63 - 1], got {self.node_id!r:.200}")
+        if not 1 <= self.queue_capacity <= INT64_MAX:
+            raise ValueError(f"queue capacity must be in [1, 2**63 - 1], got {self.queue_capacity!r:.200}")
 
 
 def complexity_scalar(vector: ComplexityVector) -> float:

@@ -158,6 +158,11 @@ class _Model:
     A model's record is its type plus its constructor's arguments: ``kind``
     is the type and ``FIELDS`` names the arguments, so ``to_dict`` is the one
     writer and ``serialize.model_from_dict`` the one reader of every kind.
+
+    A predict reads the (n, F) float matrix its caller builds, as it is:
+    arity is refused where a model is read (``model_from_dict``,
+    ``load_bundle``) or built (the ensemble constructors, training from a
+    dataset's own arity), not on every prediction.
     """
 
     kind: str
@@ -166,16 +171,6 @@ class _Model:
 
     def predict_proba_batch(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _check(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.shape[1] != self.n_features:
-            raise ValueError(
-                f"feature arity mismatch: model expects {self.n_features}, got {arr.shape[1]}"
-            )
-        return arr
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         return (self.predict_proba_batch(x) >= 0.5).astype(int)
@@ -207,7 +202,6 @@ class ConstantModel(_Model):
         self.n_features = int(n_features)
 
     def predict_proba_batch(self, x):
-        x = self._check(x)
         return np.full(x.shape[0], float(self.label))
 
 
@@ -423,7 +417,7 @@ class TreeModel(_Model):
         return cls(root, data.arity, kind=kind)
 
     def predict_proba_batch(self, x):
-        return self._forest.leaf_probs(self._check(x))[0]
+        return self._forest.leaf_probs(x)[0]
 
 
 def _sigmoid(margin: np.ndarray) -> np.ndarray:
@@ -516,7 +510,7 @@ class GaussianNBModel(_Model):
         return cls(means, variances, log_priors, data.arity)
 
     def predict_proba_batch(self, x):
-        d = self._check(x) - self.center
+        d = x - self.center
         return _sigmoid(d @ self.lin + (d * d) @ self.quad + self.const)
 
 
@@ -564,7 +558,7 @@ class LogisticModel(_Model):
         return cls(beta, bias, mu, sigma, data.arity)
 
     def predict_proba_batch(self, x):
-        return _sigmoid(self._check(x) @ self.lin + self.const)
+        return _sigmoid(x @ self.lin + self.const)
 
 
 class _BaseColumns:

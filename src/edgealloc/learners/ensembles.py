@@ -67,7 +67,6 @@ class _Voting(_Model):
     _labels = _Model.predict_batch  # the vote's labels of the rows themselves, without the table
 
     def predict_batch(self, x):
-        x = self._check(x)
         if self._table is None:
             return self._labels(x)
         return self._table[self._columns._grid.index(x)]
@@ -95,7 +94,6 @@ class AdaBoostModel(_Voting):
         super().__init__(members, n_features)  # tabulating votes, so alphas come first
 
     def predict_proba_batch(self, x):
-        x = self._check(x)
         if self._total == 0.0:
             return np.full(x.shape[0], 0.5)
         margin = np.zeros(x.shape[0])
@@ -114,7 +112,7 @@ class BaggingModel(_Voting):
     kind, FIELDS = "bagging", ("members", "n_features")
 
     def predict_proba_batch(self, x):
-        return self._member_labels(self._check(x)).mean(axis=0)
+        return self._member_labels(x).mean(axis=0)
 
 
 class StackingModel(_Model):
@@ -128,8 +126,7 @@ class StackingModel(_Model):
 
     kind, FIELDS = "stacking", ("bases", "meta", "n_features")
 
-    def __init__(self, bases: Sequence, meta, n_features: int,
-                 heldout_label_reads_during_base_fit: int = 0):
+    def __init__(self, bases: Sequence, meta, n_features: int):
         self.bases = list(bases)
         self.meta = meta
         self.n_features = n_features
@@ -138,16 +135,13 @@ class StackingModel(_Model):
             raise DataError(
                 f"stacking meta learner reads {meta.n_features} features, not one per base ({len(self.bases)})"
             )
-        # instrumentation: reads of the held-out label array observed while
-        # the base learners were being fitted (must be 0)
-        self.heldout_label_reads_during_base_fit = heldout_label_reads_during_base_fit
 
     def _meta_features(self, x: np.ndarray) -> np.ndarray:
         """C-ordered (n, k) base probabilities for the n rows of the (n, F) matrix x."""
         return np.ascontiguousarray(self._columns(x).T)
 
     def predict_proba_batch(self, x):
-        return self.meta.predict_proba_batch(self._meta_features(self._check(x)))
+        return self.meta.predict_proba_batch(self._meta_features(x))
 
 
 def model_shape(model) -> dict:
@@ -171,18 +165,6 @@ def model_shape(model) -> dict:
         shape["base_kinds"] = [b.kind for b in members]
         shape["meta"] = model.meta.to_dict()
     return shape
-
-
-class _CountedLabels:
-    """Wraps a label array and counts every read access."""
-
-    def __init__(self, labels: np.ndarray):
-        self._labels = labels
-        self.reads = 0
-
-    def get(self) -> np.ndarray:
-        self.reads += 1
-        return self._labels
 
 
 def train_adaboost(
@@ -275,10 +257,9 @@ def train_stacking(
 ) -> StackingModel:
     """Two-stage stacking on disjoint splits.
 
-    Bases train on part A only; their predictions on part B become the meta
-    features (arity = number of bases).  Part B labels sit behind a read
-    counter while the bases fit, and the count observed at that point is
-    recorded on the model as leakage instrumentation.
+    The bases see part A alone: each trains on ``data.subset(idx_a)`` and
+    nothing else.  Their predictions on part B, with part B's labels, become
+    the meta learner's training set (arity = number of bases).
     """
     if len(base_specs) < 2:
         raise ValueError("stacking needs at least two base learner specs")
@@ -287,21 +268,14 @@ def train_stacking(
     rng = np.random.default_rng([seed, 0x57AC])
     idx_a, idx_b = _stratified_split(data.labels, split_ratio, rng)
     part_a = data.subset(idx_a)
-    heldout_labels = _CountedLabels(data.labels[idx_b])
-    heldout_features = data.features[idx_b]
-
     bases = [
         train_base(s, part_a, seed=_child_seed(seed, i)) for i, s in enumerate(base_specs)
     ]
-    reads_during_base_fit = heldout_labels.reads
 
     # the meta learner fits on the model's own meta features; a constant
     # holds its place until then
-    model = StackingModel(
-        bases, ConstantModel(0, len(bases)), data.arity,
-        heldout_label_reads_during_base_fit=reads_during_base_fit,
-    )
-    meta_data = LabeledDataset(model._meta_features(heldout_features), heldout_labels.get())
+    model = StackingModel(bases, ConstantModel(0, len(bases)), data.arity)
+    meta_data = LabeledDataset(model._meta_features(data.features[idx_b]), data.labels[idx_b])
     model.meta = train_base(meta_spec, meta_data, seed=_child_seed(seed, len(bases)))
     return model
 

@@ -41,7 +41,9 @@ from scipy.special import ndtr
 
 from .allocator import AllocationDecision, EnsembleBundle, FusionScheme, decide_from_features
 from .complexity import ComplexityClassifier, TrainingQueryCorpus, DEFAULT_CLASSES, tokenize_statement
-from .core import DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar, context_matrix, read_config
+from .core import (
+    INT64_MAX, DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar, context_matrix, read_config,
+)
 from .errors import ConfigError, DataError
 from .learners import LabeledDataset
 from .metrics import QueryRecord, RunResult
@@ -114,12 +116,13 @@ class ScenarioConfig:
             raise ConfigError(f"distribution must be one of {_DISTRIBUTIONS}")
         if self.load_mode not in _LOAD_MODES:
             raise ConfigError(f"load_mode must be one of {_LOAD_MODES}")
-        if self.z <= 0:
-            raise ConfigError("z must be positive")
+        if not 0 < self.z < math.inf:
+            raise ConfigError("z must be positive and finite")
         if self.alpha == 0:
             raise ConfigError("alpha must be non-zero")
-        if min(self.queue_capacity, self.digest_sample_size, self.digest_cardinality) < 1:
-            raise ConfigError("queue_capacity, digest_sample_size and digest_cardinality must all be >= 1")
+        sizes = (self.queue_capacity, self.digest_sample_size, self.digest_cardinality)
+        if not all(1 <= v <= INT64_MAX for v in sizes):
+            raise ConfigError("queue_capacity, digest_sample_size and digest_cardinality must all be in [1, 2**63 - 1]")
         if not -1.0 < self.load_speed_corr < 1.0:
             raise ConfigError("load_speed_corr must be in (-1, 1)")
 
@@ -390,8 +393,9 @@ def query_from_record(record) -> Query:
     """Build a query from its JSON record.
 
     The record is an object with a ``statement`` string holding at least
-    one token, ``constraints`` as [[min, max], ...] with min <= max, and
-    optionally an ``id`` (default ``adhoc``) and a ``deadline`` >= 0.
+    one token, ``constraints`` as [[min, max], ...] with finite min <= max,
+    and optionally an ``id`` (default ``adhoc``) and a finite ``deadline``
+    >= 0.
     Anything else raises ``DataError``; callers prefix the source.
     """
     if not isinstance(record, dict):
@@ -415,7 +419,8 @@ def query_from_record(record) -> Query:
 
 def load_scenario(path) -> Scenario:
     """Read a scenario dumped by ``save_scenario``; ``DataError`` naming the
-    file for anything that does not describe a valid scenario."""
+    file for anything that does not describe a valid scenario, such as one
+    whose run could not build its node table."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -452,6 +457,10 @@ def load_scenario(path) -> Scenario:
     dims = {node.digest.dims for node in nodes} | {q.constraints.dims for q in queries}
     if dims != {cfg.dims}:
         raise DataError(f"scenario {path}: dimension counts {sorted(dims)} differ from config dims {cfg.dims}")
+    try:
+        _node_table(nodes, cfg.z)
+    except DataError as exc:
+        raise DataError(f"scenario {path}: {exc}") from exc
     return Scenario(config=cfg, nodes=nodes, queries=queries, load_series=load_series)
 
 
@@ -645,19 +654,26 @@ class _NodeTable:
 
 
 def _node_table(nodes: Sequence[NodeState], z: float) -> _NodeTable:
+    """The run's node table; ``DataError`` for a repeated node id or a
+    confidence interval that is not finite."""
     if len(nodes) == 0:
         raise ValueError("node list must be non-empty")
+    ids, counts = np.unique([node.node_id for node in nodes], return_counts=True)
+    if counts.max() > 1:
+        raise DataError(f"node id {ids[counts.argmax()]} repeats")
+    with np.errstate(over="ignore"):
+        intervals = confidence_intervals(
+            np.stack([node.digest.means for node in nodes]),
+            np.stack([node.digest.spreads for node in nodes]),
+            np.array([node.digest.cardinality for node in nodes]),
+            z,
+        )
+    if not np.isfinite(intervals).all():
+        raise DataError(f"a node's confidence interval overflows at z={z}")
     return _NodeTable(
         ids=np.array([node.node_id for node in nodes], dtype=int),
         speeds=np.array([node.speed for node in nodes], dtype=float),
-        bounds=interval_bounds(
-            confidence_intervals(
-                np.stack([node.digest.means for node in nodes]),
-                np.stack([node.digest.spreads for node in nodes]),
-                np.array([node.digest.cardinality for node in nodes]),
-                z,
-            )
-        ),
+        bounds=interval_bounds(intervals),
         capacity=np.array([node.queue_capacity for node in nodes], dtype=np.int64),
     )
 
@@ -715,11 +731,14 @@ def ova_allocate(
     """Allocate one query across a node snapshot at the nodes' current loads.
 
     Makes the same decision ``simulate_run`` makes for the same loads.
+    ``scheme`` is a ``FusionScheme`` or its name.
     """
     table = _node_table(nodes, z)
     _check_k(k, len(nodes))
     loads = np.array([node.load for node in nodes], dtype=float)
-    fused, picks, decision_ms = _decide_query(query, table, loads, bundle, scheme, fcp, alpha, k)
+    fused, picks, decision_ms = _decide_query(
+        query, table, loads, bundle, FusionScheme.parse(scheme), fcp, alpha, k
+    )
     return AllocationDecision(fused, tuple(table.ids[picks].tolist()), decision_ms)
 
 

@@ -23,7 +23,8 @@ from edgealloc.complexity import (
     quasi_arithmetic_mean,
 )
 from edgealloc.learners import BaseLearnerSpec, bootstrap_indices, train_adaboost, train_stacking
-from edgealloc.learners.base import LabeledDataset
+from edgealloc.learners.base import LabeledDataset, train_base
+from edgealloc.learners.ensembles import _child_seed, _stratified_split
 from edgealloc.metrics import summarise_runs
 from edgealloc.relevance import relevance_batch
 from edgealloc.simulator import (
@@ -252,18 +253,21 @@ def test_criterion_9_ensemble_sanity():
     )
     assert abs(distinct - (1 - 1 / math.e)) <= 0.01
 
+    # stacking: every base is the one its spec trains on part A of the
+    # stratified split alone
     wide = np.random.default_rng(3).uniform(0, 1, (200, 5))
     labels = (wide[:, 3] < 0.5).astype(int)
-    stacked = train_stacking(
-        LabeledDataset(wide, labels),
-        (BaseLearnerSpec(kind="cart_tree", max_depth=2), BaseLearnerSpec(kind="logistic")),
-        BaseLearnerSpec(kind="logistic"),
-        seed=0,
-    )
-    assert stacked.heldout_label_reads_during_base_fit == 0
+    data = LabeledDataset(wide, labels)
+    specs = (BaseLearnerSpec(kind="cart_tree", max_depth=2), BaseLearnerSpec(kind="logistic"))
+    stacked = train_stacking(data, specs, BaseLearnerSpec(kind="logistic"), seed=0)
+    idx_a, _ = _stratified_split(labels, 0.5, np.random.default_rng([0, 0x57AC]))
+    part_a = data.subset(idx_a)
+    for i, (spec, base) in enumerate(zip(specs, stacked.bases)):
+        assert base.to_dict() == train_base(spec, part_a, seed=_child_seed(0, i)).to_dict()
     print(
         f"ACCEPTANCE 9 PASS: boosted stumps {err_five:.3f} < single stump {err_one:.3f}; "
-        f"bootstrap distinct fraction {distinct:.4f}; stacking held-out label reads 0"
+        f"bootstrap distinct fraction {distinct:.4f}; stacking bases trained on part A alone "
+        f"({len(idx_a)} of {len(data)} rows)"
     )
 
 

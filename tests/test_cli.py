@@ -25,6 +25,7 @@ from edgealloc.simulator import (
     load_scenario,
     save_scenario,
     synthesize_training_set,
+    _node_table,
 )
 
 
@@ -583,6 +584,13 @@ def _set(payload, path, value):
         (("queries", 0, "constraints"), [[0.9, 0.1]]),
         (("queries", 0, "statement"), 7),
         (("load_series",), [[0.1], [0.1, 0.2]]),
+        (("nodes", 1, "digest", "spreads"), [1.7e308]),  # its interval overflows
+        # integers the node table's int64 arrays cannot hold
+        (("nodes", 0, "node_id"), 2**70),
+        pytest.param(("nodes", 0, "digest", "cardinality"), 10**400, id="cardinality-10**400"),
+        (("nodes", 0, "queue_capacity"), 2**70),
+        (("queries", 0, "constraints"), [[math.inf, math.inf]]),  # JSON 1e400 reads as inf
+        (("queries", 0, "deadline"), math.inf),
     ],
 )
 def test_allocate_with_a_malformed_scenario_exits_3_naming_the_file(runner, tmp_path, path, value):
@@ -598,6 +606,16 @@ def test_allocate_with_a_malformed_scenario_exits_3_naming_the_file(runner, tmp_
     result = runner.invoke(main, ["allocate", "--config", str(config)])
     assert result.exit_code == 3, result.output
     assert f"scenario {scenario_path}" in result.output
+
+
+def test_allocate_with_repeated_node_ids_exits_3_naming_the_id(runner, tmp_path):
+    config, scenario_path, payload = two_node_setup(tmp_path)
+    for node in payload["nodes"]:
+        node["node_id"] = 3
+    scenario_path.write_text(json.dumps(payload), encoding="utf-8")
+    result = runner.invoke(main, ["allocate", "--config", str(config)])
+    assert result.exit_code == 3, result.output
+    assert f"scenario {scenario_path}: node id 3 repeats" in result.output
 
 
 @pytest.mark.parametrize(
@@ -617,6 +635,8 @@ def test_allocate_with_a_malformed_scenario_exits_3_naming_the_file(runner, tmp_
         ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "deadline": "soon"}, "invalid query"),
         ({"statement": "select a from t", "constraints": [[0.1, 0.2], [0.1, 0.2]]}, "2 constraint dimensions, the scenario has 1"),
         ([{"statement": "select a from t"}], "cannot read query file"),
+        ({"statement": "select a from t", "constraints": [[math.inf, math.inf]]}, "finite"),
+        ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "deadline": math.inf}, "finite"),
     ],
 )
 def test_allocate_with_a_malformed_query_json_exits_3(runner, tmp_path, query, message):
@@ -676,8 +696,14 @@ SCENARIO_PATHS = [
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(path=("nodes", 0, "node_id"), value=2**70, delete=False)
+@example(path=("nodes", 0, "digest", "cardinality"), value=10**400, delete=False)
+@example(path=("nodes", 0, "queue_capacity"), value=2**70, delete=False)
+@example(path=("nodes", 0, "digest", "spreads"), value=[1.7e308], delete=False)
 @given(st.sampled_from(SCENARIO_PATHS), json_values | bounds, st.booleans())
 def test_scenario_parser_raises_only_data_error(tmp_path, path, value, delete):
+    """A scenario file either raises ``DataError`` naming it or loads into a
+    scenario whose run can build its node table."""
     scenario_path = tmp_path / "scenario.json"
     cfg = ScenarioConfig(n_nodes=2, dims=1, n_queries=1, seed=5)
     digest = DatasetDigest(means=np.array([0.5]), spreads=np.array([0.1]), cardinality=1000)
@@ -702,6 +728,7 @@ def test_scenario_parser_raises_only_data_error(tmp_path, path, value, delete):
         assert str(scenario_path) in str(exc)
         return
     assert isinstance(scenario, Scenario)
+    _node_table(scenario.nodes, scenario.config.z)
 
 
 def _paths(node, prefix=()):

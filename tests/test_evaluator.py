@@ -481,8 +481,8 @@ def test_table_labels_match_the_forest_path(seed, n_features, n_members, shared)
         assert model._table is not None
         assert np.array_equal(model._columns(x), forest_only._columns(x))
         assert np.array_equal(model.predict_batch(x), forest_only.predict_batch(x))
-        for row in x[:: max(1, x.shape[0] // 20)]:
-            assert model.predict_batch(row) == forest_only.predict_batch(row)
+        for i in range(0, x.shape[0], max(1, x.shape[0] // 20)):
+            assert model.predict_batch(x[i:i + 1]) == forest_only.predict_batch(x[i:i + 1])
 
 
 def test_ensembles_past_the_cap_or_with_a_naive_bayes_member_get_no_table():

@@ -24,7 +24,7 @@ from edgealloc.learners import (
     train_stacking,
 )
 from edgealloc.learners import serialize
-from edgealloc.learners.ensembles import model_shape
+from edgealloc.learners.ensembles import _child_seed, _stratified_split, model_shape
 from edgealloc.learners.base import LEARNER_KINDS, TreeModel
 
 
@@ -116,13 +116,6 @@ def test_predict_contract():
     assert set(labels.tolist()) <= {0, 1}
     assert np.all((0.0 <= probas) & (probas <= 1.0))
     assert labels.tolist() == (probas >= 0.5).astype(int).tolist()
-
-
-def test_predict_rejects_arity_mismatch():
-    data = separable_2d()
-    model = train_base(BaseLearnerSpec(kind="cart_tree"), data, seed=0)
-    with pytest.raises(ValueError, match="arity"):
-        model.predict_batch(np.array([[0.1, 0.2, 0.3]]))
 
 
 def test_probabilities_always_in_unit_interval():
@@ -351,18 +344,21 @@ def test_stacking_split_is_stratified_half_half():
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 1, (100, 2))
     y = np.array([1] * 60 + [0] * 40)
-    from edgealloc.learners.ensembles import _stratified_split
-
     idx_a, idx_b = _stratified_split(y, 0.5, np.random.default_rng(1))
     assert abs(len(idx_a) - 50) <= 1 and abs(len(idx_b) - 50) <= 1
     assert abs(y[idx_a].sum() - 30) <= 1
     assert set(idx_a) & set(idx_b) == set()
 
 
-def test_stacking_reports_zero_heldout_label_reads_during_base_fit():
+def test_stacking_bases_train_on_part_a_alone():
+    # each base is its spec trained on part A of the same stratified split
+    # alone, with the same child seed
     data = separable_2d(n=80)
-    model = train_stacking(data, _stacking_specs(), BaseLearnerSpec(kind="logistic"), seed=0)
-    assert model.heldout_label_reads_during_base_fit == 0
+    for seed in (0, 3):
+        model = train_stacking(data, _stacking_specs(), BaseLearnerSpec(kind="logistic"), seed=seed)
+        idx_a, _ = _stratified_split(data.labels, 0.5, np.random.default_rng([seed, 0x57AC]))
+        want = [train_base(s, data.subset(idx_a), seed=_child_seed(seed, i)) for i, s in enumerate(_stacking_specs())]
+        assert [b.to_dict() for b in model.bases] == [b.to_dict() for b in want]
 
 
 def test_stacking_meta_features_have_base_arity():
@@ -488,12 +484,10 @@ def test_every_kind_round_trips_through_its_one_field_list():
         record = model.to_dict()
         assert model_from_dict(json.loads(json.dumps(record))).to_dict() == record
         # the record's fields are the constructor's arguments, bar the tree's
-        # kind (its type), stacking's leakage counter and boosting's stop
-        # reason (both set at training time, not stored)
+        # kind (its type) and boosting's stop reason (set at training time,
+        # not stored)
         params = inspect.signature(type(model)).parameters
-        assert list(type(model).FIELDS) == [
-            p for p in params if p not in ("kind", "heldout_label_reads_during_base_fit", "stop_reason")
-        ]
+        assert list(type(model).FIELDS) == [p for p in params if p not in ("kind", "stop_reason")]
 
 
 NB_RECORD = {"type": "gaussian_nb", "means": [[0.2, 0.4], [0.6, 0.8]], "variances": [[0.1, 0.2], [0.3, 0.4]],

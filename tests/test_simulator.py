@@ -149,6 +149,11 @@ def test_config_validation():
         ScenarioConfig(distribution="poisson")
     with pytest.raises(ConfigError):
         ScenarioConfig(alpha=0.0)
+    # confidence intervals and the node table's int64 arrays need these
+    with pytest.raises(ConfigError, match="finite"):
+        ScenarioConfig(z=float("inf"))
+    with pytest.raises(ConfigError, match="digest_cardinality"):
+        ScenarioConfig(digest_cardinality=2**63)
 
 
 def test_scenario_roundtrip(tmp_path):
