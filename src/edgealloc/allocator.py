@@ -74,10 +74,13 @@ class EnsembleBundle:
 
 def fuse_batch(labels: np.ndarray, scheme: FusionScheme) -> np.ndarray:
     """Row-wise fusion of an (N, 3) binary label matrix under a
-    ``FusionScheme``; a scheme's name is parsed at the entry points."""
+    ``FusionScheme``, as 0/1 in the integer dtype of a row sum or product
+    (int64 for every integer matrix up to int64); a scheme's name is parsed
+    at the entry points."""
     if scheme is FusionScheme.CS:
         return labels.prod(axis=1)
-    return (labels.sum(axis=1) >= 2).astype(labels.dtype)
+    votes = np.add.reduce(labels, axis=1)
+    return np.greater_equal(votes, 2, out=votes)  # the comparison written back as 0/1
 
 
 def tally_votes(fused: np.ndarray) -> np.ndarray:
@@ -102,15 +105,15 @@ def rank_nodes(fused: np.ndarray, loads: np.ndarray, node_ids: np.ndarray, k: in
     consulted only on a tie.  More than one pick sorts on the closed form's
     two groups directly.
     """
-    positive = np.asarray(fused).astype(bool)
+    fused = np.asarray(fused)
     if k > 1:
-        return np.lexsort((node_ids, loads, ~positive))[:k]
-    group_loads = np.where(positive, loads, np.inf) if positive.any() else loads
+        return np.lexsort((node_ids, loads, fused == 0))[:k]
+    group_loads = np.where(fused, loads, np.inf) if np.count_nonzero(fused) else loads
     first = group_loads.argmin(keepdims=True)
     at_min = group_loads == group_loads[first]
     if np.count_nonzero(at_min) == 1:
         return first
-    rows = np.flatnonzero(at_min)
+    rows = at_min.nonzero()[0]
     return rows[node_ids[rows].argmin(keepdims=True)]
 
 
@@ -159,15 +162,15 @@ def decide_from_features(
     labels = np.zeros((features.shape[0], 3), dtype=int, order="F")
     labels[:, 0] = bundle.boost.predict_batch(features)
     if scheme is FusionScheme.CS:
-        rows = np.flatnonzero(labels[:, 0])
+        rows = labels[:, 0].nonzero()[0]
         if rows.size:
-            labels[rows, 1] = bundle.bagging.predict_batch(features.take(rows, axis=0))
-            rows = rows[labels[rows, 1] == 1]
+            bagged = bundle.bagging.predict_batch(features.take(rows, axis=0))
+            labels[rows, 1] = bagged
+            rows = rows[bagged == 1]
     else:
         labels[:, 1] = bundle.bagging.predict_batch(features)
-        agree = labels[:, 0] == labels[:, 1]
-        labels[agree, 2] = labels[agree, 0]
-        rows = np.flatnonzero(~agree)
+        labels[:, 2] = labels[:, 0]  # the shared label where boost and bagging agree
+        rows = (labels[:, 0] != labels[:, 1]).nonzero()[0]
     if rows.size:
         labels[rows, 2] = bundle.stacking.predict_batch(features.take(rows, axis=0))
     fused = fuse_batch(labels, scheme)

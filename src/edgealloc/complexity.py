@@ -212,11 +212,13 @@ def quasi_arithmetic_mean(values, alpha: float):
 
     Values must be non-negative.  A (..., m) input gives (...) means; a 1-D
     list gives one.  With a negative ``alpha`` a zero value, or one so small
-    that its power overflows, drives the mean to 0, its limit.
+    that its power overflows, drives the mean to 0, its limit.  The powers
+    and sums run on a C-ordered copy, so the bytes do not depend on the
+    input's layout.
     """
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
-    arr = np.array(values, dtype=float)  # a copy: the core overwrites it
+    arr = np.array(values, dtype=float, order="C")  # a copy: the core overwrites it
     if arr.ndim == 0 or arr.shape[-1] == 0:
         raise ValueError("values must be non-empty")
     if arr.min() < 0:
@@ -226,14 +228,20 @@ def quasi_arithmetic_mean(values, alpha: float):
 
 def _power_mean_inplace(buf: np.ndarray, alpha: float):
     """``quasi_arithmetic_mean`` of a checked float array the caller owns;
-    ``buf`` is overwritten with its powers."""
-    with np.errstate(divide="ignore", over="ignore"):
-        if alpha != 1:  # x ** 1.0 == x exactly
-            np.power(buf, alpha, out=buf)
-        # sum / m is np.mean's arithmetic without its per-call overhead
-        mean = buf.sum(axis=-1)
+    ``buf`` is overwritten with its powers.  At alpha 1 no power is taken
+    (x ** 1.0 == x exactly), so nothing is silenced: only a sum past the
+    float range could warn, and relevance and complexity average values in
+    [0, 1]."""
+    # sum / m is np.mean's arithmetic without its per-call overhead
+    if alpha == 1:
+        mean = np.add.reduce(buf, axis=-1)
         mean /= buf.shape[-1]
-        return mean if alpha == 1 else mean ** (1.0 / alpha)
+        return mean
+    with np.errstate(divide="ignore", over="ignore"):
+        np.power(buf, alpha, out=buf)
+        mean = np.add.reduce(buf, axis=-1)
+        mean /= buf.shape[-1]
+        return mean ** (1.0 / alpha)
 
 
 def fuse_similarities(values, params: ComplexityParams):
@@ -351,14 +359,16 @@ class ComplexityClassifier:
         self._class_masks = [self._labels == c.id for c in corpus.classes]
         self._memo = {}
 
-    def _statistic(self, feature: TokenFeature) -> tuple:
-        """(in-vocab (index, count) pairs by index, oov_distinct, oov_sumsq):
-        all that ``similarities`` reads of ``feature``."""
+    def _statistic(self, counts) -> tuple:
+        """(in-vocab (index, count) pairs by index, oov_distinct, oov_sumsq)
+        of the (token, count) pairs ``counts``, in any order: all that
+        ``similarities`` reads of a statement.  ``oov_sumsq`` sums integer
+        squares, so it is exact in any order."""
         vocab = self._vocab
         pairs = []
         oov_distinct = 0
         oov_sumsq = 0.0
-        for tok, c in feature.counts:
+        for tok, c in counts:
             j = vocab.get(tok)
             if j is None:
                 oov_distinct += 1
@@ -376,7 +386,7 @@ class ComplexityClassifier:
         ``jaccard`` works on distinct-token sets and ``cosine`` on token
         count vectors.  Tokens outside the corpus vocabulary still count.
         """
-        pairs, oov_distinct, oov_sumsq = self._statistic(feature)
+        pairs, oov_distinct, oov_sumsq = self._statistic(feature.counts)
         qv = np.zeros(len(self._vocab), dtype=np.float64)
         for j, c in pairs:
             qv[j] = c
@@ -413,12 +423,18 @@ class ComplexityClassifier:
 
     def classify_statement(self, statement: str):
         """Return (ComplexityVector, resolved class or None), memoised on the
-        statement's sufficient statistic."""
-        feature = tokenize_statement(statement)
-        key = self._statistic(feature)
+        statement's sufficient statistic.
+
+        The key is read off the statement's token counts directly, without
+        building a ``TokenFeature``; only a miss tokenizes the statement and
+        scores it.  A statement without tokens is never stored (scoring
+        refuses it), so its key always misses and it raises as
+        ``tokenize_statement`` does.
+        """
+        key = self._statistic(Counter(_TOKEN_RE.findall(statement.lower())).items())
         result = self._memo.get(key)
         if result is None:
-            vector = self.memberships_from_scores(self.pairwise_scores(feature))
+            vector = self.memberships_from_scores(self.pairwise_scores(tokenize_statement(statement)))
             result = (vector, self.resolve(vector))
             if len(self._memo) < MEMO_CAP:
                 self._memo[key] = result

@@ -307,16 +307,18 @@ class _ThresholdGrid:
     the last cut, NaN included, make the last.  Every test ``x <= t`` of the
     forest has one outcome in a cell, the product of one interval per split
     feature, so anything computed from the forest alone is constant on it.
-    A table of shape ``shape`` holds one value per cell and ``table[index(x)]``
-    reads each row's.  ``rows`` holds one representative per cell in C order,
-    its intervals' upper cuts and NaN for the last (not inf, so an inf cut
-    stays exact); features no split reads are 0.  A forest without splits
+    A table holds one value per cell, flat in C order over ``shape``, and
+    ``table.take(index(x))`` reads each row's: one gather, where an N-d read
+    would index once per axis.  ``rows`` holds one representative per cell
+    in that order, its intervals' upper cuts and NaN for the last (not inf,
+    so an inf cut stays exact); features no split reads are 0.  A forest without splits
     has one cell.  ``of`` gives None past ``GRID_CELLS_MAX`` cells.
     """
 
     def __init__(self, features: list, cuts: list, n_features: int):
         self.features, self.cuts = features, cuts
         self.shape = tuple(c.size + 1 for c in cuts)
+        self._inner_axes = list(zip(features[1:], cuts[1:], self.shape[1:]))  # what ``index`` folds in
         self.rows = np.zeros((math.prod(self.shape), n_features))
         axes = np.meshgrid(*(np.append(c, np.nan) for c in cuts), indexing="ij")
         for f, axis in zip(features, axes):
@@ -332,9 +334,13 @@ class _ThresholdGrid:
             return None
         return cls(used, cuts, n_features)
 
-    def index(self, x: np.ndarray) -> tuple:
-        """The cells of the rows of the (n, F) matrix x, one index array per axis."""
-        return tuple(cuts.searchsorted(x[:, f]) for f, cuts in zip(self.features, self.cuts))
+    def index(self, x: np.ndarray) -> np.ndarray:
+        """The flat C-order cells of the rows of the (n, F) matrix x."""
+        cell = self.cuts[0].searchsorted(x[:, self.features[0]])
+        for f, cuts, size in self._inner_axes:
+            cell *= size
+            cell += cuts.searchsorted(x[:, f])
+        return cell
 
 
 class TreeModel(_Model):
@@ -422,8 +428,12 @@ class TreeModel(_Model):
 
 def _sigmoid(margin: np.ndarray) -> np.ndarray:
     """Probability of the positive class from log-odds, in place; margins are
-    clipped to [-500, 500] so ``exp`` stays finite."""
-    np.clip(margin, -500.0, 500.0, out=margin)
+    clipped to [-500, 500] so ``exp`` stays finite.  The clip is a
+    ``maximum`` then a ``minimum`` ufunc, the bytes ``np.clip`` gives (NaN and
+    -0.0 included) without its Python-level dispatch, which cost more than
+    the arithmetic on a decision's few rows."""
+    np.maximum(margin, -500.0, out=margin)
+    np.minimum(margin, 500.0, out=margin)
     np.negative(margin, out=margin)
     np.exp(margin, out=margin)
     margin += 1.0
@@ -594,13 +604,13 @@ class _BaseColumns:
                 raise DataError(f"ensemble bases must all read the model's {n_features} features")
         self.k = len(models)
         leaves = [j for j, m in enumerate(models) if isinstance(m, (TreeModel, ConstantModel))]
-        self._tree_rows = np.array(leaves, dtype=np.intp)
+        self._tree_rows = _rows(leaves) if leaves else None
         roots = [models[j].root if isinstance(models[j], TreeModel) else {"prob": models[j].label} for j in leaves]
         self._forest = _CompiledForest(roots, n_features) if roots else None
         self._grid = _ThresholdGrid.of(self._forest, n_features) if roots else None
-        self._tree_table = None  # (T,) + grid shape leaf probabilities
+        self._tree_table = None  # (T, cells) leaf probabilities
         if self._grid is not None:
-            self._tree_table = self._forest.leaf_probs(self._grid.rows).reshape((len(roots),) + self._grid.shape)
+            self._tree_table = self._forest.leaf_probs(self._grid.rows)
         centers = [m.center for m in models if isinstance(m, GaussianNBModel)] or [np.zeros(n_features)]
         groups: dict = {}  # center bytes -> (center, positions of its models)
         for j, m in enumerate(models):
@@ -614,14 +624,14 @@ class _BaseColumns:
         """(rows, center, lin (F, m), quad (F, m), const (m,)) of the m forms at ``rows``."""
         kinds = ["naive Bayes" if isinstance(models[j], GaussianNBModel) else "logistic" for j in rows]
         lin, quad, const = zip(*(_checked_form(kind, models[j], center) for kind, j in zip(kinds, rows)))
-        return (np.array(rows, dtype=np.intp), center,
+        return (_rows(rows), center,
                 np.ascontiguousarray(np.array(lin).T), np.ascontiguousarray(np.array(quad).T), np.array(const))
 
     def _trees(self, x: np.ndarray) -> np.ndarray:
         """(T, n) leaf probabilities of the trees and constants."""
         if self._grid is None:
             return self._forest.leaf_probs(x)
-        return self._tree_table[(slice(None),) + self._grid.index(x)]
+        return self._tree_table.take(self._grid.index(x), axis=1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if not self._groups:
@@ -636,6 +646,15 @@ class _BaseColumns:
             margins += const
             out[rows] = _sigmoid(margins).T
         return out
+
+
+def _rows(positions: list):
+    """The output rows at ``positions`` (at least one): a slice when they are
+    consecutive, which assigns without a gather, else an index array."""
+    start, stop = positions[0], positions[0] + len(positions)
+    if positions == list(range(start, stop)):
+        return slice(start, stop)
+    return np.array(positions, dtype=np.intp)
 
 
 def _normalised_weights(sample_weight, n: int) -> np.ndarray:

@@ -58,7 +58,7 @@ class _Voting(_Model):
         self._columns = _BaseColumns(self.members, n_features)
         grid = self._columns._grid
         tabulate = grid is not None and not self._columns._groups
-        self._table = self._labels(grid.rows).reshape(grid.shape) if tabulate else None
+        self._table = self._labels(grid.rows) if tabulate else None  # flat, one label per cell
 
     def _member_labels(self, x: np.ndarray) -> np.ndarray:
         """(M, n) hard labels of the M members for the n rows of x."""
@@ -69,7 +69,7 @@ class _Voting(_Model):
     def predict_batch(self, x):
         if self._table is None:
             return self._labels(x)
-        return self._table[self._columns._grid.index(x)]
+        return self._table.take(self._columns._grid.index(x))
 
 
 class AdaBoostModel(_Voting):

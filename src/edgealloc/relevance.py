@@ -75,21 +75,26 @@ def _mismatch_matrix(w: IntervalBounds, f: IntervalBounds) -> np.ndarray:
     a zero-length shorter interval the limit applies: 0 if the intervals
     still touch as point sets, else 1.  Where the shorter width is > 0,
     monotone rounding keeps 0 <= intersection <= shorter, so the ratio
-    needs no clipping.
+    needs no clipping.  With every width of both operands > 0 (and finite,
+    as every bound the program builds is) the divide cannot warn, so only
+    the limit rule's path enters ``np.errstate``.
     """
     psi = np.maximum(w.lower, f.lower)  # lo
     shorter = np.minimum(w.upper, f.upper)  # hi, until the widths overwrite it
     np.subtract(shorter, psi, out=psi)
     np.maximum(psi, 0.0, out=psi)  # intersection length
     np.minimum(w.widths, f.widths, out=shorter)
+    if w.all_positive and f.all_positive:
+        np.divide(psi, shorter, out=psi)
+        return np.subtract(1.0, psi, out=psi)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(psi, shorter, out=psi)
     np.subtract(1.0, psi, out=psi)
-    if not (w.all_positive and f.all_positive):  # the limit rule; a NaN width reads 0
-        touches = np.maximum(w.lower, f.lower) <= np.minimum(w.upper, f.upper)
-        psi[~(shorter > 0)] = 0.0
-        degenerate = shorter <= 0
-        psi[degenerate] = ~touches[degenerate]
+    # the limit rule; a NaN width reads 0
+    touches = np.maximum(w.lower, f.lower) <= np.minimum(w.upper, f.upper)
+    psi[~(shorter > 0)] = 0.0
+    degenerate = shorter <= 0
+    psi[degenerate] = ~touches[degenerate]
     return psi
 
 
@@ -109,4 +114,7 @@ def relevance_batch(constraints, intervals, alpha: float) -> np.ndarray:
         raise ValueError(f"dimensionality mismatch: {w.lower.shape} vs {f.lower.shape}")
     if alpha == 0 or w.lower.shape[-1] == 0:
         raise ValueError("relevance needs a non-zero alpha and at least one dimension")
-    return np.minimum(_power_mean_inplace(_mismatch_matrix(w, f), alpha), 1.0)
+    mean = _power_mean_inplace(_mismatch_matrix(w, f), alpha)
+    # at alpha 1 a mean of values in [0, 1] cannot round past 1: each sum of
+    # k of them rounds to at most k, and k / k is 1
+    return mean if alpha == 1 else np.minimum(mean, 1.0)

@@ -700,10 +700,16 @@ SCENARIO_PATHS = [
 @example(path=("nodes", 0, "digest", "cardinality"), value=10**400, delete=False)
 @example(path=("nodes", 0, "queue_capacity"), value=2**70, delete=False)
 @example(path=("nodes", 0, "digest", "spreads"), value=[1.7e308], delete=False)
+@example(path=("nodes", 0, "queue_capacity"), value=1.5, delete=False)
+@example(path=("nodes", 0, "digest", "cardinality"), value=1.5, delete=False)
+@example(path=("load_series",), value=[[0.1, 0.2, 0.3]], delete=False)
+@example(path=("load_series",), value=[[7.0, 0.2]], delete=False)
+@example(path=("load_series",), value=[], delete=False)
 @given(st.sampled_from(SCENARIO_PATHS), json_values | bounds, st.booleans())
 def test_scenario_parser_raises_only_data_error(tmp_path, path, value, delete):
     """A scenario file either raises ``DataError`` naming it or loads into a
-    scenario whose run can build its node table."""
+    scenario whose run can build its node table, with integer capacities and
+    cardinalities and one load in [0, 1] per node and epoch."""
     scenario_path = tmp_path / "scenario.json"
     cfg = ScenarioConfig(n_nodes=2, dims=1, n_queries=1, seed=5)
     digest = DatasetDigest(means=np.array([0.5]), spreads=np.array([0.1]), cardinality=1000)
@@ -729,6 +735,11 @@ def test_scenario_parser_raises_only_data_error(tmp_path, path, value, delete):
         return
     assert isinstance(scenario, Scenario)
     _node_table(scenario.nodes, scenario.config.z)
+    for node in scenario.nodes:
+        assert type(node.queue_capacity) is int and type(node.digest.cardinality) is int
+    series = scenario.load_series
+    assert series.shape[0] >= 1 and series.shape[1:] == (len(scenario.nodes),)
+    assert ((series >= 0.0) & (series <= 1.0)).all()
 
 
 def _paths(node, prefix=()):

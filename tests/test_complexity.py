@@ -25,7 +25,7 @@ from edgealloc.complexity import (
     save_corpus,
 )
 from edgealloc.errors import DataError
-from edgealloc.simulator import ScenarioConfig, generate_query_corpus, generate_scenario
+from edgealloc.simulator import ScenarioConfig, generate_query_corpus, generate_scenario, statement_for_class
 
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -445,8 +445,25 @@ def test_memoised_classification_equals_fresh_scoring(in_vocab, oov_counts, rnd)
         statements.append(" ".join(tokens))
     for statement in statements:
         assert_same_result(MEMOISED.classify_statement(statement), fresh_result(statement, GENERATED_CORPUS))
-    keys = {MEMOISED._statistic(tokenize_statement(s)) for s in statements}
+    keys = {MEMOISED._statistic(tokenize_statement(s).counts) for s in statements}
     assert len(keys) == 1
+
+
+def test_memo_hit_returns_the_stored_result_without_scoring(monkeypatch):
+    scored = []
+    score = ComplexityClassifier.pairwise_scores
+    monkeypatch.setattr(ComplexityClassifier, "pairwise_scores",
+                        lambda self, *args, **kw: scored.append(1) or score(self, *args, **kw))
+    clf = ComplexityClassifier(GENERATED_CORPUS)
+    first = clf.classify_statement(statement_for_class(1, 1234))
+    assert len(scored) == 1
+    # another out-of-vocabulary literal, another case: the same key
+    assert clf.classify_statement(statement_for_class(1, 5678).upper()) is first
+    assert len(scored) == 1
+    for empty in ("", "   ", "<=>"):
+        with pytest.raises(ValueError):
+            clf.classify_statement(empty)
+    assert len(scored) == 1
 
 
 def test_memo_is_exact_on_a_long_query_stream():

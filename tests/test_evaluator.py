@@ -38,7 +38,8 @@ from edgealloc.learners import (
     train_base,
     train_stacking,
 )
-from edgealloc.learners.base import _CompiledForest
+from edgealloc.learners.base import _CompiledForest, _sigmoid
+from edgealloc.simulator import LabelingPolicy, ScenarioConfig, generate_scenario, synthesize_training_set
 
 
 def walk(node, row):
@@ -499,6 +500,45 @@ def test_ensembles_past_the_cap_or_with_a_naive_bayes_member_get_no_table():
         clear = (np.abs(probs - 0.5) > 1e-9).all(axis=0)
         want = (probs >= 0.5).mean(axis=0) >= 0.5
         assert np.array_equal(model.predict_batch(x)[clear], want[clear])
+
+
+def test_sigmoid_gives_the_bytes_of_the_np_clip_form_in_place():
+    margins = np.array([-np.inf, -746.0, -500.5, -500.0, -1e-17, -0.0, 0.0, 1e-17, 500.0, 500.5, np.inf, np.nan])
+    want = margins.copy()
+    np.clip(want, -500.0, 500.0, out=want)
+    np.negative(want, out=want)
+    np.exp(want, out=want)
+    want += 1.0
+    np.reciprocal(want, out=want)
+    buf = margins.copy()
+    got = _sigmoid(buf)
+    assert got is buf and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def grid_bundle():
+    """The three ensembles at the default learner setup, as a run trains them."""
+    scenario = generate_scenario(ScenarioConfig(n_nodes=1, n_queries=1, dims=1, seed=0))
+    data = synthesize_training_set(scenario, LabelingPolicy(max_relevance=0.5, max_load=0.5, min_speed=0.0), 1000)
+    return train_bundle(data, LearnerSetup(), seed=0)
+
+
+@pytest.mark.parametrize("name", ["boost", "bagging", "stacking"])
+def test_flat_grid_index_reads_what_a_per_axis_read_does(grid_bundle, name):
+    """The flat C-order cell index reads each table as indexing it once per
+    grid axis does: on every grid row, each of which is its own cell, and on
+    rows holding NaN and +-inf."""
+    model = getattr(grid_bundle, name)
+    grid = model._columns._grid
+    table = model._columns._tree_table if name == "stacking" else model._table
+    assert table is not None and table.shape[-1] == len(grid.rows)
+    assert np.array_equal(grid.index(grid.rows), np.arange(len(grid.rows)))
+    rng = np.random.default_rng(9)
+    x = np.vstack([grid.rows, rng.choice([np.nan, np.inf, -np.inf, 0.5], size=(60, grid.rows.shape[1]))])
+    per_axis = tuple(cuts.searchsorted(x[:, f]) for f, cuts in zip(grid.features, grid.cuts))
+    want = table.reshape(table.shape[:-1] + grid.shape)[(Ellipsis,) + per_axis]
+    got = model._columns._trees(x) if name == "stacking" else model.predict_batch(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

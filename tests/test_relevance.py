@@ -1,8 +1,9 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from edgealloc import simulator
@@ -65,7 +66,7 @@ def formula_mismatch_matrix(w, f):
 
 
 def formula_power_mean(values, alpha):
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float, order="C")  # powered in C order, as the kernel powers its copy
     with np.errstate(divide="ignore", over="ignore"):
         return (np.power(arr, alpha).sum(axis=-1) / arr.shape[-1]) ** (1.0 / alpha)
 
@@ -367,6 +368,21 @@ def test_relevance_bytes_on_prebuilt_zero_width_bounds():
             assert_same_bytes(got, formula_relevance(a, b, alpha))
 
 
+def test_limit_rule_holds_on_zero_and_nan_widths_without_a_warning():
+    # only the limit rule's path silences the divide: zero-width and NaN-width
+    # intervals on either side take it, and no RuntimeWarning escapes
+    query = np.array([[0.2, 0.6]])
+    fleet = np.array([[[0.4, 0.4]], [[0.9, 0.9]], [[np.nan, 0.5]], [[0.0, 1.0]], [[0.7, 0.9]], [[0.6, 0.6]]])
+    point = np.array([[0.3, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in ALPHAS:
+            for a, b in ((query, fleet), (fleet, query), (point, fleet), (point, point)):
+                assert not (interval_bounds(a).all_positive and interval_bounds(b).all_positive)
+                assert_same_bytes(relevance_batch(a, b, alpha), formula_relevance(a, b, alpha))
+    assert relevance_batch(query, fleet, 1.0).tolist() == [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]
+
+
 def test_interval_bounds_rejects_a_shape_without_two_ends():
     with pytest.raises(ValueError):
         interval_bounds(np.zeros((3, 3)))
@@ -415,13 +431,18 @@ def test_a_zero_spread_node_gets_the_reference_relevance_in_a_run(monkeypatch):
 
 
 @given(**layouts)
+@example(n=1, dims=5, alpha=-2.5, seed=0, grid_share=0.0)  # a reversed view once powered 1 ULP off
 def test_power_mean_bytes_and_input_untouched(n, dims, alpha, seed, grid_share):
+    """One reference for every layout of the same values: C, Fortran and a
+    negatively strided view.  NumPy may power a strided operand 1 ULP away
+    from a contiguous one, so both sides power a C-ordered copy."""
     rng = np.random.default_rng(seed)
     values = rng.random((n, dims))
     values[rng.random((n, dims)) < grid_share / 3] = 0.0
-    for arr in (values, np.asfortranarray(values), values[:, ::-1]):
+    want = formula_power_mean(values, alpha)
+    for arr in (values, np.asfortranarray(values), np.ascontiguousarray(values[:, ::-1])[:, ::-1]):
         before = arr.copy(order="K")
-        assert_same_bytes(quasi_arithmetic_mean(arr, alpha), formula_power_mean(arr, alpha))
+        assert_same_bytes(quasi_arithmetic_mean(arr, alpha), want)
         assert arr.tobytes(order="A") == before.tobytes(order="A")
     row = list(values[0])
     assert_same_bytes(quasi_arithmetic_mean(row, alpha), formula_power_mean(row, alpha))
