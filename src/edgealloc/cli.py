@@ -17,7 +17,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +28,7 @@ import yaml
 from .allocator import EnsembleBundle, FusionScheme
 from .bench import LearnerSetup, grid_cells, run_cells, train_bundle_with_report
 from .complexity import ComplexityClassifier, ComplexityParams, load_corpus, save_corpus
-from .core import CONTEXT_FEATURES, Query, read_config
+from .core import CONTEXT_FEATURES, Query, read_config, write_record
 from .errors import ConfigError, DataError
 from .learners import LabeledDataset, load_bundle, save_bundle
 from .simulator import (
@@ -102,10 +102,8 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> AppCon
     empty one, means all defaults.  Its root maps an optional
     ``schema_version`` (1) and ``AppConfig`` fields to values; ``overrides``
     has the same shape, and its values other than None replace the file's
-    key by key.  Each section is then read by its field types: a missing key
-    takes the section class's default; a tuple comes from a list, ``fusion``
-    is a name in any case, a float may be given as an int but must be
-    finite, and a bool is never a number.  An unknown key, a wrong type or a
+    key by key.  The result is read by ``core.read_config``: a missing key
+    takes the section class's default, and an unknown key, a wrong type or a
     value out of range raises ``ConfigError`` naming the dotted key.
     """
     raw = {}
@@ -287,10 +285,11 @@ def _parse_query_json(spec: str) -> Query:
         except (OSError, ValueError) as exc:
             raise DataError(f"cannot read query file {spec}: {exc}") from exc
     try:
-        payload = json.loads(text)
+        return query_from_record(json.loads(text))
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"invalid query JSON: {exc}") from exc
-    return query_from_record(payload)
+    except DataError as exc:
+        raise DataError(f"invalid query: {exc}") from None
 
 
 @main.command("allocate")
@@ -298,7 +297,9 @@ def _parse_query_json(spec: str) -> Query:
 @click.option("--scheme", type=click.Choice(["cs", "mvs"]), default=None, help="Fusion scheme.")
 @click.option("--k", type=int, default=1, help="How many nodes to select.")
 @click.option("--query-index", type=int, default=0, help="Index into the scenario's query stream.")
-@click.option("--query-json", type=str, default=None, help="Inline JSON or a path to a query spec.")
+@click.option("--query-json", type=str, default=None, help="Inline JSON or a path to a query spec: an object with "
+              "'statement', 'constraints' ([[min, max], ...]) and optionally an 'id' string and a 'deadline'; "
+              "an unknown key is refused.")
 @click.option(
     "--format", "fmt", type=click.Choice(["human", "machine"]), default="human",
     help="Output format.",
@@ -388,7 +389,7 @@ def cmd_bench(cfg: AppConfig, resume) -> None:
             )
         trace_path = str(_write_default_trace(cfg))
 
-    (out_dir / "config.json").write_text(json.dumps(asdict(cfg), sort_keys=True, indent=2), encoding="utf-8")
+    (out_dir / "config.json").write_text(json.dumps(write_record(cfg), sort_keys=True, indent=2), encoding="utf-8")
     cells = grid_cells(
         cfg.scenario,
         schemes=("cs", "mvs"),

@@ -7,13 +7,15 @@ lives here and only here: ``CONTEXT_FEATURES`` names the features in column
 order and ``context_matrix`` fills a matrix from them, for the decisions
 and the training set ``simulator`` builds and the training CSV ``cli``
 writes.  ``complexity_scalar`` collapses a complexity vector into the first
-feature.  ``read_config`` builds any of the frozen config dataclasses from
-plain YAML/JSON data.
+feature.  The file layout of every record lives here too: ``read_config``
+reads a config section or a scenario's node or query record by its
+dataclass's field annotations, and ``write_record`` writes what it reads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import sys
 import typing
@@ -34,6 +36,7 @@ __all__ = [
     "complexity_scalar",
     "context_matrix",
     "read_config",
+    "write_record",
 ]
 
 CONTEXT_FEATURES = ("complexity", "deadline", "relevance", "load", "speed")
@@ -164,48 +167,82 @@ def context_matrix(n: int, complexity, deadline, relevance, load, speed) -> np.n
     return out
 
 
-_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", np.ndarray: "an array of numbers"}
+_field_types = functools.cache(typing.get_type_hints)  # resolving the annotations dominates reading a record
 
 
-def read_config(cls, data, key: str = ""):
-    """Build the frozen dataclass ``cls`` from a plain YAML/JSON mapping.
+def read_config(cls, data, key: str = "", error=ConfigError):
+    """Build the dataclass ``cls`` from plain YAML/JSON data: a config
+    section (``error`` is ``ConfigError``) or a data-file record
+    (``DataError``).
 
-    Each value is read by its field's annotation: a dataclass, ``tuple[X,
-    ...]``, ``Optional[X]``, an enum, ``int``, ``float`` or ``str`` (the
-    rules are in ``cli.load_config``).  Errors raise ``ConfigError`` naming
-    the dotted key, of which ``key`` is the prefix.
+    A record maps field names to values; an unknown key is refused, and a
+    field without a default must be present.  A dataclass with exactly one
+    field is recorded as that field's bare value.  Each value is read by its
+    field's annotation: a dataclass, ``tuple[X, ...]`` from a list,
+    ``Optional[X]``, an enum from its name in any case, ``np.ndarray`` from a
+    list (of lists) of numbers, ``int``, ``str``, or ``float``, which may be
+    given as an int but must be finite; a bool is never a number.  Errors,
+    the dataclass's own checks included, raise ``error`` naming the dotted
+    key, of which ``key`` is the prefix.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"{key or 'config'} must be a mapping, got {data!r}")
-    types = typing.get_type_hints(cls)
-    prefix = f"{key}." if key else ""
-    unknown = [f"{prefix}{name}" for name in data if name not in types]
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}")
-    kwargs = {name: _read_value(types[name], value, f"{prefix}{name}") for name, value in data.items()}
+    types = _field_types(cls)
+    if len(types) == 1:
+        ((name, tp),) = types.items()
+        kwargs = {name: _read_value(tp, data, key, error)}
+    else:
+        if not isinstance(data, dict):
+            raise error(f"{key or 'config'} must be a mapping, got {data!r:.200}")
+        prefix = f"{key}." if key else ""
+        unknown = [f"{prefix}{name}" for name in data if name not in types]
+        if unknown:
+            raise error(f"unknown keys {unknown}")
+        for f in dataclasses.fields(cls):
+            if f.name not in data and f.default is f.default_factory is dataclasses.MISSING:
+                raise error(f"{key or 'config'} is missing field {f.name!r}")
+        kwargs = {name: _read_value(types[name], value, f"{prefix}{name}", error) for name, value in data.items()}
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{key or 'config'}: {exc}") from None
+        raise error(f"{key or 'config'}: {exc}") from None
 
 
-def _read_value(tp, value, key: str):
+def _read_value(tp, value, key: str, error):
     args = typing.get_args(tp)
     if typing.get_origin(tp) is typing.Union:  # Optional[X]
-        return None if value is None else _read_value(args[0], value, key)
+        return None if value is None else _read_value(args[0], value, key, error)
     if typing.get_origin(tp) is tuple:  # tuple[X, ...]
         if not isinstance(value, list):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-        return tuple(_read_value(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+            raise error(f"{key} must be a list, got {value!r:.200}")
+        return tuple(_read_value(args[0], v, f"{key}[{i}]", error) for i, v in enumerate(value))
     if dataclasses.is_dataclass(tp):
-        return read_config(tp, value, key)
+        return read_config(tp, value, key, error)
+    if tp is np.ndarray and isinstance(value, list):
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass  # refused below
     if issubclass(tp, Enum):
         allowed = [member.value for member in tp]
         if isinstance(value, str) and value.lower() in allowed:
             return tp(value.lower())
-        raise ConfigError(f"{key} must be one of {allowed}, got {value!r}")
+        raise error(f"{key} must be one of {allowed}, got {value!r:.200}")
     if tp is float and type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max:
         return float(value)
-    if tp is not float and type(value) is tp:
+    if tp in (int, str) and type(value) is tp:
         return value
-    raise ConfigError(f"{key} must be {_KINDS[tp]}, got {value!r}")
+    raise error(f"{key} must be {_KINDS[tp]}, got {value!r:.200}")
+
+
+def write_record(value):
+    """The plain JSON data ``read_config`` reads back into ``value``: a
+    dataclass becomes the mapping of its fields (a one-field dataclass its
+    field's value), a list, tuple or array a list, anything else stays."""
+    if dataclasses.is_dataclass(value):
+        record = {f.name: write_record(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return next(iter(record.values())) if len(record) == 1 else record
+    if isinstance(value, (list, tuple)):
+        return [write_record(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value

@@ -30,9 +30,8 @@ import itertools
 import json
 import logging
 import math
-import operator
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,6 +42,7 @@ from .allocator import AllocationDecision, EnsembleBundle, FusionScheme, decide_
 from .complexity import ComplexityClassifier, TrainingQueryCorpus, DEFAULT_CLASSES, tokenize_statement
 from .core import (
     INT64_MAX, DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar, context_matrix, read_config,
+    write_record,
 )
 from .errors import ConfigError, DataError
 from .learners import LabeledDataset
@@ -159,8 +159,8 @@ class Scenario:
     """Generated nodes, query stream and per-epoch load series."""
 
     config: ScenarioConfig
-    nodes: list  # list[NodeState]
-    queries: list  # list[Query]
+    nodes: list[NodeState]
+    queries: list[Query]
     load_series: np.ndarray  # (epochs, N); replayed cyclically
 
     def loads_at(self, epoch: int) -> np.ndarray:
@@ -364,72 +364,41 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
 
 def save_scenario(path, scenario: Scenario) -> None:
     """Dump a scenario to versioned JSON; byte-identical for a fixed seed."""
-    payload = {
-        "schema_version": SCENARIO_SCHEMA_VERSION,
-        "config": asdict(scenario.config),
-        "nodes": [
-            {
-                "node_id": node.node_id,
-                "load": node.load,
-                "speed": node.speed,
-                "queue_capacity": node.queue_capacity,
-                "digest": {
-                    "means": node.digest.means.tolist(),
-                    "spreads": node.digest.spreads.tolist(),
-                    "cardinality": node.digest.cardinality,
-                },
-            }
-            for node in scenario.nodes
-        ],
-        "queries": [
-            {
-                "id": q.id,
-                "statement": q.statement,
-                "constraints": q.constraints.intervals.tolist(),
-                "deadline": q.deadline,
-            }
-            for q in scenario.queries
-        ],
-        "load_series": scenario.load_series.tolist(),
-    }
+    payload = {"schema_version": SCENARIO_SCHEMA_VERSION, **write_record(scenario)}
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
-def query_from_record(record) -> Query:
+def _over(defaults: dict, record):
+    """``record`` over ``defaults``; ``read_config`` refuses a non-mapping."""
+    return {**defaults, **record} if isinstance(record, dict) else record
+
+
+def query_from_record(record, key: str = "query") -> Query:
     """Build a query from its JSON record.
 
     The record is an object with a ``statement`` string holding at least
     one token, ``constraints`` as [[min, max], ...] with finite min <= max,
-    and optionally an ``id`` (default ``adhoc``) and a finite ``deadline``
-    >= 0.
-    Anything else raises ``DataError``; callers prefix the source.
+    and optionally an ``id`` string (default ``adhoc``) and a finite
+    ``deadline`` >= 0 (default 0).  An unknown key or anything else raises
+    ``DataError`` naming the dotted key under ``key``; callers prefix the
+    source.
     """
-    if not isinstance(record, dict):
-        raise DataError(f"a query must be a JSON object, got {type(record).__name__}")
-    statement = record.get("statement")
-    if not isinstance(statement, str):
-        raise DataError(f"a query needs a 'statement' string, got {type(statement).__name__}")
+    query = read_config(Query, _over({"id": "adhoc", "deadline": 0.0}, record), key, DataError)
     try:
-        tokenize_statement(statement)
-        return Query(
-            id=str(record.get("id", "adhoc")),
-            statement=statement,
-            constraints=QueryConstraints(np.asarray(record["constraints"], dtype=float)),
-            deadline=float(record.get("deadline", 0.0)),
-        )
-    except KeyError as exc:
-        raise DataError(f"query is missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"invalid query: {exc}") from exc
+        tokenize_statement(query.statement)
+    except ValueError as exc:
+        raise DataError(f"{key}: {exc}") from None
+    return query
 
 
 def load_scenario(path) -> Scenario:
     """Read a scenario dumped by ``save_scenario``; ``DataError`` naming the
     file for anything that does not describe a valid scenario, such as one
-    whose run could not build its node table.  Node ids, queue capacities
-    and cardinalities must be integers, and the load series an (epochs >=
-    1, N) array of values in [0, 1], what ``ingest_utilization_trace``
-    guarantees for a trace."""
+    whose run could not build its node table.  Nodes are read by
+    ``core.read_config``, which refuses an unknown key or a bool for a number
+    (a node without ``queue_capacity`` takes the config's), and queries by
+    ``query_from_record``; the load series must be an (epochs >= 1, N) array
+    of values in [0, 1], what ``ingest_utilization_trace`` guarantees."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -440,22 +409,12 @@ def load_scenario(path) -> Scenario:
     if version != SCENARIO_SCHEMA_VERSION:
         raise DataError(f"scenario {path} has schema version {version}, expected {SCENARIO_SCHEMA_VERSION}")
     try:
-        cfg = read_config(ScenarioConfig, payload["config"], "config")
+        cfg = read_config(ScenarioConfig, payload["config"], "config", DataError)
         nodes = [
-            NodeState(
-                node_id=operator.index(n["node_id"]),
-                load=n["load"],
-                speed=n["speed"],
-                queue_capacity=operator.index(n.get("queue_capacity", cfg.queue_capacity)),
-                digest=DatasetDigest(
-                    means=np.asarray(n["digest"]["means"], dtype=float),
-                    spreads=np.asarray(n["digest"]["spreads"], dtype=float),
-                    cardinality=operator.index(n["digest"]["cardinality"]),
-                ),
-            )
-            for n in payload["nodes"]
+            read_config(NodeState, _over({"queue_capacity": cfg.queue_capacity}, n), f"nodes[{i}]", DataError)
+            for i, n in enumerate(payload["nodes"])
         ]
-        queries = [query_from_record(q) for q in payload["queries"]]
+        queries = [query_from_record(q, f"queries[{i}]") for i, q in enumerate(payload["queries"])]
         load_series = np.asarray(payload["load_series"], dtype=float)
     except KeyError as exc:
         raise DataError(f"scenario {path} is missing key {exc}") from exc

@@ -608,6 +608,23 @@ def test_allocate_with_a_malformed_scenario_exits_3_naming_the_file(runner, tmp_
     assert f"scenario {scenario_path}" in result.output
 
 
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("nodes", 1, "node_id"), True, "nodes[1].node_id"),  # a hand-written reader read it as id 1
+        (("nodes", 0, "digest", "cardinality"), True, "nodes[0].digest.cardinality"),  # ... as 1
+        (("nodes", 0, "bogus"), 1, "nodes[0].bogus"),  # ... ignored it
+    ],
+)
+def test_allocate_with_a_mistyped_or_unknown_node_field_exits_3_naming_file_and_key(runner, tmp_path, path, value, key):
+    config, scenario_path, payload = two_node_setup(tmp_path)
+    _set(payload, path, value)
+    scenario_path.write_text(json.dumps(payload), encoding="utf-8")
+    result = runner.invoke(main, ["allocate", "--config", str(config)])
+    assert result.exit_code == 3, result.output
+    assert f"scenario {scenario_path}: " in result.output and key in result.output
+
+
 def test_allocate_with_repeated_node_ids_exits_3_naming_the_id(runner, tmp_path):
     config, scenario_path, payload = two_node_setup(tmp_path)
     for node in payload["nodes"]:
@@ -629,7 +646,7 @@ def test_allocate_with_repeated_node_ids_exits_3_naming_the_id(runner, tmp_path)
         ({"statement": "select a from t", "constraints": {"min": 0.1}}, "invalid query"),
         ({"statement": "select a from t", "constraints": [[0, 10**400]]}, "invalid query"),
         ({"statement": "select a from t"}, "missing field 'constraints'"),
-        ({"statement": 5, "constraints": [[0.1, 0.2]]}, "'statement' string"),
+        ({"statement": 5, "constraints": [[0.1, 0.2]]}, "statement must be a string"),
         ({"statement": "<=>", "constraints": [[0.1, 0.2]]}, "no tokens"),
         ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "deadline": -1}, "deadline"),
         ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "deadline": "soon"}, "invalid query"),
@@ -637,6 +654,10 @@ def test_allocate_with_repeated_node_ids_exits_3_naming_the_id(runner, tmp_path)
         ([{"statement": "select a from t"}], "cannot read query file"),
         ({"statement": "select a from t", "constraints": [[math.inf, math.inf]]}, "finite"),
         ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "deadline": math.inf}, "finite"),
+        # what a hand-written reader let through
+        ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "deadline": True}, "query.deadline must be a finite number"),
+        ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "id": 5}, "query.id must be a string"),
+        ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "dedline": 5.0}, "unknown keys ['query.dedline']"),
     ],
 )
 def test_allocate_with_a_malformed_query_json_exits_3(runner, tmp_path, query, message):
@@ -705,11 +726,14 @@ SCENARIO_PATHS = [
 @example(path=("load_series",), value=[[0.1, 0.2, 0.3]], delete=False)
 @example(path=("load_series",), value=[[7.0, 0.2]], delete=False)
 @example(path=("load_series",), value=[], delete=False)
+@example(path=("nodes", 0, "load"), value=True, delete=False)
+@example(path=("nodes", 0, "speed"), value=True, delete=False)
 @given(st.sampled_from(SCENARIO_PATHS), json_values | bounds, st.booleans())
 def test_scenario_parser_raises_only_data_error(tmp_path, path, value, delete):
     """A scenario file either raises ``DataError`` naming it or loads into a
     scenario whose run can build its node table, with integer capacities and
-    cardinalities and one load in [0, 1] per node and epoch."""
+    cardinalities, float loads and speeds, and one load in [0, 1] per node
+    and epoch."""
     scenario_path = tmp_path / "scenario.json"
     cfg = ScenarioConfig(n_nodes=2, dims=1, n_queries=1, seed=5)
     digest = DatasetDigest(means=np.array([0.5]), spreads=np.array([0.1]), cardinality=1000)
@@ -737,6 +761,7 @@ def test_scenario_parser_raises_only_data_error(tmp_path, path, value, delete):
     _node_table(scenario.nodes, scenario.config.z)
     for node in scenario.nodes:
         assert type(node.queue_capacity) is int and type(node.digest.cardinality) is int
+        assert type(node.load) is float and type(node.speed) is float
     series = scenario.load_series
     assert series.shape[0] >= 1 and series.shape[1:] == (len(scenario.nodes),)
     assert ((series >= 0.0) & (series <= 1.0)).all()

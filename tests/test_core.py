@@ -1,9 +1,18 @@
+import dataclasses
+import json
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgealloc.allocator import EnsembleBundle, FusionScheme
 from edgealloc.complexity import ComplexityVector
-from edgealloc.core import DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar
+from edgealloc.core import (
+    INT64_MAX, DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar, read_config, write_record,
+)
+from edgealloc.errors import DataError
 from edgealloc.simulator import apply_allocation, ova_allocate
 
 
@@ -124,3 +133,55 @@ def test_node_state_validation_and_queue_sync():
     assert loads.tolist() == [3 / 100, 0.0]
     with pytest.raises(ValueError):
         NodeState(node_id=1, load=1.5, speed=0.5, digest=make_digest([0.5]))
+
+
+# ---------------------------------------------------------------------------
+# record layout
+# ---------------------------------------------------------------------------
+
+finite = st.floats(-sys.float_info.max, sys.float_info.max)
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def node_states(draw):
+    dims = draw(st.integers(1, 4))
+    digest = DatasetDigest(
+        means=np.array(draw(st.lists(finite, min_size=dims, max_size=dims))),
+        spreads=np.array(draw(st.lists(st.floats(0.0, sys.float_info.max), min_size=dims, max_size=dims))),
+        cardinality=draw(st.integers(1, INT64_MAX)),
+    )
+    return NodeState(
+        node_id=draw(st.integers(-INT64_MAX - 1, INT64_MAX)), load=draw(unit), speed=draw(unit), digest=digest,
+        queue_capacity=draw(st.integers(1, INT64_MAX)),
+    )
+
+
+queries = st.builds(
+    Query,
+    id=st.text(max_size=8),
+    statement=st.text(min_size=1, max_size=20).filter(str.strip),
+    constraints=st.lists(st.lists(finite, min_size=2, max_size=2).map(sorted), min_size=1, max_size=4).map(
+        lambda bounds: QueryConstraints(np.array(bounds))
+    ),
+    deadline=st.floats(0.0, sys.float_info.max),
+)
+
+
+def assert_same(read, written):
+    """Equal field by field, with the same types and array dtypes."""
+    assert type(read) is type(written)
+    if dataclasses.is_dataclass(written):
+        for f in dataclasses.fields(written):
+            assert_same(getattr(read, f.name), getattr(written, f.name))
+    elif isinstance(written, np.ndarray):
+        assert read.dtype == written.dtype and np.array_equal(read, written)
+    else:
+        assert read == written
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_states() | queries)
+def test_a_record_reads_back_through_json_as_the_value_written(value):
+    record = json.loads(json.dumps(write_record(value)))
+    assert_same(read_config(type(value), record, error=DataError), value)

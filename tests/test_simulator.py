@@ -157,15 +157,20 @@ def test_config_validation():
 
 
 def test_scenario_roundtrip(tmp_path):
-    scenario = generate_scenario(cfg())
-    path = tmp_path / "scenario.json"
-    save_scenario(path, scenario)
-    loaded = load_scenario(path)
-    assert np.array_equal(loaded.load_series, scenario.load_series)
-    assert loaded.queries[0].statement == scenario.queries[0].statement
-    dump1 = path.read_bytes()
-    save_scenario(path, generate_scenario(cfg()))
-    assert path.read_bytes() == dump1  # byte-identical for a fixed seed
+    trace = str(generate_utilization_trace(tmp_path / "trace.csv", rows=200))
+    # synthetic, trace-replay and queue-dynamics scenarios
+    for overrides in ({}, {"trace_path": trace}, {"load_mode": "queue_dynamics", "queue_capacity": 7}):
+        scenario = generate_scenario(cfg(**overrides))
+        path = tmp_path / "scenario.json"
+        save_scenario(path, scenario)
+        loaded = load_scenario(path)
+        assert np.array_equal(loaded.load_series, scenario.load_series)
+        assert loaded.queries[0].statement == scenario.queries[0].statement
+        dump1 = path.read_bytes()
+        save_scenario(path, generate_scenario(cfg(**overrides)))
+        assert path.read_bytes() == dump1  # byte-identical for a fixed seed
+        save_scenario(path, loaded)
+        assert path.read_bytes() == dump1  # save -> load -> save gives back the file's bytes
 
 
 # ---------------------------------------------------------------------------
