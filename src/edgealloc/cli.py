@@ -39,7 +39,6 @@ from .simulator import (
     generate_utilization_trace,
     load_scenario,
     ova_allocate,
-    query_from_record,
     save_scenario,
     synthesize_training_set,
 )
@@ -285,7 +284,7 @@ def _parse_query_json(spec: str) -> Query:
         except (OSError, ValueError) as exc:
             raise DataError(f"cannot read query file {spec}: {exc}") from exc
     try:
-        return query_from_record(json.loads(text))
+        return read_config(Query, json.loads(text), "query", DataError)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"invalid query JSON: {exc}") from exc
     except DataError as exc:

@@ -8,7 +8,7 @@ order and ``context_matrix`` fills a matrix from them, for the decisions
 and the training set ``simulator`` builds and the training CSV ``cli``
 writes.  ``complexity_scalar`` collapses a complexity vector into the first
 feature.  The file layout of every record lives here too: ``read_config``
-reads a config section or a scenario's node or query record by its
+reads a config section, a whole scenario file or a query record by its
 dataclass's field annotations, and ``write_record`` writes what it reads.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import sys
 import typing
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .complexity import ComplexityVector
+from .complexity import _TOKEN_RE, ComplexityVector
 from .errors import ConfigError
 
 __all__ = [
@@ -45,6 +46,17 @@ DEFAULT_QUEUE_CAPACITY = 100
 
 # node ids, queue capacities and cardinalities are held in int64 node-table arrays
 INT64_MAX = 2**63 - 1
+
+
+def _check_integer(name: str, value, low: int, bounds: str) -> None:
+    """``ValueError`` unless ``value`` is an integer in [``low``, 2**63 - 1]
+    (``bounds`` spells the range); a float such as 1.5 is refused, not cut."""
+    try:
+        in_range = low <= operator.index(value) <= INT64_MAX
+    except TypeError:
+        in_range = False
+    if not in_range:
+        raise ValueError(f"{name} must be an integer in {bounds}, got {value!r:.200}")
 
 
 @dataclass(frozen=True)
@@ -73,16 +85,22 @@ class QueryConstraints:
 
 @dataclass(frozen=True)
 class Query:
-    """An analytics query: statement text, data constraints and a deadline."""
+    """An analytics query: statement text, data constraints and a deadline.
 
-    id: str
+    The statement must hold at least one token (a run of ASCII letters or
+    digits, what the complexity classifier compares); the deadline must be
+    finite and >= 0.  A record leaves out ``id`` and ``deadline`` to take
+    their defaults.
+    """
+
     statement: str
     constraints: QueryConstraints
-    deadline: float
+    id: str = "adhoc"
+    deadline: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.statement or not self.statement.strip():
-            raise ValueError("query statement must be non-empty")
+        if _TOKEN_RE.search(self.statement.lower()) is None:
+            raise ValueError(f"statement contains no tokens: {self.statement!r:.200}")
         if not 0 <= self.deadline < math.inf:
             raise ValueError(f"deadline must be finite and >= 0, got {self.deadline}")
 
@@ -105,8 +123,7 @@ class DatasetDigest:
             raise ValueError("means and spreads must be finite")
         if np.any(spreads < 0):
             raise ValueError("spreads must be non-negative")
-        if not 1 <= self.cardinality <= INT64_MAX:
-            raise ValueError(f"cardinality must be in [1, 2**63 - 1], got {self.cardinality!r:.200}")
+        _check_integer("cardinality", self.cardinality, 1, "[1, 2**63 - 1]")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "spreads", spreads)
 
@@ -135,10 +152,8 @@ class NodeState:
             raise ValueError(f"load must be in [0, 1], got {self.load}")
         if not 0.0 <= self.speed <= 1.0:
             raise ValueError(f"speed must be in [0, 1], got {self.speed}")
-        if not -INT64_MAX - 1 <= self.node_id <= INT64_MAX:
-            raise ValueError(f"node id must be in [-2**63, 2**63 - 1], got {self.node_id!r:.200}")
-        if not 1 <= self.queue_capacity <= INT64_MAX:
-            raise ValueError(f"queue capacity must be in [1, 2**63 - 1], got {self.queue_capacity!r:.200}")
+        _check_integer("node id", self.node_id, -INT64_MAX - 1, "[-2**63, 2**63 - 1]")
+        _check_integer("queue capacity", self.queue_capacity, 1, "[1, 2**63 - 1]")
 
 
 def complexity_scalar(vector: ComplexityVector) -> float:
@@ -173,48 +188,49 @@ _field_types = functools.cache(typing.get_type_hints)  # resolving the annotatio
 
 def read_config(cls, data, key: str = "", error=ConfigError):
     """Build the dataclass ``cls`` from plain YAML/JSON data: a config
-    section (``error`` is ``ConfigError``) or a data-file record
+    section (``error`` is ``ConfigError``) or a data file or record
     (``DataError``).
 
     A record maps field names to values; an unknown key is refused, and a
     field without a default must be present.  A dataclass with exactly one
     field is recorded as that field's bare value.  Each value is read by its
-    field's annotation: a dataclass, ``tuple[X, ...]`` from a list,
-    ``Optional[X]``, an enum from its name in any case, ``np.ndarray`` from a
-    list (of lists) of numbers, ``int``, ``str``, or ``float``, which may be
-    given as an int but must be finite; a bool is never a number.  Errors,
-    the dataclass's own checks included, raise ``error`` naming the dotted
-    key, of which ``key`` is the prefix.
+    field's annotation: a dataclass, ``tuple[X, ...]`` or ``list[X]`` from a
+    list, ``Optional[X]``, an enum from its name in any case, ``np.ndarray``
+    from a list (of lists) of numbers, ``int``, ``str``, or ``float``, which
+    may be given as an int but must be finite; a bool is never a number.
+    Errors, the dataclass's own checks included, raise ``error`` naming the
+    dotted key, of which ``key`` is the prefix (none for a file's root).
     """
     types = _field_types(cls)
+    where = key or "root"
     if len(types) == 1:
         ((name, tp),) = types.items()
         kwargs = {name: _read_value(tp, data, key, error)}
     else:
         if not isinstance(data, dict):
-            raise error(f"{key or 'config'} must be a mapping, got {data!r:.200}")
+            raise error(f"{where} must be a mapping, got {data!r:.200}")
         prefix = f"{key}." if key else ""
         unknown = [f"{prefix}{name}" for name in data if name not in types]
         if unknown:
             raise error(f"unknown keys {unknown}")
         for f in dataclasses.fields(cls):
             if f.name not in data and f.default is f.default_factory is dataclasses.MISSING:
-                raise error(f"{key or 'config'} is missing field {f.name!r}")
+                raise error(f"{where} is missing field {f.name!r}")
         kwargs = {name: _read_value(types[name], value, f"{prefix}{name}", error) for name, value in data.items()}
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise error(f"{key or 'config'}: {exc}") from None
+        raise error(f"{key}: {exc}" if key else str(exc)) from None
 
 
 def _read_value(tp, value, key: str, error):
     args = typing.get_args(tp)
     if typing.get_origin(tp) is typing.Union:  # Optional[X]
         return None if value is None else _read_value(args[0], value, key, error)
-    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+    if typing.get_origin(tp) in (tuple, list):  # tuple[X, ...] or list[X]
         if not isinstance(value, list):
             raise error(f"{key} must be a list, got {value!r:.200}")
-        return tuple(_read_value(args[0], v, f"{key}[{i}]", error) for i, v in enumerate(value))
+        return typing.get_origin(tp)(_read_value(args[0], v, f"{key}[{i}]", error) for i, v in enumerate(value))
     if dataclasses.is_dataclass(tp):
         return read_config(tp, value, key, error)
     if tp is np.ndarray and isinstance(value, list):
@@ -237,10 +253,13 @@ def _read_value(tp, value, key: str, error):
 def write_record(value):
     """The plain JSON data ``read_config`` reads back into ``value``: a
     dataclass becomes the mapping of its fields (a one-field dataclass its
-    field's value), a list, tuple or array a list, anything else stays."""
+    field's value), a value with a ``to_dict`` (a model) what that returns,
+    a list, tuple or array a list, anything else stays."""
     if dataclasses.is_dataclass(value):
         record = {f.name: write_record(getattr(value, f.name)) for f in dataclasses.fields(value)}
         return next(iter(record.values())) if len(record) == 1 else record
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
     if isinstance(value, (list, tuple)):
         return [write_record(v) for v in value]
     if isinstance(value, np.ndarray):

@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..core import write_record
 from ..errors import DataError
 
 __all__ = [
@@ -176,16 +177,9 @@ class _Model:
         return (self.predict_proba_batch(x) >= 0.5).astype(int)
 
     def to_dict(self) -> dict:
-        """The record: an array field as a list, a model as its own record."""
-        return {"type": self.kind, **{f: _record_value(getattr(self, f)) for f in self.FIELDS}}
-
-
-def _record_value(value):
-    if isinstance(value, _Model):
-        return value.to_dict()
-    if isinstance(value, list):
-        return [_record_value(v) for v in value]
-    return value.tolist() if isinstance(value, np.ndarray) else value
+        """The record, each field by ``core.write_record``: an array field as
+        a list, a model as its own record."""
+        return {"type": self.kind, **{f: write_record(getattr(self, f)) for f in self.FIELDS}}
 
 
 class ConstantModel(_Model):

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .allocator import AllocationDecision, EnsembleBundle, FusionScheme, decide_from_features
-from .complexity import ComplexityClassifier, TrainingQueryCorpus, DEFAULT_CLASSES, tokenize_statement
+from .complexity import ComplexityClassifier, TrainingQueryCorpus, DEFAULT_CLASSES
 from .core import (
     INT64_MAX, DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar, context_matrix, read_config,
     write_record,
@@ -64,7 +64,6 @@ __all__ = [
     "simulate_run",
     "save_scenario",
     "load_scenario",
-    "query_from_record",
 ]
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -156,12 +155,29 @@ class LabelingPolicy:
 
 @dataclass
 class Scenario:
-    """Generated nodes, query stream and per-epoch load series."""
+    """Generated nodes, query stream and per-epoch load series.
+
+    There is at least one node; every node digest and query constraint has
+    the config's ``dims`` dimensions; the load series is an (epochs >= 1, N)
+    array of values in [0, 1], one column per node, replayed cyclically.
+    """
 
     config: ScenarioConfig
     nodes: list[NodeState]
     queries: list[Query]
-    load_series: np.ndarray  # (epochs, N); replayed cyclically
+    load_series: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not self.nodes:
+            raise ValueError("a scenario needs at least one node")
+        dims = {node.digest.dims for node in self.nodes} | {q.constraints.dims for q in self.queries}
+        if dims != {self.config.dims}:
+            raise ValueError(f"dimension counts {sorted(dims)} differ from config dims {self.config.dims}")
+        series = self.load_series
+        if series.ndim != 2 or series.shape[0] < 1 or series.shape[1] != len(self.nodes):
+            raise ValueError(f"load_series has shape {series.shape}, expected (epochs >= 1, {len(self.nodes)})")
+        if not ((series >= 0.0) & (series <= 1.0)).all():  # NaN fails both
+            raise ValueError("load_series values must be finite and in [0, 1]")
 
     def loads_at(self, epoch: int) -> np.ndarray:
         return self.load_series[epoch % self.load_series.shape[0]]
@@ -368,72 +384,28 @@ def save_scenario(path, scenario: Scenario) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
-def _over(defaults: dict, record):
-    """``record`` over ``defaults``; ``read_config`` refuses a non-mapping."""
-    return {**defaults, **record} if isinstance(record, dict) else record
-
-
-def query_from_record(record, key: str = "query") -> Query:
-    """Build a query from its JSON record.
-
-    The record is an object with a ``statement`` string holding at least
-    one token, ``constraints`` as [[min, max], ...] with finite min <= max,
-    and optionally an ``id`` string (default ``adhoc``) and a finite
-    ``deadline`` >= 0 (default 0).  An unknown key or anything else raises
-    ``DataError`` naming the dotted key under ``key``; callers prefix the
-    source.
-    """
-    query = read_config(Query, _over({"id": "adhoc", "deadline": 0.0}, record), key, DataError)
-    try:
-        tokenize_statement(query.statement)
-    except ValueError as exc:
-        raise DataError(f"{key}: {exc}") from None
-    return query
-
-
 def load_scenario(path) -> Scenario:
-    """Read a scenario dumped by ``save_scenario``; ``DataError`` naming the
-    file for anything that does not describe a valid scenario, such as one
-    whose run could not build its node table.  Nodes are read by
-    ``core.read_config``, which refuses an unknown key or a bool for a number
-    (a node without ``queue_capacity`` takes the config's), and queries by
-    ``query_from_record``; the load series must be an (epochs >= 1, N) array
-    of values in [0, 1], what ``ingest_utilization_trace`` guarantees."""
+    """Read a scenario dumped by ``save_scenario``: a JSON object holding
+    ``schema_version`` 1 and the ``Scenario`` fields, read whole by
+    ``core.read_config`` (``Scenario``, ``NodeState`` and ``Query`` state
+    their rules).  Anything that does not describe a valid scenario, such
+    as one whose run could not build its node table, raises ``DataError``
+    naming the file and, for a field, its dotted key."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise DataError(f"cannot read scenario {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"scenario {path} must be a JSON object, got {type(payload).__name__}")
-    version = payload.get("schema_version")
+    version = payload.pop("schema_version", None)
     if version != SCENARIO_SCHEMA_VERSION:
         raise DataError(f"scenario {path} has schema version {version}, expected {SCENARIO_SCHEMA_VERSION}")
     try:
-        cfg = read_config(ScenarioConfig, payload["config"], "config", DataError)
-        nodes = [
-            read_config(NodeState, _over({"queue_capacity": cfg.queue_capacity}, n), f"nodes[{i}]", DataError)
-            for i, n in enumerate(payload["nodes"])
-        ]
-        queries = [query_from_record(q, f"queries[{i}]") for i, q in enumerate(payload["queries"])]
-        load_series = np.asarray(payload["load_series"], dtype=float)
-    except KeyError as exc:
-        raise DataError(f"scenario {path} is missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"scenario {path}: {exc}") from exc
-    if not nodes:
-        raise DataError(f"scenario {path} has no nodes")
-    dims = {node.digest.dims for node in nodes} | {q.constraints.dims for q in queries}
-    if dims != {cfg.dims}:
-        raise DataError(f"scenario {path}: dimension counts {sorted(dims)} differ from config dims {cfg.dims}")
-    if load_series.ndim != 2 or load_series.shape[0] < 1 or load_series.shape[1] != len(nodes):
-        raise DataError(f"scenario {path}: load_series has shape {load_series.shape}, expected (epochs >= 1, {len(nodes)})")
-    if not ((load_series >= 0.0) & (load_series <= 1.0)).all():  # NaN fails both
-        raise DataError(f"scenario {path}: load_series values must be finite and in [0, 1]")
-    try:
-        _node_table(nodes, cfg.z)
+        scenario = read_config(Scenario, payload, error=DataError)
+        _node_table(scenario.nodes, scenario.config.z)
     except DataError as exc:
         raise DataError(f"scenario {path}: {exc}") from exc
-    return Scenario(config=cfg, nodes=nodes, queries=queries, load_series=load_series)
+    return scenario
 
 
 # ---------------------------------------------------------------------------

@@ -614,6 +614,8 @@ def test_allocate_with_a_malformed_scenario_exits_3_naming_the_file(runner, tmp_
         (("nodes", 1, "node_id"), True, "nodes[1].node_id"),  # a hand-written reader read it as id 1
         (("nodes", 0, "digest", "cardinality"), True, "nodes[0].digest.cardinality"),  # ... as 1
         (("nodes", 0, "bogus"), 1, "nodes[0].bogus"),  # ... ignored it
+        (("load_series",), [[0.1], [0.1, 0.2]], "load_series"),  # NumPy's own text named no key
+        (("bogus",), 1, "bogus"),  # an unknown top-level key was ignored
     ],
 )
 def test_allocate_with_a_mistyped_or_unknown_node_field_exits_3_naming_file_and_key(runner, tmp_path, path, value, key):

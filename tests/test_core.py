@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import string
 import sys
 
 import numpy as np
@@ -13,7 +14,7 @@ from edgealloc.core import (
     INT64_MAX, DatasetDigest, NodeState, Query, QueryConstraints, complexity_scalar, read_config, write_record,
 )
 from edgealloc.errors import DataError
-from edgealloc.simulator import apply_allocation, ova_allocate
+from edgealloc.simulator import Scenario, ScenarioConfig, apply_allocation, ova_allocate
 
 
 class StubClassifier:
@@ -135,6 +136,22 @@ def test_node_state_validation_and_queue_sync():
         NodeState(node_id=1, load=1.5, speed=0.5, digest=make_digest([0.5]))
 
 
+# a node table holds these in int64 arrays, which would cut 1.5 to 1 without a word
+def test_a_node_id_must_be_an_integer():
+    with pytest.raises(ValueError, match="node id must be an integer"):
+        NodeState(node_id=1.5, load=0.5, speed=0.5, digest=make_digest([0.5]))
+
+
+def test_a_queue_capacity_must_be_an_integer():
+    with pytest.raises(ValueError, match="queue capacity must be an integer"):
+        NodeState(node_id=1, load=0.5, speed=0.5, digest=make_digest([0.5]), queue_capacity=1.5)
+
+
+def test_a_cardinality_must_be_an_integer():
+    with pytest.raises(ValueError, match="cardinality must be an integer"):
+        make_digest([0.5], cardinality=1.5)
+
+
 # ---------------------------------------------------------------------------
 # record layout
 # ---------------------------------------------------------------------------
@@ -144,8 +161,7 @@ unit = st.floats(0.0, 1.0)
 
 
 @st.composite
-def node_states(draw):
-    dims = draw(st.integers(1, 4))
+def node_states(draw, dims):
     digest = DatasetDigest(
         means=np.array(draw(st.lists(finite, min_size=dims, max_size=dims))),
         spreads=np.array(draw(st.lists(st.floats(0.0, sys.float_info.max), min_size=dims, max_size=dims))),
@@ -157,15 +173,32 @@ def node_states(draw):
     )
 
 
-queries = st.builds(
-    Query,
-    id=st.text(max_size=8),
-    statement=st.text(min_size=1, max_size=20).filter(str.strip),
-    constraints=st.lists(st.lists(finite, min_size=2, max_size=2).map(sorted), min_size=1, max_size=4).map(
-        lambda bounds: QueryConstraints(np.array(bounds))
-    ),
-    deadline=st.floats(0.0, sys.float_info.max),
-)
+def queries(dims):
+    """Queries over ``dims`` dimensions; a statement holds an ASCII letter or
+    digit, since ``Query`` refuses one without a token."""
+    return st.builds(
+        Query,
+        id=st.text(max_size=8),
+        statement=st.builds(
+            "{}{}{}".format, st.text(max_size=8), st.sampled_from(string.ascii_letters + string.digits),
+            st.text(max_size=8),
+        ),
+        constraints=st.lists(st.lists(finite, min_size=2, max_size=2).map(sorted), min_size=dims, max_size=dims).map(
+            lambda bounds: QueryConstraints(np.array(bounds))
+        ),
+        deadline=st.floats(0.0, sys.float_info.max),
+    )
+
+
+@st.composite
+def scenarios(draw):
+    """A small ``Scenario``: up to three nodes, queries and epochs."""
+    dims = draw(st.integers(1, 3))
+    nodes = draw(st.lists(node_states(dims), min_size=1, max_size=3))
+    series = draw(st.lists(st.lists(unit, min_size=len(nodes), max_size=len(nodes)), min_size=1, max_size=3))
+    config = ScenarioConfig(n_nodes=len(nodes), dims=dims, seed=draw(st.integers(0, 2**32)))
+    stream = draw(st.lists(queries(dims), max_size=3))
+    return Scenario(config=config, nodes=nodes, queries=stream, load_series=np.array(series))
 
 
 def assert_same(read, written):
@@ -174,6 +207,10 @@ def assert_same(read, written):
     if dataclasses.is_dataclass(written):
         for f in dataclasses.fields(written):
             assert_same(getattr(read, f.name), getattr(written, f.name))
+    elif isinstance(written, list):
+        assert len(read) == len(written)
+        for r, w in zip(read, written):
+            assert_same(r, w)
     elif isinstance(written, np.ndarray):
         assert read.dtype == written.dtype and np.array_equal(read, written)
     else:
@@ -181,7 +218,7 @@ def assert_same(read, written):
 
 
 @settings(max_examples=200, deadline=None)
-@given(node_states() | queries)
+@given(st.integers(1, 4).flatmap(node_states) | st.integers(1, 4).flatmap(queries) | scenarios())
 def test_a_record_reads_back_through_json_as_the_value_written(value):
     record = json.loads(json.dumps(write_record(value)))
     assert_same(read_config(type(value), record, error=DataError), value)

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import json
 import logging
 import warnings
 from dataclasses import replace
@@ -171,6 +173,40 @@ def test_scenario_roundtrip(tmp_path):
         assert path.read_bytes() == dump1  # byte-identical for a fixed seed
         save_scenario(path, loaded)
         assert path.read_bytes() == dump1  # save -> load -> save gives back the file's bytes
+
+
+def test_a_node_record_without_queue_capacity_takes_the_default(tmp_path):
+    # as ``NodeState(**record)`` does, whatever the config's queue_capacity
+    path = tmp_path / "scenario.json"
+    save_scenario(path, generate_scenario(cfg(load_mode="queue_dynamics", queue_capacity=7)))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload["nodes"][0]["queue_capacity"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert [node.queue_capacity for node in load_scenario(path).nodes] == [100, 7, 7, 7, 7]
+
+
+# sha256 of the file ``save_scenario`` writes for each config below; a change
+# that moves any byte of what ``gen`` writes changes it
+SCENARIO_DIGESTS = {
+    "synthetic": "e8c11111d0065c58becb45dcc4e4eb1ab169a4ddc979c3b0ff234517de257d38",
+    "trace replay": "d9b7eb94e2c07288ce5b89e2560487784a76aef344d9d4c588564fbf52dc584d",
+    "queue dynamics": "61ffc265f208901f40cd74947c72a9e32a76bdebda97c3d2da01d4d092f3412d",
+}
+
+
+def test_saved_scenarios_match_the_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the trace config records the trace's path, so keep it relative
+    generate_utilization_trace("trace.csv", rows=200)
+    configs = {
+        "synthetic": cfg(),
+        "trace replay": cfg(trace_path="trace.csv"),
+        "queue dynamics": cfg(distribution="gaussian", load_mode="queue_dynamics", queue_capacity=7),
+    }
+    digests = {}
+    for name, config in configs.items():
+        save_scenario("scenario.json", generate_scenario(config))
+        digests[name] = hashlib.sha256((tmp_path / "scenario.json").read_bytes()).hexdigest()
+    assert digests == SCENARIO_DIGESTS
 
 
 # ---------------------------------------------------------------------------
