@@ -161,17 +161,22 @@ def decide_from_features(
     """
     labels = np.zeros((features.shape[0], 3), dtype=int, order="F")
     labels[:, 0] = bundle.boost.predict_batch(features)
+    gathered = None  # features.take(rows, axis=0), when already taken
     if scheme is FusionScheme.CS:
         rows = labels[:, 0].nonzero()[0]
         if rows.size:
-            bagged = bundle.bagging.predict_batch(features.take(rows, axis=0))
+            gathered = features.take(rows, axis=0)
+            bagged = bundle.bagging.predict_batch(gathered)
             labels[rows, 1] = bagged
-            rows = rows[bagged == 1]
+            if np.count_nonzero(bagged) < rows.size:
+                rows, gathered = rows[bagged == 1], None
     else:
         labels[:, 1] = bundle.bagging.predict_batch(features)
         labels[:, 2] = labels[:, 0]  # the shared label where boost and bagging agree
         rows = (labels[:, 0] != labels[:, 1]).nonzero()[0]
     if rows.size:
-        labels[rows, 2] = bundle.stacking.predict_batch(features.take(rows, axis=0))
+        if gathered is None:
+            gathered = features.take(rows, axis=0)
+        labels[rows, 2] = bundle.stacking.predict_batch(gathered)
     fused = fuse_batch(labels, scheme)
     return fused, rank_nodes(fused, loads, node_ids, k)

@@ -213,34 +213,68 @@ def quasi_arithmetic_mean(values, alpha: float):
     Values must be non-negative.  A (..., m) input gives (...) means; a 1-D
     list gives one.  With a negative ``alpha`` a zero value, or one so small
     that its power overflows, drives the mean to 0, its limit.  The powers
-    and sums run on a C-ordered copy, so the bytes do not depend on the
-    input's layout.
+    and sums run on a C-ordered copy of the values' transpose, so the bytes
+    do not depend on the input's layout.
     """
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
-    arr = np.array(values, dtype=float, order="C")  # a copy: the core overwrites it
-    if arr.ndim == 0 or arr.shape[-1] == 0:
+    # a copy (the core overwrites it) whose transpose is C-ordered, m rows
+    arr = np.array(values, dtype=float, order="F").T
+    if arr.ndim == 0 or arr.shape[0] == 0:
         raise ValueError("values must be non-empty")
     if arr.min() < 0:
         raise ValueError("values must be non-negative")
-    return _power_mean_inplace(arr, alpha)
+    return _power_mean_inplace(arr, alpha).T
+
+
+def _leading_sum(buf: np.ndarray):
+    """The sum of ``buf`` over its leading axis, added in the order
+    ``np.add.reduce(axis=-1)`` adds each row of ``buf.T``, so the bytes are
+    NumPy's.  That order is NumPy's pairwise sum after an initial 0: a plain
+    loop below 8 values, which reducing axis 0 repeats; from 8 values, eight
+    accumulators folded as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the
+    tail; past 128 values, the sums of two halves.  Each add here is one
+    ufunc over whole rows.  ``buf`` is overwritten; the sum may be a view of
+    it."""
+    n = len(buf)
+    if n < 8:
+        return np.add.reduce(buf, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _leading_sum(buf[:half]) + _leading_sum(buf[half:])
+    tail = n - n % 8
+    for start in range(8, tail, 8):
+        np.add(buf[:8], buf[start:start + 8], out=buf[:8])
+    r = list(buf[:8])  # row views: two rows add with less set-up than strided blocks
+    for i in (0, 2, 4, 6):
+        r[i] += r[i + 1]
+    r[0] += r[2]
+    r[4] += r[6]
+    total = r[0]
+    total += r[4]
+    for row in buf[tail:]:
+        total += row
+    total += 0.0  # the reduction's initial 0: a sum of -0.0 alone reads +0.0
+    return total
 
 
 def _power_mean_inplace(buf: np.ndarray, alpha: float):
-    """``quasi_arithmetic_mean`` of a checked float array the caller owns;
-    ``buf`` is overwritten with its powers.  At alpha 1 no power is taken
-    (x ** 1.0 == x exactly), so nothing is silenced: only a sum past the
-    float range could warn, and relevance and complexity average values in
-    [0, 1]."""
-    # sum / m is np.mean's arithmetic without its per-call overhead
+    """``quasi_arithmetic_mean`` over the leading axis of a checked (m, ...)
+    float array the caller owns; ``buf`` is overwritten with its powers.  At
+    alpha 1 no power is taken (x ** 1.0 == x exactly), so nothing is
+    silenced: only a sum past the float range could warn, and relevance and
+    complexity average values in [0, 1]."""
+    m = len(buf)
     if alpha == 1:
-        mean = np.add.reduce(buf, axis=-1)
-        mean /= buf.shape[-1]
+        mean = _leading_sum(buf)
+        if m > 1:  # dividing by 1 is exact
+            mean /= m
         return mean
     with np.errstate(divide="ignore", over="ignore"):
         np.power(buf, alpha, out=buf)
-        mean = np.add.reduce(buf, axis=-1)
-        mean /= buf.shape[-1]
+        mean = _leading_sum(buf)
+        if m > 1:
+            mean /= m
         return mean ** (1.0 / alpha)
 
 

@@ -235,7 +235,9 @@ def _read_value(tp, value, key: str, error):
         return read_config(tp, value, key, error)
     if tp is np.ndarray and isinstance(value, list):
         try:
-            return np.asarray(value, dtype=float)
+            # only JSON numbers: NumPy would take true as 1.0 and "0.1" as 0.1
+            if {int, float}.issuperset(map(type, np.array(value, dtype=object).flat)):
+                return np.asarray(value, dtype=float)
         except (TypeError, ValueError, OverflowError):
             pass  # refused below
     if issubclass(tp, Enum):

@@ -434,6 +434,25 @@ def _sigmoid(margin: np.ndarray) -> np.ndarray:
     return np.reciprocal(margin, out=margin)
 
 
+def _least_positive_margin() -> float:
+    """The least margin ``_sigmoid`` maps to >= 0.5, found by bisection
+    between -1e-15, which it maps below 0.5, and 0; about -3.3e-16.  Each
+    of its steps is monotone, so ``margin >= _least_positive_margin()`` is
+    ``_sigmoid(margin) >= 0.5`` for every margin, NaN (False) included."""
+    below, at = -1e-15, 0.0
+    while True:
+        mid = below + (at - below) / 2
+        if mid in (below, at):
+            return at
+        if _sigmoid(np.array([mid]))[0] >= 0.5:
+            at = mid
+        else:
+            below = mid
+
+
+_LEAST_POSITIVE_MARGIN = _least_positive_margin()
+
+
 def _record_array(name: str, value, shape: tuple) -> np.ndarray:
     """A model record's numeric field as a finite float array of ``shape``."""
     try:
@@ -563,6 +582,11 @@ class LogisticModel(_Model):
 
     def predict_proba_batch(self, x):
         return _sigmoid(x @ self.lin + self.const)
+
+    def predict_batch(self, x):
+        """The labels ``predict_proba_batch(x) >= 0.5`` gives, read off the
+        margin without the sigmoid."""
+        return (x @ self.lin + self.const >= _LEAST_POSITIVE_MARGIN).astype(int)
 
 
 class _BaseColumns:

@@ -120,7 +120,7 @@ class StackingModel(_Model):
 
     The bases compile into one ``_BaseColumns``, whose (k, n) output the meta
     learner reads as a C-ordered (n, k) matrix through its own
-    ``predict_proba_batch``.  A meta learner whose arity is not the number of
+    ``predict_proba_batch``, or its ``predict_batch`` for labels.  A meta learner whose arity is not the number of
     bases raises ``DataError`` here, as do the bases ``_BaseColumns`` refuses.
     """
 
@@ -142,6 +142,9 @@ class StackingModel(_Model):
 
     def predict_proba_batch(self, x):
         return self.meta.predict_proba_batch(self._meta_features(x))
+
+    def predict_batch(self, x):
+        return self.meta.predict_batch(self._meta_features(x))
 
 
 def model_shape(model) -> dict:

@@ -7,11 +7,15 @@ dimension by dimension; the per-dimension mismatch scores aggregate into a
 single relevance value where LOWER means a better data match, through the
 power-mean core behind ``complexity.quasi_arithmetic_mean``, the kernel that
 aggregates complexity memberships.  The kernel reads ``IntervalBounds``
-operands, which a caller builds once (a run's node table does) or passes as
-(..., L, 2) intervals converted on entry.  It broadcasts over leading axes,
-so one node, a whole fleet and a batch of paired training rows all go
-through the same code.  The scalar per-dimension reference the kernel
-reproduces lives in ``tests/test_relevance.py``.
+operands, dimension-major: row l of each (L, ...) array holds dimension l.
+A caller builds them once (a run's node table holds C-contiguous (L, N)
+bounds) or passes (..., L, 2) intervals, read as strided views without a
+copy; against (L, N) bounds a query's (L, 2) intervals become (L, 1) views,
+so each ufunc broadcasts one value per dimension over N contiguous nodes and
+the power mean adds whole rows.  The kernel broadcasts over leading axes, so
+one node, a whole fleet and a batch of paired training rows all go through
+the same code.  The scalar per-dimension reference the kernel reproduces
+lives in ``tests/test_relevance.py``.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ def confidence_intervals(means, spreads, cardinality, z: float) -> np.ndarray:
 
 
 class IntervalBounds(NamedTuple):
-    """A relevance operand: C-contiguous (..., L) lower bounds, upper bounds
-    and widths (upper - lower), and whether every width is > 0 (False if
-    any is NaN)."""
+    """A relevance operand, dimension-major: (L, ...) lower bounds, upper
+    bounds and widths (upper - lower), the transposes of (..., L) arrays,
+    and whether every width is > 0 (False if any is NaN)."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -53,18 +57,28 @@ class IntervalBounds(NamedTuple):
     all_positive: bool
 
 
-def interval_bounds(intervals) -> IntervalBounds:
-    """The bounds operand of (..., L, 2) intervals or ``QueryConstraints``;
-    an ``IntervalBounds`` is returned as it is."""
+def interval_bounds(intervals, ndim: int = 1) -> IntervalBounds:
+    """The bounds operand of (..., L, 2) intervals or ``QueryConstraints``,
+    its ends as transposed views of the intervals (no copy), with trailing
+    unit axes up to ``ndim`` axes; an ``IntervalBounds`` gets the same unit
+    axes.  Two operands' transposed leading axes line up from L on, as
+    (..., L) arrays line up from the right, so a query's (L, 2) intervals
+    read against (L, N) bounds become (L, 1) views."""
     if isinstance(intervals, IntervalBounds):
-        return intervals
-    arr = np.asarray(getattr(intervals, "intervals", intervals), dtype=float)
-    if arr.ndim < 2 or arr.shape[-1] != 2:
-        raise ValueError(f"expected (..., L, 2) intervals, got shape {arr.shape}")
-    lower = np.ascontiguousarray(arr[..., 0])
-    upper = np.ascontiguousarray(arr[..., 1])
-    widths = upper - lower
-    return IntervalBounds(lower, upper, widths, bool(widths.min(initial=np.inf) > 0))
+        if intervals.lower.ndim >= ndim:
+            return intervals
+        lower, upper, widths, all_positive = intervals
+    else:
+        arr = np.asarray(getattr(intervals, "intervals", intervals), dtype=float)
+        if arr.ndim < 2 or arr.shape[-1] != 2:
+            raise ValueError(f"expected (..., L, 2) intervals, got shape {arr.shape}")
+        ends = arr.T  # (2, L, ...)
+        lower, upper = ends[0], ends[1]
+        widths = upper - lower
+        all_positive = bool(widths.min(initial=np.inf) > 0)
+    while lower.ndim < ndim:
+        lower, upper, widths = lower[..., None], upper[..., None], widths[..., None]
+    return IntervalBounds(lower, upper, widths, all_positive)
 
 
 def _mismatch_matrix(w: IntervalBounds, f: IntervalBounds) -> np.ndarray:
@@ -105,16 +119,22 @@ def relevance_batch(constraints, intervals, alpha: float) -> np.ndarray:
     ``QueryConstraints``, and the two broadcast against each other: one
     query against N nodes gives N values, N paired rows give one value per
     row, one pair a 0-d value.  The per-dimension mismatches are computed
-    in one buffer, which the power mean of exponent ``alpha`` (non-zero)
-    then reduces in place; the inputs are never written.  Lower is better,
-    0 meaning every constraint interval is matched by the data.
+    in one (L, ...) buffer, which the power mean of exponent ``alpha``
+    (non-zero) then reduces in place over L; the inputs are never written.
+    Lower is better, 0 meaning every constraint interval is matched by the
+    data.
     """
-    w, f = interval_bounds(constraints), interval_bounds(intervals)
-    if w.lower.shape[-1:] != f.lower.shape[-1:]:
+    f = interval_bounds(intervals)
+    w = interval_bounds(constraints, f.lower.ndim)
+    if f.lower.ndim < w.lower.ndim:
+        f = interval_bounds(f, w.lower.ndim)
+    if len(w.lower) != len(f.lower):
         raise ValueError(f"dimensionality mismatch: {w.lower.shape} vs {f.lower.shape}")
-    if alpha == 0 or w.lower.shape[-1] == 0:
+    if alpha == 0 or len(w.lower) == 0:
         raise ValueError("relevance needs a non-zero alpha and at least one dimension")
     mean = _power_mean_inplace(_mismatch_matrix(w, f), alpha)
     # at alpha 1 a mean of values in [0, 1] cannot round past 1: each sum of
     # k of them rounds to at most k, and k / k is 1
-    return mean if alpha == 1 else np.minimum(mean, 1.0)
+    if alpha != 1:
+        mean = np.minimum(mean, 1.0)
+    return mean.T if mean.ndim > 1 else mean

@@ -9,7 +9,7 @@ stream, and query generation is independent of N so sweeps over the node
 count face the same workload.
 
 Every allocation goes through one path.  A node table (ids, speeds, the
-relevance operand of the nodes' confidence intervals, queue capacities) is
+dimension-major (L, N) bounds of the nodes' intervals, queue capacities) is
 built once per run; ``_decide_query`` then classifies the statement, fills
 the (N, 5) context matrix with ``core.context_matrix`` and hands it to
 ``decide_from_features``; the picks come back as positions into the table.
@@ -588,7 +588,7 @@ def synthesize_training_set(
 @dataclass(frozen=True)
 class _NodeTable:
     """Per-node arrays a run reads on every decision, in node order.
-    ``bounds`` holds the confidence intervals as C-contiguous (N, L) lower
+    ``bounds`` holds the confidence intervals as C-contiguous (L, N) lower
     bounds, upper bounds and widths plus whether every width is > 0."""
 
     ids: np.ndarray
@@ -614,10 +614,11 @@ def _node_table(nodes: Sequence[NodeState], z: float) -> _NodeTable:
         )
     if not np.isfinite(intervals).all():
         raise DataError(f"a node's confidence interval overflows at z={z}")
+    bounds = interval_bounds(intervals)
     return _NodeTable(
         ids=np.array([node.node_id for node in nodes], dtype=int),
         speeds=np.array([node.speed for node in nodes], dtype=float),
-        bounds=interval_bounds(intervals),
+        bounds=IntervalBounds(*(np.ascontiguousarray(a) for a in bounds[:3]), bounds.all_positive),
         capacity=np.array([node.queue_capacity for node in nodes], dtype=np.int64),
     )
 

@@ -660,6 +660,11 @@ def test_allocate_with_repeated_node_ids_exits_3_naming_the_id(runner, tmp_path)
         ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "deadline": True}, "query.deadline must be a finite number"),
         ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "id": 5}, "query.id must be a string"),
         ({"statement": "select a from t", "constraints": [[0.1, 0.2]], "dedline": 5.0}, "unknown keys ['query.dedline']"),
+        # what NumPy's float conversion took as numbers
+        ({"statement": "select a from t", "constraints": [["0.1", "0.5"]]}, "query.constraints must be an array of numbers"),
+        ({"statement": "select a from t", "constraints": [["nan", 0.5]]}, "query.constraints must be an array of numbers"),
+        ({"statement": "select a from t", "constraints": [[0.1, "inf"]]}, "query.constraints must be an array of numbers"),
+        ({"statement": "select a from t", "constraints": [[True, 1]]}, "query.constraints must be an array of numbers"),
     ],
 )
 def test_allocate_with_a_malformed_query_json_exits_3(runner, tmp_path, query, message):
@@ -697,15 +702,27 @@ query_records = st.fixed_dictionaries(
 )
 
 
+def _numbers_only(value) -> bool:
+    """Whether every leaf of nested lists is a JSON number: an int or a
+    float, never a bool or a string."""
+    if isinstance(value, list):
+        return all(_numbers_only(v) for v in value)
+    return type(value) in (int, float)
+
+
 @settings(max_examples=300, deadline=None)
+@example({"statement": "select a from t", "constraints": [["0.1", "0.5"]]})
+@example({"statement": "select a from t", "constraints": [[True, 1]]})
 @given(query_records | json_values | st.text(max_size=40))
 def test_query_json_parser_raises_only_data_error(spec):
+    """A query either raises ``DataError`` or loads from JSON numbers."""
     text = spec if isinstance(spec, str) else json.dumps(spec)
     try:
         query = _parse_query_json(text)
     except DataError:
         return
     assert isinstance(query, Query)
+    assert _numbers_only(json.loads(text)["constraints"])
 
 
 SCENARIO_PATHS = [
@@ -730,12 +747,16 @@ SCENARIO_PATHS = [
 @example(path=("load_series",), value=[], delete=False)
 @example(path=("nodes", 0, "load"), value=True, delete=False)
 @example(path=("nodes", 0, "speed"), value=True, delete=False)
+@example(path=("queries", 0, "constraints"), value=[["0.1", "0.5"]], delete=False)
+@example(path=("load_series",), value=[[True, False]], delete=False)
+@example(path=("nodes", 0, "digest", "means"), value=[True], delete=False)
+@example(path=("nodes", 0, "digest", "spreads"), value=["0.1"], delete=False)
 @given(st.sampled_from(SCENARIO_PATHS), json_values | bounds, st.booleans())
 def test_scenario_parser_raises_only_data_error(tmp_path, path, value, delete):
     """A scenario file either raises ``DataError`` naming it or loads into a
     scenario whose run can build its node table, with integer capacities and
-    cardinalities, float loads and speeds, and one load in [0, 1] per node
-    and epoch."""
+    cardinalities, float loads and speeds, one load in [0, 1] per node and
+    epoch, and every array read from JSON numbers."""
     scenario_path = tmp_path / "scenario.json"
     cfg = ScenarioConfig(n_nodes=2, dims=1, n_queries=1, seed=5)
     digest = DatasetDigest(means=np.array([0.5]), spreads=np.array([0.1]), cardinality=1000)
@@ -767,6 +788,9 @@ def test_scenario_parser_raises_only_data_error(tmp_path, path, value, delete):
     series = scenario.load_series
     assert series.shape[0] >= 1 and series.shape[1:] == (len(scenario.nodes),)
     assert ((series >= 0.0) & (series <= 1.0)).all()
+    arrays = [payload["load_series"], *(q["constraints"] for q in payload["queries"])]
+    arrays += [n["digest"][key] for n in payload["nodes"] for key in ("means", "spreads")]
+    assert all(_numbers_only(a) for a in arrays)
 
 
 def _paths(node, prefix=()):

@@ -25,7 +25,7 @@ from edgealloc.learners import (
 )
 from edgealloc.learners import serialize
 from edgealloc.learners.ensembles import _child_seed, _stratified_split, model_shape
-from edgealloc.learners.base import LEARNER_KINDS, TreeModel
+from edgealloc.learners.base import _LEAST_POSITIVE_MARGIN, LEARNER_KINDS, LogisticModel, TreeModel
 
 
 def dataset(features, labels):
@@ -71,6 +71,43 @@ def test_logistic_separates_toy_set():
     data = separable_2d()
     model = train_base(BaseLearnerSpec(kind="logistic", epochs=500), data, seed=0)
     assert (model.predict_batch(data.features) == data.labels).all()
+
+
+def margin_model():
+    """A one-feature logistic unit whose margin is its feature, exactly."""
+    model = LogisticModel(weights=[1.0], bias=0.0, mu=[0.0], sigma=[1.0], n_features=1)
+    assert model.lin.tolist() == [1.0] and model.const == 0.0
+    return model
+
+
+def assert_margin_labels_match_the_sigmoid(model, margins):
+    x = np.asarray(margins, dtype=float)[:, None]
+    assert np.array_equal(model.predict_batch(x), (model.predict_proba_batch(x) >= 0.5).astype(int))
+
+
+def test_logistic_labels_read_off_the_margin_match_the_sigmoid():
+    # the least margin the sigmoid takes to 0.5 lies below 0, so a label
+    # read off a comparison with 0 would differ just under it
+    model, boundary = margin_model(), _LEAST_POSITIVE_MARGIN
+    assert -4e-16 < boundary < 0
+    below, above = [boundary], [boundary]
+    for _ in range(2000):  # every margin within 2000 ULP of the boundary
+        below.append(np.nextafter(below[-1], -1.0))
+        above.append(np.nextafter(above[-1], 1.0))
+    near = np.array(below[:0:-1] + above)
+    assert_margin_labels_match_the_sigmoid(model, near)
+    assert model.predict_batch(near[:, None]).tolist() == [0] * 2000 + [1] * 2001
+    # the boundary and the margin just below it at every position of a batch,
+    # the SIMD body and its tail alike
+    rng = np.random.default_rng(0)
+    for size in (1, 7, 8, 9, 17, 1000):
+        filler = rng.choice(near, size)
+        for position in range(size):
+            for margin in (boundary, np.nextafter(boundary, -1.0)):
+                margins = filler.copy()
+                margins[position] = margin
+                assert_margin_labels_match_the_sigmoid(model, margins)
+    assert_margin_labels_match_the_sigmoid(model, rng.uniform(-1e-15, 1e-15, 10**5))
 
 
 def test_cart_depth_one_matches_stump_oracle():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from edgealloc import simulator
 from edgealloc.allocator import EnsembleBundle, decide_from_features
-from edgealloc.complexity import ComplexityClassifier, quasi_arithmetic_mean
+from edgealloc.complexity import ComplexityClassifier, _leading_sum, quasi_arithmetic_mean
 from edgealloc.core import QueryConstraints
 from edgealloc.learners import ConstantModel
 from edgealloc.relevance import confidence_intervals, interval_bounds, relevance_batch
@@ -278,13 +278,15 @@ def relevance_unchanged_inputs(w, f, alpha):
 
 
 def checked_bounds(intervals):
-    """interval_bounds of (..., L, 2) intervals, after checking it holds
-    C-contiguous copies of the two ends, their difference and the flag."""
+    """interval_bounds of (..., L, 2) intervals, after checking it holds the
+    two ends dimension-major, as transposed views of the intervals (no
+    copy), their difference and the flag."""
     bounds = interval_bounds(intervals)
     widths = intervals[..., 1] - intervals[..., 0]
     for got, want in zip(bounds[:3], (intervals[..., 0], intervals[..., 1], widths)):
-        assert got.flags.c_contiguous
-        assert_same_bytes(got, np.ascontiguousarray(want))
+        assert_same_bytes(np.ascontiguousarray(got), np.ascontiguousarray(want.T))
+    for got in bounds[:2]:
+        assert got.base is not None and np.shares_memory(got, intervals)
     assert bounds.all_positive is bool((widths > 0).all())
     assert interval_bounds(bounds) is bounds
     return bounds
@@ -317,6 +319,9 @@ def test_relevance_bytes_paired_rows(n, dims, alpha, seed, grid_share):
     w = random_intervals(rng, (n, dims), grid_share)
     f = random_intervals(rng, (n, dims), grid_share)
     assert_same_bytes(relevance_unchanged_inputs(w, f, alpha), formula_relevance(w, f, alpha))
+    # a stack of two such row sets pairs with the rows from the right
+    stacked = random_intervals(rng, (2, n, dims), grid_share)
+    assert_same_bytes(relevance_unchanged_inputs(w, stacked, alpha), formula_relevance(w, stacked, alpha))
 
 
 @given(**layouts)
@@ -396,10 +401,10 @@ def test_node_table_bounds_are_contiguous_and_match_the_interval_formula():
     bounds = simulator._node_table(scenario.nodes, z).bounds
     for i, node in enumerate(scenario.nodes):
         half = z * node.digest.spreads / node.digest.cardinality
-        assert_same_bytes(bounds.lower[i], node.digest.means - half)
-        assert_same_bytes(bounds.upper[i], node.digest.means + half)
+        assert_same_bytes(bounds.lower[:, i], node.digest.means - half)
+        assert_same_bytes(bounds.upper[:, i], node.digest.means + half)
     for arr in bounds[:3]:
-        assert arr.flags.c_contiguous and arr.shape == (7, 3)
+        assert arr.flags.c_contiguous and arr.shape == (3, 7)
     assert_same_bytes(bounds.widths, bounds.upper - bounds.lower)
     assert bounds.all_positive
 
@@ -447,3 +452,33 @@ def test_power_mean_bytes_and_input_untouched(n, dims, alpha, seed, grid_share):
     row = list(values[0])
     assert_same_bytes(quasi_arithmetic_mean(row, alpha), formula_power_mean(row, alpha))
     assert row == list(values[0])
+
+
+SUM_ROWS = (*range(1, 41), 64, 127, 128, 129, 200, 1000)  # below 8, the 8 accumulators, the halving past 128
+
+
+@pytest.mark.parametrize("rows", SUM_ROWS)
+def test_leading_sum_adds_in_numpys_row_order(rows):
+    """The dimension-major sum gives np.add.reduce(axis=-1)'s bytes on the
+    (N, L) transpose: one node, random fleets, zeros and negative zeros."""
+    rng = np.random.default_rng(rows)
+    for n in (1, *rng.integers(2, 70, size=3)):
+        values = rng.random((n, rows)) * 10.0 ** rng.integers(-3, 4, size=(n, rows))
+        values[rng.random((n, rows)) < 0.3] = 0.0
+        want = np.add.reduce(values, axis=-1)
+        assert_same_bytes(_leading_sum(values.T.copy()), want)  # a copy: the sum overwrites it
+        assert_same_bytes(_leading_sum(values[0].copy()), want[0])
+    negative_zeros = np.full((2, rows), -0.0)  # they alone sum to +0.0
+    assert_same_bytes(_leading_sum(negative_zeros.T.copy()), np.add.reduce(negative_zeros, axis=-1))
+
+
+@given(**layouts)
+def test_power_is_layout_free_between_node_and_dimension_major(n, dims, alpha, seed, grid_share):
+    # relevance powers an (L, N) buffer: the same values laid out (N, L) power to the same bytes
+    rng = np.random.default_rng(seed)
+    values = rng.random((n, dims))
+    values[rng.random((n, dims)) < grid_share / 3] = 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        node_major = np.power(values, alpha)
+        dimension_major = np.power(np.ascontiguousarray(values.T), alpha)
+    assert_same_bytes(np.ascontiguousarray(dimension_major.T), node_major)
