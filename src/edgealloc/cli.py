@@ -199,7 +199,8 @@ def _read_training_csv(path: Path) -> LabeledDataset:
                     raise DataError(f"{path}, line {reader.line_num}: {exc}") from None
                 if len(values) != len(_TRAINING_COLUMNS) or not np.isfinite(values).all() or values[-1] not in (0.0, 1.0):
                     raise DataError(
-                        f"{path}, line {reader.line_num}: need five finite features and a 0/1 label, got {row}"
+                        f"{path}, line {reader.line_num}: need {len(CONTEXT_FEATURES)} finite features"
+                        f" and a 0/1 label, got {row}"
                     )
                 rows.append(values)
     except OSError as exc:

@@ -227,18 +227,32 @@ def quasi_arithmetic_mean(values, alpha: float):
     return _power_mean_inplace(arr, alpha).T
 
 
+# Rows shorter than this sum through NumPy's own per-row reduction of a
+# C-ordered copy of the transpose, one call; longer ones through the row adds
+# below, whose ~10 calls cost less than the strided copy.  Measured on a
+# 2-vCPU Xeon (AVX-512), NumPy 2.4.6: the two cost the same at 200-300 values
+# per row for 8 to 128 rows.
+_SHORT_ROW = 200
+
+
 def _leading_sum(buf: np.ndarray):
     """The sum of ``buf`` over its leading axis, added in the order
     ``np.add.reduce(axis=-1)`` adds each row of ``buf.T``, so the bytes are
-    NumPy's.  That order is NumPy's pairwise sum after an initial 0: a plain
-    loop below 8 values, which reducing axis 0 repeats; from 8 values, eight
-    accumulators folded as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the
-    tail; past 128 values, the sums of two halves.  Each add here is one
-    ufunc over whole rows.  ``buf`` is overwritten; the sum may be a view of
-    it."""
+    NumPy's.  A 1-D buffer, and one whose rows hold fewer than
+    ``_SHORT_ROW`` values, is handed to that reduction itself.  Otherwise
+    the order is rebuilt from whole-row adds: NumPy's pairwise sum after an
+    initial 0 is a plain loop below 8 values, which reducing axis 0
+    repeats; from 8 values, eight accumulators folded as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the tail; past 128 values,
+    the sums of two halves.  ``buf`` is overwritten; the sum may be a view
+    of it."""
     n = len(buf)
     if n < 8:
         return np.add.reduce(buf, axis=0)
+    if buf.ndim == 1:
+        return np.add.reduce(buf)
+    if buf.size < _SHORT_ROW * n:  # rows of fewer than _SHORT_ROW values
+        return np.add.reduce(np.ascontiguousarray(buf.T), axis=-1).T
     if n > 128:
         half = n // 2 - n // 2 % 8
         return _leading_sum(buf[:half]) + _leading_sum(buf[half:])

@@ -27,6 +27,7 @@ import numpy as np
 
 from .complexity import _TOKEN_RE, ComplexityVector
 from .errors import ConfigError
+from .relevance import IntervalBounds
 
 __all__ = [
     "QueryConstraints",
@@ -62,7 +63,14 @@ def _check_integer(name: str, value, low: int, bounds: str) -> None:
 @dataclass(frozen=True)
 class QueryConstraints:
     """Per-attribute (min, max) bounds a query imposes on the data, one row
-    per dimension."""
+    per dimension.
+
+    The checks build the query's relevance operand, kept as ``operand``
+    outside the dataclass fields, so records and equality read only
+    ``intervals``: an ``IntervalBounds`` of (L, 1) views of the two ends,
+    their widths and whether every width is > 0.  Every decision reads it
+    as it is against the node table's (L, N) bounds.
+    """
 
     intervals: np.ndarray
 
@@ -72,11 +80,21 @@ class QueryConstraints:
             raise ValueError(f"expected constraint shape (L, 2), got {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("constraints need at least one dimension")
-        if not np.isfinite(arr).all():
+        largest = np.abs(arr).max()
+        if not largest <= sys.float_info.max:  # NaN compares false
             raise ValueError("constraint bounds must be finite, not NaN or inf")
-        if not (arr[:, 0] <= arr[:, 1]).all():
+        lower, upper = arr[:, :1], arr[:, 1:]
+        if largest <= sys.float_info.max / 2:
+            widths = upper - lower
+        else:
+            with np.errstate(over="ignore"):  # ends more than the float range apart: an inf width
+                widths = upper - lower
+        # of two finite floats, the rounded difference is >= 0 exactly when lo <= hi
+        least = widths.min()
+        if not least >= 0:
             raise ValueError("constraint minima must not exceed maxima")
         object.__setattr__(self, "intervals", arr)
+        object.__setattr__(self, "operand", IntervalBounds(lower, upper, widths, bool(least > 0)))
 
     @property
     def dims(self) -> int:

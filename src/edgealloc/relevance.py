@@ -8,14 +8,15 @@ single relevance value where LOWER means a better data match, through the
 power-mean core behind ``complexity.quasi_arithmetic_mean``, the kernel that
 aggregates complexity memberships.  The kernel reads ``IntervalBounds``
 operands, dimension-major: row l of each (L, ...) array holds dimension l.
-A caller builds them once (a run's node table holds C-contiguous (L, N)
-bounds) or passes (..., L, 2) intervals, read as strided views without a
-copy; against (L, N) bounds a query's (L, 2) intervals become (L, 1) views,
-so each ufunc broadcasts one value per dimension over N contiguous nodes and
-the power mean adds whole rows.  The kernel broadcasts over leading axes, so
-one node, a whole fleet and a batch of paired training rows all go through
-the same code.  The scalar per-dimension reference the kernel reproduces
-lives in ``tests/test_relevance.py``.
+Each side's operand is built once, so a decision builds neither: a run's
+node table holds C-contiguous (L, N) bounds, and ``QueryConstraints`` keeps
+as ``operand`` the (L, 1) views of a query's ends it built while checking
+them.  (..., L, 2) intervals passed as such are read as strided views
+without a copy.  Against (L, N) bounds each ufunc broadcasts one value per
+dimension over N contiguous nodes.  The kernel broadcasts over leading axes,
+so one node, a whole fleet and a batch of paired training rows all go
+through the same code.  The scalar per-dimension reference the kernel
+reproduces lives in ``tests/test_relevance.py``.
 """
 
 from __future__ import annotations
@@ -63,13 +64,17 @@ def interval_bounds(intervals, ndim: int = 1) -> IntervalBounds:
     unit axes up to ``ndim`` axes; an ``IntervalBounds`` gets the same unit
     axes.  Two operands' transposed leading axes line up from L on, as
     (..., L) arrays line up from the right, so a query's (L, 2) intervals
-    read against (L, N) bounds become (L, 1) views."""
+    read against (L, N) bounds become (L, 1) views.  For ``ndim`` >= 2 a
+    ``QueryConstraints`` gives the (L, 1) operand it built when it checked
+    its intervals, read by attribute (relevance does not import ``core``)."""
+    if not isinstance(intervals, IntervalBounds):  # against a 1-D partner, a query reads as (L,) ends
+        intervals = getattr(intervals, "operand" if ndim > 1 else "intervals", intervals)
     if isinstance(intervals, IntervalBounds):
         if intervals.lower.ndim >= ndim:
             return intervals
         lower, upper, widths, all_positive = intervals
     else:
-        arr = np.asarray(getattr(intervals, "intervals", intervals), dtype=float)
+        arr = np.asarray(intervals, dtype=float)
         if arr.ndim < 2 or arr.shape[-1] != 2:
             raise ValueError(f"expected (..., L, 2) intervals, got shape {arr.shape}")
         ends = arr.T  # (2, L, ...)

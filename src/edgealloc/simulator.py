@@ -640,11 +640,14 @@ def _decide_query(
 ) -> tuple:
     """One decision: classify, fill the (N, 5) context matrix, vote.
 
-    Returns ``(fused, picks, decision_ms)``, the picks as positions into
-    ``table``.  The decision time covers all of it, from classification to
-    the vote, floored at ``MIN_DECISION_MS``.  The cyclic garbage collector
-    waits meanwhile, as under ``timeit``: a collection owed to earlier
-    allocations would land in this decision's time.
+    Relevance reads, against the table's (L, N) bounds, the operand
+    ``QueryConstraints`` built when it checked the query's intervals;
+    neither operand is built here.  Returns ``(fused, picks,
+    decision_ms)``, the picks as positions into ``table``.  The decision
+    time covers all of it, from classification to the vote, floored at
+    ``MIN_DECISION_MS``.  The cyclic garbage collector waits meanwhile, as
+    under ``timeit``: a collection owed to earlier allocations would land
+    in this decision's time.
     """
     collecting = gc.isenabled()
     gc.disable()

@@ -333,11 +333,11 @@ def test_train_with_models_json_a_directory_exits_3_naming_it(runner, tmp_path):
 @pytest.mark.parametrize(
     "bad_row, message",
     [
-        ("0.1,0.2,0.3", "need five finite features and a 0/1 label"),
-        ("0.1,0.2,0.3,0.4,0.5,1,7", "need five finite features and a 0/1 label"),
+        ("0.1,0.2,0.3", "need 5 finite features and a 0/1 label"),
+        ("0.1,0.2,0.3,0.4,0.5,1,7", "need 5 finite features and a 0/1 label"),
         ("0.1,abc,0.3,0.4,0.5,1", "could not convert"),
-        ("0.1,0.2,nan,0.4,0.5,1", "need five finite features"),
-        ("0.1,0.2,0.3,inf,0.5,0", "need five finite features"),
+        ("0.1,0.2,nan,0.4,0.5,1", "need 5 finite features"),
+        ("0.1,0.2,0.3,inf,0.5,0", "need 5 finite features"),
         ("0.1,0.2,0.3,0.4,0.5,2", "0/1 label"),
         ("0.1,0.2,0.3,0.4,0.5,yes", "could not convert"),
     ],

@@ -1,5 +1,6 @@
+import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from edgealloc import simulator
 from edgealloc.allocator import EnsembleBundle, decide_from_features
-from edgealloc.complexity import ComplexityClassifier, _leading_sum, quasi_arithmetic_mean
-from edgealloc.core import QueryConstraints
+from edgealloc.complexity import _SHORT_ROW, ComplexityClassifier, _leading_sum, quasi_arithmetic_mean
+from edgealloc.core import Query, QueryConstraints, write_record
 from edgealloc.learners import ConstantModel
 from edgealloc.relevance import confidence_intervals, interval_bounds, relevance_batch
 from edgealloc.simulator import ScenarioConfig, generate_query_corpus, generate_scenario, simulate_run
@@ -388,6 +389,69 @@ def test_limit_rule_holds_on_zero_and_nan_widths_without_a_warning():
     assert relevance_batch(query, fleet, 1.0).tolist() == [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]
 
 
+TINY = 5e-324  # the least subnormal
+BIG = sys.float_info.max
+
+
+def rebuilt_bounds(x):
+    """The operand a decision built from a query's (L, 2) intervals before
+    ``QueryConstraints`` kept it: ``interval_bounds(x, 2)`` of the array."""
+    with np.errstate(over="ignore"):  # ends more than the float range apart
+        return interval_bounds(np.asarray(x, dtype=float), 2)
+
+
+finite_ends = st.floats(-BIG, BIG)
+
+
+@given(st.lists(st.lists(finite_ends, min_size=2, max_size=2).map(sorted), min_size=1, max_size=12))
+@example([[1.0, 1.0], [0.0, 2.0]])  # a zero width: all_positive False
+@example([[0.5, 0.5]])
+@example([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])  # signed zeros, each way round
+@example([[0.0, TINY], [TINY, 2 * TINY], [-TINY, 0.0]])  # subnormal widths
+@example([[-BIG, BIG], [0.0, 1.0]])  # the width overflows to inf
+@example([[-BIG, -BIG / 2], [BIG / 2, BIG]])
+def test_query_constraints_keep_the_operand_a_decision_built(ends):
+    x = np.array(ends)
+    query = QueryConstraints(x)
+    want = rebuilt_bounds(x)
+    got = query.operand
+    for a, b in zip(got[:3], want[:3]):
+        assert_same_bytes(a, b)
+    assert type(got.all_positive) is bool and got.all_positive is want.all_positive
+    assert np.shares_memory(got.lower, query.intervals) and np.shares_memory(got.upper, query.intervals)
+    assert interval_bounds(query, 2) is got  # a decision reads it as it is
+    with np.errstate(over="ignore"):  # against (L, 2) intervals the query reads as (L,) ends
+        for a, b in zip(interval_bounds(query)[:3], interval_bounds(x)[:3]):
+            assert_same_bytes(a, b)
+    assert [f.name for f in fields(query)] == ["intervals"]
+    statement = Query(statement="select a from t", constraints=query, id="q", deadline=0.5)
+    assert write_record(statement) == {"statement": "select a from t", "constraints": ends, "id": "q", "deadline": 0.5}
+
+
+def refused_before(x) -> bool:
+    """Whether ``QueryConstraints`` refused (L, 2) ends before it built the
+    operand: a NaN or infinite end, or a minimum above its maximum."""
+    return not (np.isfinite(x).all() and (x[:, 0] <= x[:, 1]).all())
+
+
+@given(st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=1, max_size=6))
+@example([[np.nextafter(1.0, 2.0), 1.0]])  # a minimum 1 ULP above its maximum
+@example([[TINY, 0.0]])
+@example([[0.0, -0.0]])
+@example([[BIG, -BIG]])
+@example([[-BIG, BIG], [np.nan, 0.0]])
+@example([[-np.inf, 0.0]])
+def test_query_constraints_refuse_what_they_refused(ends):
+    x = np.array(ends)
+    try:
+        QueryConstraints(x)
+    except ValueError:
+        refused = True
+    else:
+        refused = False
+    assert refused is refused_before(x)
+
+
 def test_interval_bounds_rejects_a_shape_without_two_ends():
     with pytest.raises(ValueError):
         interval_bounds(np.zeros((3, 3)))
@@ -460,16 +524,19 @@ SUM_ROWS = (*range(1, 41), 64, 127, 128, 129, 200, 1000)  # below 8, the 8 accum
 @pytest.mark.parametrize("rows", SUM_ROWS)
 def test_leading_sum_adds_in_numpys_row_order(rows):
     """The dimension-major sum gives np.add.reduce(axis=-1)'s bytes on the
-    (N, L) transpose: one node, random fleets, zeros and negative zeros."""
+    (N, L) transpose: one node, random fleets on both sides of the row
+    length where NumPy's own reduction takes over from the row adds, a 1-D
+    buffer, zeros and negative zeros."""
     rng = np.random.default_rng(rows)
-    for n in (1, *rng.integers(2, 70, size=3)):
+    for n in (1, *rng.integers(2, _SHORT_ROW, size=2), _SHORT_ROW - 1, _SHORT_ROW, rng.integers(_SHORT_ROW, 600)):
         values = rng.random((n, rows)) * 10.0 ** rng.integers(-3, 4, size=(n, rows))
         values[rng.random((n, rows)) < 0.3] = 0.0
         want = np.add.reduce(values, axis=-1)
         assert_same_bytes(_leading_sum(values.T.copy()), want)  # a copy: the sum overwrites it
         assert_same_bytes(_leading_sum(values[0].copy()), want[0])
-    negative_zeros = np.full((2, rows), -0.0)  # they alone sum to +0.0
-    assert_same_bytes(_leading_sum(negative_zeros.T.copy()), np.add.reduce(negative_zeros, axis=-1))
+    for n in (2, _SHORT_ROW):
+        negative_zeros = np.full((n, rows), -0.0)  # they alone sum to +0.0
+        assert_same_bytes(_leading_sum(negative_zeros.T.copy()), np.add.reduce(negative_zeros, axis=-1))
 
 
 @given(**layouts)
