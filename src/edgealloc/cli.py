@@ -73,6 +73,8 @@ class BenchGrid:
         for d in self.distributions:
             if d not in ("uniform", "gaussian", "trace"):
                 raise ConfigError(f"unknown bench distribution {d!r}")
+        if min(self.n_values) < 1 or min(self.seeds) < 0 or self.trace_rows < 1:
+            raise ConfigError("n_values and trace_rows must be >= 1, and seeds >= 0")
 
 
 @dataclass(frozen=True)

@@ -227,66 +227,25 @@ def quasi_arithmetic_mean(values, alpha: float):
     return _power_mean_inplace(arr, alpha).T
 
 
-# Rows shorter than this sum through NumPy's own per-row reduction of a
-# C-ordered copy of the transpose, one call; longer ones through the row adds
-# below, whose ~10 calls cost less than the strided copy.  Measured on a
-# 2-vCPU Xeon (AVX-512), NumPy 2.4.6: the two cost the same at 200-300 values
-# per row for 8 to 128 rows.
-_SHORT_ROW = 200
-
-
-def _leading_sum(buf: np.ndarray):
-    """The sum of ``buf`` over its leading axis, added in the order
-    ``np.add.reduce(axis=-1)`` adds each row of ``buf.T``, so the bytes are
-    NumPy's.  A 1-D buffer, and one whose rows hold fewer than
-    ``_SHORT_ROW`` values, is handed to that reduction itself.  Otherwise
-    the order is rebuilt from whole-row adds: NumPy's pairwise sum after an
-    initial 0 is a plain loop below 8 values, which reducing axis 0
-    repeats; from 8 values, eight accumulators folded as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the tail; past 128 values,
-    the sums of two halves.  ``buf`` is overwritten; the sum may be a view
-    of it."""
-    n = len(buf)
-    if n < 8:
-        return np.add.reduce(buf, axis=0)
-    if buf.ndim == 1:
-        return np.add.reduce(buf)
-    if buf.size < _SHORT_ROW * n:  # rows of fewer than _SHORT_ROW values
-        return np.add.reduce(np.ascontiguousarray(buf.T), axis=-1).T
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _leading_sum(buf[:half]) + _leading_sum(buf[half:])
-    tail = n - n % 8
-    for start in range(8, tail, 8):
-        np.add(buf[:8], buf[start:start + 8], out=buf[:8])
-    r = list(buf[:8])  # row views: two rows add with less set-up than strided blocks
-    for i in (0, 2, 4, 6):
-        r[i] += r[i + 1]
-    r[0] += r[2]
-    r[4] += r[6]
-    total = r[0]
-    total += r[4]
-    for row in buf[tail:]:
-        total += row
-    total += 0.0  # the reduction's initial 0: a sum of -0.0 alone reads +0.0
-    return total
-
-
 def _power_mean_inplace(buf: np.ndarray, alpha: float):
-    """``quasi_arithmetic_mean`` over the leading axis of a checked (m, ...)
-    float array the caller owns; ``buf`` is overwritten with its powers.  At
-    alpha 1 no power is taken (x ** 1.0 == x exactly), so nothing is
-    silenced: only a sum past the float range could warn, and relevance and
-    complexity average values in [0, 1]."""
+    """``quasi_arithmetic_mean`` over the leading axis of a checked,
+    C-ordered (m, ...) float array the caller owns; ``buf`` is overwritten
+    with its powers.  One ``np.add.reduce`` over the leading axis sums
+    them: with two or more values per row NumPy adds row after row from 0,
+    as a scalar loop does, while one column or a 1-D buffer it sums as one
+    1-D array, pairwise from 8 values on.  A single column is a single mean,
+    never compared with another.  At alpha 1 no power is taken (x ** 1.0 ==
+    x exactly), so nothing is silenced: only a sum past the float range
+    could warn, and relevance and complexity average values in [0, 1]."""
     m = len(buf)
     if alpha == 1:
-        mean = _leading_sum(buf)
+        mean = np.add.reduce(buf, axis=0)
         if m > 1:  # dividing by 1 is exact
             mean /= m
         return mean
     with np.errstate(divide="ignore", over="ignore"):
         np.power(buf, alpha, out=buf)
-        mean = _leading_sum(buf)
+        mean = np.add.reduce(buf, axis=0)
         if m > 1:
             mean /= m
         return mean ** (1.0 / alpha)

@@ -15,8 +15,11 @@ them.  (..., L, 2) intervals passed as such are read as strided views
 without a copy.  Against (L, N) bounds each ufunc broadcasts one value per
 dimension over N contiguous nodes.  The kernel broadcasts over leading axes,
 so one node, a whole fleet and a batch of paired training rows all go
-through the same code.  The scalar per-dimension reference the kernel
-reproduces lives in ``tests/test_relevance.py``.
+through the same code, in one C-ordered buffer whatever the operands'
+layout.  A fleet's and paired rows' dimensions add one after another, as
+the scalar reference adds them; one node or one pair, a single column,
+sums by NumPy's pairwise 1-D reduction (``complexity._power_mean_inplace``).
+The scalar per-dimension reference lives in ``tests/test_relevance.py``.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def _mismatch_matrix(w: IntervalBounds, f: IntervalBounds) -> np.ndarray:
     as every bound the program builds is) the divide cannot warn, so only
     the limit rule's path enters ``np.errstate``.
     """
-    psi = np.maximum(w.lower, f.lower)  # lo
+    psi = np.maximum(w.lower, f.lower, order="C")  # lo; C order fixes the power mean's sum order
     shorter = np.minimum(w.upper, f.upper)  # hi, until the widths overwrite it
     np.subtract(shorter, psi, out=psi)
     np.maximum(psi, 0.0, out=psi)  # intersection length
@@ -124,8 +127,9 @@ def relevance_batch(constraints, intervals, alpha: float) -> np.ndarray:
     ``QueryConstraints``, and the two broadcast against each other: one
     query against N nodes gives N values, N paired rows give one value per
     row, one pair a 0-d value.  The per-dimension mismatches are computed
-    in one (L, ...) buffer, which the power mean of exponent ``alpha``
-    (non-zero) then reduces in place over L; the inputs are never written.
+    in one C-ordered (L, ...) buffer, which the power mean of exponent
+    ``alpha`` (non-zero) then reduces in place over L; the inputs are never
+    written.
     Lower is better, 0 meaning every constraint interval is matched by the
     data.
     """

@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .allocator import AllocationDecision, EnsembleBundle, FusionScheme, decide_from_features
 from .complexity import ComplexityClassifier, TrainingQueryCorpus, DEFAULT_CLASSES
@@ -124,6 +123,10 @@ class ScenarioConfig:
             raise ConfigError("queue_capacity, digest_sample_size and digest_cardinality must all be in [1, 2**63 - 1]")
         if not -1.0 < self.load_speed_corr < 1.0:
             raise ConfigError("load_speed_corr must be in (-1, 1)")
+        if not (0 <= self.data_window < math.inf and 0 <= self.gaussian_sd < math.inf):
+            raise ConfigError("data_window and gaussian_sd must be finite and >= 0")
+        if not 0 <= self.service_rate < 2.0**63:  # a speed in [0, 1] times it floors to an int64 drain
+            raise ConfigError("service_rate must be in [0, 2**63)")
 
 
 @dataclass(frozen=True)
@@ -286,6 +289,8 @@ def _sample_moments(
 def _speed_from_latent(latent: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     # raw speeds live on (0, 10]; normalising by the maximum keeps s in (0, 1]
     if cfg.distribution == "uniform":
+        from scipy.special import ndtr  # imported here, so a process that only decides never loads SciPy
+
         raw = 10.0 * ndtr(latent)
     else:
         raw = np.clip(5.0 + 10.0 * cfg.gaussian_sd * latent, 0.0, 10.0)
@@ -294,6 +299,8 @@ def _speed_from_latent(latent: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
 
 def _load_from_latent(latent: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     if cfg.distribution == "uniform":
+        from scipy.special import ndtr
+
         return ndtr(latent)
     return np.clip(0.5 + cfg.gaussian_sd * latent, 0.0, 1.0)
 

@@ -2,7 +2,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from edgealloc import bench
 from edgealloc.allocator import FusionScheme
-from edgealloc.cli import AppConfig, _parse_query_json, load_config, main
+from edgealloc.cli import AppConfig, BenchGrid, _parse_query_json, load_config, main
 from edgealloc.core import DatasetDigest, NodeState, Query, QueryConstraints
 from edgealloc.errors import ConfigError, DataError
 from edgealloc.learners import load_bundle, model_from_dict, save_bundle
@@ -176,6 +176,35 @@ def test_an_ill_typed_or_out_of_range_config_value_exits_2_naming_the_key(runner
     result = runner.invoke(main, [command, "--config", str(config)])
     assert result.exit_code == 2, result.output
     assert "config error" in result.output and key in result.output
+
+
+NUMERIC_FIELDS = [
+    (section, f.name)
+    for section, cls in (("scenario", ScenarioConfig), ("bench", BenchGrid))
+    for f in fields(cls)
+    if isinstance(f.default, (int, float)) or isinstance(f.default, tuple) and isinstance(f.default[0], int)
+]
+IN_RANGE = {("alpha", -1), ("seed", 0), ("load_speed_corr", 0), ("data_window", 0), ("gaussian_sd", 0),
+            ("service_rate", 0), ("seeds", 0)}
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "gaussian"])
+@pytest.mark.parametrize("value", [-1, 0])
+@pytest.mark.parametrize("section, key", NUMERIC_FIELDS)
+def test_gen_refuses_each_out_of_range_number_with_exit_2(runner, tmp_path, section, key, value, distribution):
+    # every numeric scenario and bench field at -1 and at 0: a value in range
+    # generates (or exits 3 on a single-class training set), any other exits 2
+    # naming the key, never 4
+    config = {"output_dir": str(tmp_path / "out"), "learners": {"training_size": 200}, "bench": {"trace_rows": 500},
+              "scenario": {"n_nodes": 2, "n_queries": 2, "dims": 1, "distribution": distribution}}
+    config[section][key] = [value] if isinstance(getattr(BenchGrid, key, None), tuple) else value
+    (tmp_path / "config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+    result = runner.invoke(main, ["gen", "--config", str(tmp_path / "config.yaml")])
+    if (key, value) in IN_RANGE:
+        assert result.exit_code in (0, 3), result.output
+    else:
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output and key in result.output
 
 
 @pytest.mark.parametrize("written, value", [("1e-5", 1e-5), ("1.0e5", 1.0e5), ("1.0e-5", 1.0e-5), ("2E+1", 20.0)])

@@ -1,9 +1,13 @@
 """Every name a module of the package imports is used in that module, every
-name a module exports is imported somewhere, and every name a package
-``__init__`` re-exports is imported from that package somewhere."""
+name a module exports is imported somewhere, every name a package
+``__init__`` re-exports is imported from that package somewhere, and the
+CLI starts without SciPy."""
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +111,12 @@ def reexported(path: Path) -> list:
 def test_every_reexport_is_imported_from_its_package(path):
     names = imported_from_package().get(_package(path), set())
     assert [name for name in reexported(path) if name not in names] == []
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # SciPy serves scenario and training-set generation alone, so allocate and
+    # train, which generate neither, do not pay for its import
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    code = "import sys, edgealloc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from edgealloc import simulator
 from edgealloc.allocator import EnsembleBundle, decide_from_features
-from edgealloc.complexity import _SHORT_ROW, ComplexityClassifier, _leading_sum, quasi_arithmetic_mean
+from edgealloc.complexity import ComplexityClassifier, quasi_arithmetic_mean
 from edgealloc.core import Query, QueryConstraints, write_record
 from edgealloc.learners import ConstantModel
 from edgealloc.relevance import confidence_intervals, interval_bounds, relevance_batch
@@ -67,9 +67,19 @@ def formula_mismatch_matrix(w, f):
 
 
 def formula_power_mean(values, alpha):
+    """The power mean over the last axis, its powers added one after another
+    from 0 as ``scalar_relevance`` adds them; a single mean is summed by
+    NumPy's 1-D reduction instead, as the kernel sums one column."""
     arr = np.array(values, dtype=float, order="C")  # powered in C order, as the kernel powers its copy
     with np.errstate(divide="ignore", over="ignore"):
-        return (np.power(arr, alpha).sum(axis=-1) / arr.shape[-1]) ** (1.0 / alpha)
+        powers = np.power(arr, alpha)
+        if powers.size == powers.shape[-1]:
+            total = np.add.reduce(powers, axis=-1)
+        else:
+            total = np.zeros(powers.shape[:-1])
+            for column in np.moveaxis(powers, -1, 0):
+                total = total + column
+        return (total / arr.shape[-1]) ** (1.0 / alpha)
 
 
 def formula_relevance(constraints, intervals, alpha):
@@ -295,7 +305,7 @@ def checked_bounds(intervals):
 
 layouts = dict(
     n=st.integers(min_value=1, max_value=60),
-    dims=st.integers(min_value=1, max_value=12),  # L >= 8 takes NumPy's pairwise row sum
+    dims=st.integers(min_value=1, max_value=12),  # from L = 8 a single mean sums in another order
     alpha=st.sampled_from(ALPHAS),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     grid_share=st.sampled_from((0.0, 0.3, 1.0)),
@@ -499,44 +509,35 @@ def test_a_zero_spread_node_gets_the_reference_relevance_in_a_run(monkeypatch):
         assert_same_bytes(x[:, 2], formula_relevance(query.constraints.intervals, civ, config.alpha))
 
 
-@given(**layouts)
-@example(n=1, dims=5, alpha=-2.5, seed=0, grid_share=0.0)  # a reversed view once powered 1 ULP off
-def test_power_mean_bytes_and_input_untouched(n, dims, alpha, seed, grid_share):
-    """One reference for every layout of the same values: C, Fortran and a
-    negatively strided view.  NumPy may power a strided operand 1 ULP away
-    from a contiguous one, so both sides power a C-ordered copy."""
-    rng = np.random.default_rng(seed)
-    values = rng.random((n, dims))
-    values[rng.random((n, dims)) < grid_share / 3] = 0.0
-    want = formula_power_mean(values, alpha)
-    for arr in (values, np.asfortranarray(values), np.ascontiguousarray(values[:, ::-1])[:, ::-1]):
-        before = arr.copy(order="K")
-        assert_same_bytes(quasi_arithmetic_mean(arr, alpha), want)
-        assert arr.tobytes(order="A") == before.tobytes(order="A")
-    row = list(values[0])
-    assert_same_bytes(quasi_arithmetic_mean(row, alpha), formula_power_mean(row, alpha))
-    assert row == list(values[0])
-
-
-SUM_ROWS = (*range(1, 41), 64, 127, 128, 129, 200, 1000)  # below 8, the 8 accumulators, the halving past 128
+SUM_ROWS = (*range(1, 41), 50, 64, 127, 128, 129, 200, 1000)  # NumPy's 1-D sum: blocks of 8 from 8, halved past 128
 
 
 @pytest.mark.parametrize("rows", SUM_ROWS)
 def test_leading_sum_adds_in_numpys_row_order(rows):
-    """The dimension-major sum gives np.add.reduce(axis=-1)'s bytes on the
-    (N, L) transpose: one node, random fleets on both sides of the row
-    length where NumPy's own reduction takes over from the row adds, a 1-D
-    buffer, zeros and negative zeros."""
+    """The power mean's sum over its leading axis, byte for byte against
+    the sequential reference: N >= 2 columns add row after row, and one
+    column or a 1-D buffer takes NumPy's 1-D sum, which parts ways with the
+    rows from 8 values on.  Powers and sum do not depend on the input's
+    layout (C, Fortran or a reversed view, which NumPy may power 1 ULP
+    apart), and the input is left as it was."""
     rng = np.random.default_rng(rows)
-    for n in (1, *rng.integers(2, _SHORT_ROW, size=2), _SHORT_ROW - 1, _SHORT_ROW, rng.integers(_SHORT_ROW, 600)):
+    for n in (1, 2, 3, 200):
         values = rng.random((n, rows)) * 10.0 ** rng.integers(-3, 4, size=(n, rows))
         values[rng.random((n, rows)) < 0.3] = 0.0
-        want = np.add.reduce(values, axis=-1)
-        assert_same_bytes(_leading_sum(values.T.copy()), want)  # a copy: the sum overwrites it
-        assert_same_bytes(_leading_sum(values[0].copy()), want[0])
-    for n in (2, _SHORT_ROW):
+        for alpha in ALPHAS:
+            want = formula_power_mean(values, alpha)
+            for arr in (values, np.asfortranarray(values), np.ascontiguousarray(values[:, ::-1])[:, ::-1]):
+                before = arr.copy(order="K")
+                assert_same_bytes(quasi_arithmetic_mean(arr, alpha), want)
+                assert arr.tobytes(order="A") == before.tobytes(order="A")
+        row = values[0].tolist()
+        assert_same_bytes(quasi_arithmetic_mean(row, 1.0), np.add.reduce(values[0]) / rows)
+        assert_same_bytes(quasi_arithmetic_mean(values[:1], 1.0), np.add.reduce(values[:1], axis=-1) / rows)
+        assert row == values[0].tolist()
         negative_zeros = np.full((n, rows), -0.0)  # they alone sum to +0.0
-        assert_same_bytes(_leading_sum(negative_zeros.T.copy()), np.add.reduce(negative_zeros, axis=-1))
+        assert_same_bytes(quasi_arithmetic_mean(negative_zeros, 1.0), np.zeros(n))
+    # the reference tells the two orders apart: on 200 columns they differ from 8 rows on
+    assert (formula_power_mean(values, 1.0) != np.add.reduce(values, axis=-1) / rows).any() == (rows >= 8)
 
 
 @given(**layouts)

@@ -156,6 +156,12 @@ def test_config_validation():
         ScenarioConfig(z=float("inf"))
     with pytest.raises(ConfigError, match="digest_cardinality"):
         ScenarioConfig(digest_cardinality=2**63)
+    with pytest.raises(ConfigError, match="gaussian_sd"):
+        ScenarioConfig(gaussian_sd=float("inf"))
+    # a queue's drain is floor(speed * service_rate) as int64, speed in [0, 1]
+    with pytest.raises(ConfigError, match="service_rate"):
+        ScenarioConfig(service_rate=2.0**63)
+    ScenarioConfig(service_rate=np.nextafter(2.0**63, 0))
 
 
 def test_scenario_roundtrip(tmp_path):
