@@ -11,6 +11,11 @@ Each step is one kernel that broadcasts along the last axis, so a 1-D list
 gives one value and the classifier's (M, 3) matrix from ``similarities``
 goes through the same code, one value per corpus entry.  The plain-Python
 per-pair reference they are checked against is in ``tests/test_complexity.py``.
+
+A statement's tokens are the maximal runs of ASCII letters and digits of its
+case-folded text; everything else (punctuation, operators, quotes) separates
+them.  The classifier reads a statement once, into the memo key that
+scoring works from (``ComplexityClassifier._statistic``).
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ __all__ = [
     "ComplexityClassifier",
     "MEMO_CAP",
     "SIMILARITY_METRICS",
-    "tokenize_statement",
     "distance_to_similarity",
     "significance_levels",
     "hamacher_fold",
@@ -46,6 +50,16 @@ __all__ = [
 ]
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def _token_counts(statement: str) -> Counter:
+    """Each token of ``statement`` with its count, in first-occurrence order;
+    a statement without a token raises ``ValueError``."""
+    counts = Counter(_TOKEN_RE.findall(statement.lower()))
+    if not counts:
+        raise ValueError(f"statement contains no tokens: {statement!r:.200}")
+    return counts
+
 
 # Most entries one classifier's statement memo holds; once full it stops
 # inserting, so a stream of ever-new statements cannot grow memory.
@@ -130,36 +144,6 @@ class ComplexityVector:
         return max(self.memberships)
 
 
-@dataclass(frozen=True)
-class TokenFeature:
-    """Normalised token multiset of one statement.
-
-    Binary vocabulary vectors are implied: any comparison builds its
-    vocabulary from the union of the two token sets involved.
-    """
-
-    counts: tuple  # ((token, count), ...) sorted for hashability
-
-    @property
-    def tokens(self) -> frozenset:
-        return frozenset(t for t, _ in self.counts)
-
-
-def tokenize_statement(statement: str) -> TokenFeature:
-    """Case-fold and split a statement into its token multiset.
-
-    Tokens are maximal runs of ASCII letters/digits; everything else
-    (punctuation, operators, quotes) acts as a separator.
-    """
-    if not statement or not statement.strip():
-        raise ValueError("statement must be non-empty")
-    tokens = _TOKEN_RE.findall(statement.lower())
-    if not tokens:
-        raise ValueError(f"statement contains no tokens: {statement!r}")
-    counts = Counter(tokens)
-    return TokenFeature(counts=tuple(sorted(counts.items())))
-
-
 def distance_to_similarity(d):
     """Map non-negative distances to similarities in (0, 1] via 1 / (1 + d)."""
     d = np.asarray(d, dtype=float)
@@ -182,7 +166,8 @@ def significance_levels(values, gamma: float, delta1: float, delta2: float) -> n
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     support = (np.abs(v[..., :, None] - v[..., None, :]) <= gamma).sum(axis=-1).astype(np.float64)
-    return 1.0 / (1.0 + np.exp(-(delta1 * support - delta2)))
+    with np.errstate(over="ignore"):  # exp past the float range gives level 0, the sigmoid's limit
+        return 1.0 / (1.0 + np.exp(-(delta1 * support - delta2)))
 
 
 def hamacher_fold(values, a: float):
@@ -311,12 +296,13 @@ def load_corpus(path) -> TrainingQueryCorpus:
         statement, label = parts
         if label not in by_label:
             raise DataError(f"{path}:{lineno}: unknown class label {label!r}")
-        try:
-            tokenize_statement(statement)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if _TOKEN_RE.search(statement.lower()) is None:  # the rule ``core.Query`` applies
+            raise DataError(f"{path}:{lineno}: statement contains no tokens: {statement!r:.200}")
         entries.append((statement, by_label[label]))
-    return TrainingQueryCorpus(entries, DEFAULT_CLASSES)
+    try:
+        return TrainingQueryCorpus(entries, DEFAULT_CLASSES)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_corpus(path, corpus: TrainingQueryCorpus) -> None:
@@ -329,34 +315,30 @@ def save_corpus(path, corpus: TrainingQueryCorpus) -> None:
 class ComplexityClassifier:
     """Reusable classifier over a fixed corpus.
 
-    Tokenises the corpus once; per-statement scoring is vectorised so the
-    classifier can sit on the allocation hot path.
+    Counts the corpus tokens once, into a vocabulary in first-occurrence
+    order and an (M, vocabulary) count matrix; per-statement scoring is
+    vectorised so the classifier can sit on the allocation hot path.
 
-    ``classify_statement`` memoises its result per instance.  Scoring reads
-    a statement only through its sufficient statistic (see ``_statistic``):
-    the sorted in-vocabulary (index, count) pairs, the number of distinct
-    out-of-vocabulary tokens and the sum of their squared counts.  The memo
-    is keyed on that triple, so statements that differ only in token order
-    or in which out-of-vocabulary tokens they hold share one entry, and a
-    hit returns exactly what scoring would.  Corpus and params never change
-    after construction; the memo holds at most ``MEMO_CAP`` entries and then
-    stops inserting.  Scoring with ``exclude`` (leave-one-out) bypasses it.
+    A statement is read once, by ``_statistic``, into its sufficient
+    statistic: the sorted in-vocabulary (index, count) pairs, the number of
+    distinct out-of-vocabulary tokens and the sum of their squared counts.
+    Scoring reads nothing else of it.  ``classify_statement`` memoises its
+    result per instance, keyed on that triple, so statements that differ
+    only in token order or in which out-of-vocabulary tokens they hold share
+    one entry, and a hit returns exactly what scoring would.  Corpus and
+    params never change after construction; the memo holds at most
+    ``MEMO_CAP`` entries and then stops inserting.  Scoring with ``exclude``
+    (leave-one-out) bypasses it.
     """
 
     def __init__(self, corpus: TrainingQueryCorpus, params: ComplexityParams = ComplexityParams()):
         self.corpus = corpus
         self.params = params
-        features = [tokenize_statement(s) for s, _ in corpus.entries]
-        vocab = {}
-        for f in features:
-            for tok in f.tokens:
-                vocab.setdefault(tok, len(vocab))
-        self._vocab = vocab
-        m, v = len(features), len(vocab)
-        counts = np.zeros((m, v), dtype=np.float64)
-        for i, f in enumerate(features):
-            for tok, c in f.counts:
-                counts[i, vocab[tok]] = c
+        entries = [_token_counts(s) for s, _ in corpus.entries]
+        self._vocab = {tok: j for j, tok in enumerate(dict.fromkeys(tok for entry in entries for tok in entry))}
+        counts = np.zeros((len(entries), len(self._vocab)), dtype=np.float64)
+        for i, entry in enumerate(entries):
+            counts[i, [self._vocab[tok] for tok in entry]] = list(entry.values())
         self._counts = counts
         # 0/1 floats, not bools: matmul against bools collapses to logical any
         self._binary = (counts > 0).astype(np.float64)
@@ -366,16 +348,16 @@ class ComplexityClassifier:
         self._class_masks = [self._labels == c.id for c in corpus.classes]
         self._memo = {}
 
-    def _statistic(self, counts) -> tuple:
+    def _statistic(self, statement: str) -> tuple:
         """(in-vocab (index, count) pairs by index, oov_distinct, oov_sumsq)
-        of the (token, count) pairs ``counts``, in any order: all that
-        ``similarities`` reads of a statement.  ``oov_sumsq`` sums integer
-        squares, so it is exact in any order."""
+        of ``statement``: the memo key, and all that ``similarities`` reads
+        of it.  ``oov_sumsq`` sums integer squares, so it is exact in any
+        order.  A statement without a token raises ``ValueError``."""
         vocab = self._vocab
         pairs = []
         oov_distinct = 0
         oov_sumsq = 0.0
-        for tok, c in counts:
+        for tok, c in _token_counts(statement).items():
             j = vocab.get(tok)
             if j is None:
                 oov_distinct += 1
@@ -384,8 +366,9 @@ class ComplexityClassifier:
                 pairs.append((j, c))
         return tuple(sorted(pairs)), oov_distinct, oov_sumsq
 
-    def similarities(self, feature: TokenFeature) -> np.ndarray:
-        """(M, 3) similarity of ``feature`` with every corpus entry.
+    def similarities(self, key: tuple) -> np.ndarray:
+        """(M, 3) similarity with every corpus entry of the statement whose
+        ``_statistic`` is ``key``.
 
         Columns follow ``SIMILARITY_METRICS``: ``hamming`` counts
         presence/absence mismatches over the vocabulary of the pair,
@@ -393,7 +376,7 @@ class ComplexityClassifier:
         ``jaccard`` works on distinct-token sets and ``cosine`` on token
         count vectors.  Tokens outside the corpus vocabulary still count.
         """
-        pairs, oov_distinct, oov_sumsq = self._statistic(feature.counts)
+        pairs, oov_distinct, oov_sumsq = key
         qv = np.zeros(len(self._vocab), dtype=np.float64)
         for j, c in pairs:
             qv[j] = c
@@ -410,10 +393,10 @@ class ComplexityClassifier:
         mism = np.divide(union - inter, union, out=np.zeros_like(inter), where=union > 0)
         return np.stack([distance_to_similarity(mism), jaccard, cosine], axis=1)
 
-    def pairwise_scores(self, feature: TokenFeature, exclude: Optional[int] = None) -> np.ndarray:
-        """Fused similarity of ``feature`` with every corpus entry; entry
-        ``exclude``, if given, scores NaN."""
-        scores = fuse_similarities(self.similarities(feature), self.params)
+    def pairwise_scores(self, key: tuple, exclude: Optional[int] = None) -> np.ndarray:
+        """Fused similarity with every corpus entry of the statement whose
+        ``_statistic`` is ``key``; entry ``exclude``, if given, scores NaN."""
+        scores = fuse_similarities(self.similarities(key), self.params)
         if exclude is not None:
             scores[exclude] = np.nan
         return scores
@@ -430,18 +413,12 @@ class ComplexityClassifier:
 
     def classify_statement(self, statement: str):
         """Return (ComplexityVector, resolved class or None), memoised on the
-        statement's sufficient statistic.
-
-        The key is read off the statement's token counts directly, without
-        building a ``TokenFeature``; only a miss tokenizes the statement and
-        scores it.  A statement without tokens is never stored (scoring
-        refuses it), so its key always misses and it raises as
-        ``tokenize_statement`` does.
-        """
-        key = self._statistic(Counter(_TOKEN_RE.findall(statement.lower())).items())
+        statement's ``_statistic``; a miss scores that key.  A statement
+        without a token raises ``ValueError`` before the memo is read."""
+        key = self._statistic(statement)
         result = self._memo.get(key)
         if result is None:
-            vector = self.memberships_from_scores(self.pairwise_scores(tokenize_statement(statement)))
+            vector = self.memberships_from_scores(self.pairwise_scores(key))
             result = (vector, self.resolve(vector))
             if len(self._memo) < MEMO_CAP:
                 self._memo[key] = result
@@ -465,7 +442,7 @@ def leave_one_out_accuracy(
     clf = ComplexityClassifier(corpus, params)
     correct = 0
     for i, (statement, true_class) in enumerate(corpus.entries):
-        scores = clf.pairwise_scores(tokenize_statement(statement), exclude=i)
+        scores = clf.pairwise_scores(clf._statistic(statement), exclude=i)
         vector = clf.memberships_from_scores(scores)
         resolved = clf.resolve(vector)
         if resolved is not None and resolved.id == true_class:

@@ -251,13 +251,8 @@ def _read_value(tp, value, key: str, error):
         return typing.get_origin(tp)(_read_value(args[0], v, f"{key}[{i}]", error) for i, v in enumerate(value))
     if dataclasses.is_dataclass(tp):
         return read_config(tp, value, key, error)
-    if tp is np.ndarray and isinstance(value, list):
-        try:
-            # only JSON numbers: NumPy would take true as 1.0 and "0.1" as 0.1
-            if {int, float}.issuperset(map(type, np.array(value, dtype=object).flat)):
-                return np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            pass  # refused below
+    if tp is np.ndarray and isinstance(value, list) and (array := number_array(value)) is not None:
+        return array
     if issubclass(tp, Enum):
         allowed = [member.value for member in tp]
         if isinstance(value, str) and value.lower() in allowed:
@@ -268,6 +263,20 @@ def _read_value(tp, value, key: str, error):
     if tp in (int, str) and type(value) is tp:
         return value
     raise error(f"{key} must be {_KINDS[tp]}, got {value!r:.200}")
+
+
+def number_array(value):
+    """The number, or sequence (of sequences) of numbers, ``value`` as a
+    float array; None if an element is not an int or a float (NumPy's
+    included) or fits no float.  A bool is never a number: NumPy alone would
+    read true as 1.0, "0.1" as 0.1 and null as NaN."""
+    try:
+        types = set(map(type, np.array(value, dtype=object).flat))  # checked once per type, not per element
+        if all(issubclass(t, (int, float, np.integer, np.floating)) and t is not bool for t in types):
+            return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
 
 
 def write_record(value):

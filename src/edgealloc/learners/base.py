@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core import write_record
+from ..core import number_array, write_record
 from ..errors import DataError
 
 __all__ = [
@@ -185,12 +185,13 @@ class _Model:
 class ConstantModel(_Model):
     """Degenerate classifier returned for single-class training data.
 
-    A label other than 0 or 1 raises ``DataError`` here."""
+    A label other than the integer 0 or 1 (a bool too) raises ``DataError``
+    here."""
 
     kind, FIELDS = "constant", ("label", "n_features")
 
     def __init__(self, label: int, n_features: int):
-        if not (isinstance(label, (int, np.integer)) and label in (0, 1)):
+        if isinstance(label, bool) or not (isinstance(label, (int, np.integer)) and label in (0, 1)):
             raise DataError(f"constant model label must be 0 or 1, got {label!r}")
         self.label = int(label)
         self.n_features = int(n_features)
@@ -250,7 +251,10 @@ class _CompiledForest:
     goes right.  A leaf tests feature 0 against NaN, which no value is <=, and
     its first child sits one slot before it, so a row that reached it stays
     there while deeper trees finish.
-    Malformed node dicts raise ``DataError`` here, once, when the model is built.
+    Malformed node dicts raise ``DataError`` here, once, when the model is
+    built: a feature that is not an integer in [0, n_features), a threshold
+    that is not a number (``core.number_array``), a leaf prob that is not
+    one in [0, 1].
     """
 
     def __init__(self, roots: Sequence[dict], n_features: int):
@@ -266,16 +270,18 @@ class _CompiledForest:
             if not (isinstance(node, dict) and {"feature", "threshold", "left", "right"} <= node.keys()):
                 raise DataError(f"tree node needs 'prob' or feature/threshold/left/right: {node!r:.200}")
             feature = node["feature"]
-            if not isinstance(feature, (int, np.integer)) or not 0 <= feature < n_features:
-                raise DataError(f"tree node feature {feature!r} outside [0, {n_features})")
+            if isinstance(feature, bool) or not isinstance(feature, (int, np.integer)) or not 0 <= feature < n_features:
+                raise DataError(f"tree node feature {feature!r:.200} outside [0, {n_features})")
             nodes[slot] = (feature, node["threshold"], len(nodes), 0.0)
             stack += [(node["left"], len(nodes), level + 1), (node["right"], len(nodes) + 1, level + 1)]
             nodes += [None, None]
         columns = list(zip(*nodes))
-        try:
-            self.thresholds, self.probs = (np.array(c, dtype=float) for c in columns[1::2])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"tree node threshold or prob is not a number: {exc}") from None
+        self.thresholds, self.probs = (number_array(c) for c in columns[1::2])
+        if self.thresholds is None:
+            raise DataError(f"a tree node threshold is not a number: {columns[1]!r:.200}")
+        # one prob per node (a split's is 0), each in [0, 1]: NaN fails both tests
+        if self.probs is None or self.probs.shape != (len(nodes),) or not ((self.probs >= 0) & (self.probs <= 1)).all():
+            raise DataError(f"tree leaf probs must be numbers in [0, 1], got {columns[3]!r:.200}")
         self.features, self.first_child = (np.array(c, dtype=np.intp) for c in columns[0::2])
 
     def leaf_probs(self, x: np.ndarray) -> np.ndarray:
@@ -454,11 +460,12 @@ _LEAST_POSITIVE_MARGIN = _least_positive_margin()
 
 
 def _record_array(name: str, value, shape: tuple) -> np.ndarray:
-    """A model record's numeric field as a finite float array of ``shape``."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"{name} is not numeric: {exc}") from None
+    """A model record's numeric field, a number or a list (of lists) of
+    numbers by the rule ``core.read_config`` applies (``core.number_array``),
+    as a finite float array of ``shape``."""
+    arr = number_array(value)
+    if arr is None:
+        raise DataError(f"{name} is not numeric: {value!r:.200}")
     if arr.shape != shape:
         raise DataError(f"{name} has shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():

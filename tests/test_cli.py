@@ -848,14 +848,40 @@ TRAINED_MODELS = _trained_models()
 # every path into the model file ``save_bundle`` writes for them
 MODEL_PATHS = list(_paths({"schema_version": 1, "models": {n: m.to_dict() for n, m in TRAINED_MODELS.items()},
                            "metadata": {}}))
-THRESHOLD_PATH = next(p for p in MODEL_PATHS if p[-1:] == ("threshold",))
+THRESHOLD_PATH, FEATURE_PATH, PROB_PATH = (next(p for p in MODEL_PATHS if p[-1:] == (key,))
+                                           for key in ("threshold", "feature", "prob"))
+# the fields of a model record that hold numbers
+MODEL_NUMBER_FIELDS = {"n_features", "alphas", "label", "feature", "threshold", "prob", "weights", "bias", "mu",
+                       "sigma", "means", "variances", "log_priors"}
+
+
+def _model_numbers(node):
+    """(field, value) of every numeric field in the model records ``node`` holds."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from [(key, child)] if key in MODEL_NUMBER_FIELDS else _model_numbers(child)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(path=("models", "bagging", "n_features"), value=5.0, delete=False)
 @example(path=THRESHOLD_PATH, value=10**400, delete=False)
+@example(path=THRESHOLD_PATH, value="0.5", delete=False)
+@example(path=FEATURE_PATH, value=True, delete=False)
+@example(path=PROB_PATH, value="1", delete=False)
+@example(path=PROB_PATH, value=False, delete=False)
+@example(path=PROB_PATH, value=7.0, delete=False)
+@example(path=PROB_PATH, value=-1, delete=False)
+@example(path=("models", "boost", "alphas", 0), value="0.3", delete=False)
+@example(path=("models", "stacking", "meta", "weights", 0), value=True, delete=False)
+@example(path=("models", "stacking", "meta", "weights", 1), value="0.5", delete=False)
+@example(path=("models", "stacking", "meta", "bias"), value="1.0", delete=False)
+@example(path=("models", "stacking", "bases", 3, "sigma", 1), value="1", delete=False)
+@example(path=("models", "stacking", "meta"), value={"type": "constant", "label": True, "n_features": 4}, delete=False)
 @given(st.sampled_from(MODEL_PATHS), json_values, st.booleans())
 def test_model_file_reader_raises_only_data_error(tmp_path, path, value, delete):
+    """A model file either raises ``DataError`` naming it or loads from
+    records whose numeric fields hold JSON numbers only, and leaf
+    probabilities in [0, 1]."""
     model_path = tmp_path / "models.json"
     save_bundle(model_path, TRAINED_MODELS)
     payload = json.loads(model_path.read_text(encoding="utf-8"))
@@ -876,6 +902,9 @@ def test_model_file_reader_raises_only_data_error(tmp_path, path, value, delete)
         assert str(model_path) in str(exc)
         return
     assert isinstance(models, dict)
+    fields = list(_model_numbers(payload["models"]))
+    assert all(_numbers_only(value) for _, value in fields)
+    assert all(0 <= value <= 1 for field, value in fields if field == "prob")
 
 
 @pytest.mark.parametrize("n_features", [2**70, 6])

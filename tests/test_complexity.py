@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgealloc import complexity
 from edgealloc.complexity import (
     MEMO_CAP,
     ComplexityClass,
@@ -19,7 +21,6 @@ from edgealloc.complexity import (
     hamacher_fold,
     quasi_arithmetic_mean,
     significance_levels,
-    tokenize_statement,
     TrainingQueryCorpus,
     load_corpus,
     save_corpus,
@@ -30,8 +31,10 @@ from edgealloc.simulator import ScenarioConfig, generate_query_corpus, generate_
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
-def feat(*tokens):
-    return tokenize_statement(" ".join(tokens))
+def token_counts(statement: str) -> Counter:
+    """The tokens of ``statement`` with their counts: runs of ASCII letters
+    and digits of its case-folded text."""
+    return Counter(re.findall(r"[a-z0-9]+", statement.lower()))
 
 
 def check_rows(fn, rows, *args):
@@ -82,10 +85,10 @@ def reference_power_mean(values: list, alpha: float) -> float:
 
 
 def reference_memberships(statement: str, corpus, p: ComplexityParams) -> list:
-    q = dict(tokenize_statement(statement).counts)
+    q = token_counts(statement)
     scores = {c.id: [] for c in corpus.classes}
     for text, class_id in corpus.entries:
-        c = dict(tokenize_statement(text).counts)
+        c = token_counts(text)
         scores[class_id].append(reference_fuse(reference_similarities(q, c), p))
     return [min(1.0, reference_power_mean(scores[c.id], p.alpha)) for c in corpus.classes]
 
@@ -95,25 +98,37 @@ def reference_memberships(statement: str, corpus, p: ComplexityParams) -> list:
 # ---------------------------------------------------------------------------
 
 
+def one_entry_classifier(statement: str) -> ComplexityClassifier:
+    """A classifier whose corpus is ``statement`` alone."""
+    return ComplexityClassifier(TrainingQueryCorpus([(statement, 0)], classes=(ComplexityClass(0, "any"),)))
+
+
 def test_tokenize_basic_split():
-    assert feat("SELECT", "X", "FROM", "T").tokens == frozenset({"select", "x", "from", "t"})
+    clf = one_entry_classifier("SELECT x FROM t, t")
+    assert list(clf._vocab) == ["select", "x", "from", "t"]  # first-occurrence order
+    # case-folded runs of letters and digits; 'y' lies outside the vocabulary
+    assert clf._statistic("select X, 'Y' FROM T;") == (((0, 1), (1, 1), (2, 1), (3, 1)), 1, 1.0)
 
 
 def test_tokenize_is_deterministic():
+    clf = one_entry_classifier("select name from t where x >= 10")
     s = "SELECT name FROM t WHERE x >= 10"
-    assert tokenize_statement(s) == tokenize_statement(s)
+    assert clf._statistic(s) == clf._statistic(s) == clf._statistic("10 x where t from name select")
 
 
 def test_tokenize_counts_repeated_tokens():
-    f = tokenize_statement("SELECT NAME, PRICE FROM STOCKS WHERE PRICE <= 100 AND PRICE >= 10")
-    assert dict(f.counts)["price"] == 3
+    clf = one_entry_classifier("select price from stocks")
+    pairs, oov_distinct, oov_sumsq = clf._statistic(
+        "SELECT NAME, PRICE FROM STOCKS WHERE PRICE <= 100 AND PRICE >= 10")
+    assert dict(pairs)[clf._vocab["price"]] == 3
+    assert (oov_distinct, oov_sumsq) == (5, 5.0)  # name, where, 100, and, 10
 
 
 def test_tokenize_rejects_empty():
-    with pytest.raises(ValueError):
-        tokenize_statement("   ")
-    with pytest.raises(ValueError):
-        tokenize_statement("<=>")
+    clf = one_entry_classifier("select a from t")
+    for statement in ("", "   ", "<=>"):
+        with pytest.raises(ValueError, match="no tokens"):
+            clf._statistic(statement)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +138,8 @@ def test_tokenize_rejects_empty():
 
 def metrics(x_tokens, y_tokens) -> dict:
     """The ``similarities`` row of statement x against a corpus holding only y."""
-    corpus = TrainingQueryCorpus([(" ".join(y_tokens), 0)], classes=(ComplexityClass(0, "any"),))
-    (row,) = ComplexityClassifier(corpus).similarities(feat(*x_tokens))
+    clf = one_entry_classifier(" ".join(y_tokens))
+    (row,) = clf.similarities(clf._statistic(" ".join(x_tokens)))
     return dict(zip(SIMILARITY_METRICS, row))
 
 
@@ -186,6 +201,16 @@ def test_significance_isolated_value_scores_lowest():
     values = [0.1, 0.11, 0.9]
     sls = significance_levels(values, gamma=0.05, delta1=1.0, delta2=1.0)
     assert sls[2] < sls[0] and sls[2] < sls[1]
+
+
+@pytest.mark.parametrize("params", [ComplexityParams(delta2=800), ComplexityParams(delta1=-400)])
+def test_saturated_significance_is_zero_without_an_overflow_warning(params):
+    # every value supports all three, exp overflows to inf and the level is
+    # the sigmoid's exact limit, 0
+    levels = significance_levels([0.5, 0.55, 0.58], params.gamma, params.delta1, params.delta2)
+    assert levels.tolist() == [0.0, 0.0, 0.0]
+    vector, _ = ComplexityClassifier(_single_corpus(), params).classify_statement("select a from t")
+    assert vector.max() <= 1.0
 
 
 @given(st.lists(unit_floats, min_size=1, max_size=8))
@@ -357,12 +382,9 @@ def test_vectorized_scores_match_scalar_path():
     corpus = _single_corpus()
     clf = ComplexityClassifier(corpus)
     statement = "select x, y from stocks join t where x >= 10"
-    q = dict(tokenize_statement(statement).counts)
-    slow = [
-        reference_fuse(reference_similarities(q, dict(tokenize_statement(s).counts)), clf.params)
-        for s, _ in corpus.entries
-    ]
-    assert clf.pairwise_scores(tokenize_statement(statement)).tolist() == slow
+    q = token_counts(statement)
+    slow = [reference_fuse(reference_similarities(q, token_counts(s)), clf.params) for s, _ in corpus.entries]
+    assert clf.pairwise_scores(clf._statistic(statement)).tolist() == slow
 
 
 # corpus tokens come from VOCAB; queries may also use tokens outside it
@@ -387,7 +409,7 @@ def test_classifier_matches_per_pair_reference(corpus_tokens, query_tokens, para
     expected_scores = [
         reference_fuse(reference_similarities(q, Counter(toks)), params) for toks in corpus_tokens
     ]
-    assert clf.pairwise_scores(tokenize_statement(statement)).tolist() == expected_scores
+    assert clf.pairwise_scores(clf._statistic(statement)).tolist() == expected_scores
 
     expected = reference_memberships(statement, corpus, params)
     vector, resolved = clf.classify_statement(statement)
@@ -407,7 +429,7 @@ def test_classifier_matches_per_pair_reference(corpus_tokens, query_tokens, para
 def fresh_result(statement, corpus, params=ComplexityParams()):
     """Scoring of ``statement`` by a new classifier, around its memo."""
     clf = ComplexityClassifier(corpus, params)
-    vector = clf.memberships_from_scores(clf.pairwise_scores(tokenize_statement(statement)))
+    vector = clf.memberships_from_scores(clf.pairwise_scores(clf._statistic(statement)))
     return vector, clf.resolve(vector)
 
 
@@ -419,7 +441,7 @@ def assert_same_result(got, want):
 
 
 GENERATED_CORPUS = generate_query_corpus()
-CORPUS_VOCAB = sorted({t for s, _ in GENERATED_CORPUS.entries for t, _ in tokenize_statement(s).counts})
+CORPUS_VOCAB = sorted({t for s, _ in GENERATED_CORPUS.entries for t in token_counts(s)})
 MEMOISED = ComplexityClassifier(GENERATED_CORPUS)  # shared, so its memo fills across examples
 oov_names = st.text("qvwxyz", min_size=1, max_size=4).map(lambda t: "zz" + t)
 counts = st.integers(min_value=1, max_value=4)
@@ -445,7 +467,7 @@ def test_memoised_classification_equals_fresh_scoring(in_vocab, oov_counts, rnd)
         statements.append(" ".join(tokens))
     for statement in statements:
         assert_same_result(MEMOISED.classify_statement(statement), fresh_result(statement, GENERATED_CORPUS))
-    keys = {MEMOISED._statistic(tokenize_statement(s).counts) for s in statements}
+    keys = {MEMOISED._statistic(s) for s in statements}
     assert len(keys) == 1
 
 
@@ -466,12 +488,29 @@ def test_memo_hit_returns_the_stored_result_without_scoring(monkeypatch):
     assert len(scored) == 1
 
 
+def test_classify_statement_tokenizes_once_on_a_miss_and_on_a_hit(monkeypatch):
+    texts = []
+
+    class CountingPattern:
+        def findall(self, text):
+            texts.append(text)
+            return re.findall(r"[a-z0-9]+", text)
+
+    clf = ComplexityClassifier(GENERATED_CORPUS)
+    monkeypatch.setattr(complexity, "_TOKEN_RE", CountingPattern())
+    statement = statement_for_class(2, 1234)
+    first = clf.classify_statement(statement)  # a miss
+    assert len(texts) == 1
+    assert clf.classify_statement(statement) is first  # a hit
+    assert len(texts) == 2
+
+
 def test_memo_is_exact_on_a_long_query_stream():
     queries = generate_scenario(ScenarioConfig(n_nodes=1, n_queries=5000, seed=3)).queries
     clf = ComplexityClassifier(GENERATED_CORPUS)
     reference = ComplexityClassifier(GENERATED_CORPUS)
     for q in queries:
-        vector = reference.memberships_from_scores(reference.pairwise_scores(tokenize_statement(q.statement)))
+        vector = reference.memberships_from_scores(reference.pairwise_scores(reference._statistic(q.statement)))
         assert_same_result(clf.classify_statement(q.statement), (vector, reference.resolve(vector)))
     # far fewer keys than statements: that is what makes the memo pay
     assert len(clf._memo) < len({q.statement for q in queries}) // 100
@@ -555,4 +594,16 @@ def test_corpus_file_with_a_tokenless_statement_reports_line(tmp_path, statement
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(f"{statement}\tO(n)\n")
     with pytest.raises(DataError, match=r"corpus\.tsv:4: statement"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "corpus is empty"),
+    ("\n\n", "corpus is empty"),
+    ("select a from t\tO(n)\n", r"no corpus entries for class ids \[0, 2\]"),
+])
+def test_corpus_file_without_every_class_names_the_file(tmp_path, text, message):
+    path = tmp_path / "corpus.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=rf"corpus\.tsv: {message}"):
         load_corpus(path)

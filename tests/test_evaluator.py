@@ -192,6 +192,18 @@ def test_compiled_size_grows_with_node_count_not_depth():
         (split(0.5, 0.5, leaf(0.0), leaf(1.0)), "outside"),
         (split(0, "high", leaf(0.0), leaf(1.0)), "not a number"),
         (split(0, 0.5, leaf(0.0), "leaf"), "needs 'prob' or feature/threshold/left/right"),
+        (split(True, 0.5, leaf(0.0), leaf(1.0)), "outside"),
+        (split(0, "0.5", leaf(0.0), leaf(1.0)), "not a number"),
+        (split(0, True, leaf(0.0), leaf(1.0)), "not a number"),
+        (split(0, None, leaf(0.0), leaf(1.0)), "not a number"),
+        (split(0, 10**400, leaf(0.0), leaf(1.0)), "not a number"),
+        (leaf(7.0), r"probs must be numbers in \[0, 1\]"),
+        (leaf(-1), r"probs must be numbers in \[0, 1\]"),
+        (leaf(float("nan")), r"probs must be numbers in \[0, 1\]"),
+        (leaf("1"), r"probs must be numbers in \[0, 1\]"),
+        (leaf(False), r"probs must be numbers in \[0, 1\]"),
+        (leaf(None), r"probs must be numbers in \[0, 1\]"),
+        (leaf([0.5]), r"probs must be numbers in \[0, 1\]"),
     ],
 )
 def test_malformed_trees_raise_data_error_when_loaded(node, message):

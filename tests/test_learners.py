@@ -581,6 +581,15 @@ def _with(record, **changes):
         ({"type": "constant", "label": 1, "n_features": "a"}, "n_features must be a positive integer"),
         ({"type": "bagging", "members": 5, "n_features": 2}, "members must be a list"),
         ({"type": "stacking", "bases": 3, "meta": LOGISTIC_RECORD, "n_features": 2}, "bases must be a list"),
+        ({"type": "adaboost", "members": [NB_RECORD], "alphas": ["0.3"], "n_features": 2}, "alphas is not numeric"),
+        ({"type": "adaboost", "members": [NB_RECORD], "alphas": [True], "n_features": 2}, "alphas is not numeric"),
+        (_with(LOGISTIC_RECORD, weights=[True, "0.5"]), "weights is not numeric"),
+        (_with(LOGISTIC_RECORD, weights=[True, 0.5]), "weights is not numeric"),
+        (_with(LOGISTIC_RECORD, bias="1.0"), "bias is not numeric"),
+        (_with(LOGISTIC_RECORD, bias=None), "bias is not numeric"),
+        (_with(LOGISTIC_RECORD, sigma=[1, "1"]), "sigma is not numeric"),
+        (_with(NB_RECORD, log_priors=[False, -0.7]), "log_priors is not numeric"),
+        ({"type": "constant", "label": True, "n_features": 2}, "label must be 0 or 1"),
     ],
 )
 def test_malformed_model_records_raise_data_error_when_loaded(tmp_path, record, message):

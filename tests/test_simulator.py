@@ -3,8 +3,12 @@ import hashlib
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -576,3 +580,34 @@ def test_a_warm_classifier_memo_leaves_every_pick_unchanged(trained, scheme):
     assert len(warm._memo) > 0 and len(cold._memo) == 0
     picks = lambda clf: [r.selected_node for r in simulate_run(scenario, bundle, scheme, clf).records]  # noqa: E731
     assert picks(warm) == picks(cold)
+
+
+# one small run whose output must not depend on Python's string hashing:
+# the classifier's memo keys for the three statement templates, and the picks
+HASH_SEED_SNIPPET = """
+from edgealloc.bench import LearnerSetup, train_bundle
+from edgealloc.complexity import ComplexityClassifier
+from edgealloc.simulator import (LabelingPolicy, ScenarioConfig, generate_query_corpus, generate_scenario,
+                                 simulate_run, statement_for_class, synthesize_training_set)
+import warnings
+warnings.simplefilter("ignore")
+classifier = ComplexityClassifier(generate_query_corpus())
+print([classifier._statistic(statement_for_class(c, 1234)) for c in range(3)])
+config = ScenarioConfig(n_nodes=6, dims=2, n_queries=40, seed=11)
+data = synthesize_training_set(generate_scenario(ScenarioConfig(n_nodes=1, dims=2, seed=11)), LabelingPolicy(), 400)
+bundle = train_bundle(data, LearnerSetup(boost_rounds=4, bagging_bags=4, training_size=400), seed=11)
+print([r.selected_node for r in simulate_run(generate_scenario(config), bundle, "mvs", classifier).records])
+"""
+
+
+def test_memo_keys_and_picks_do_not_depend_on_the_hash_seed():
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+        result = subprocess.run([sys.executable, "-c", HASH_SEED_SNIPPET], capture_output=True, text=True, env=env,
+                                check=True, timeout=120)
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 2
