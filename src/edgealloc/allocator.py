@@ -2,17 +2,18 @@
 
 ``decide_from_features`` takes the (N, 5) feature matrix of one query
 against N nodes.  Three trained ensembles label the rows and the labels
-fuse under either a conjunctive scheme (CS: all three must agree) or a
-majority scheme (MVS: at least two).  The ensembles run as a cascade,
-boost then bagging then stacking, each on the rows whose fused label it can
-still change: under CS bagging gets the rows boost called 1 and stacking
-those both called 1 (skipped entries are 0); under MVS stacking gets the
-rows where boost and bagging disagree (skipped entries take their shared
-label).  Each model labels a row from that row alone, whether it reads the
-label from its threshold-grid table or computes it, and boosting sums its
-members' votes in member order whatever the batch; so the fused labels are
-those of labelling every row.  Voting then turns the per-node labels into
-a ranking: a positive node votes for itself, a negative node votes for
+fuse under a ``FusionScheme``, CS (all three agree) or MVS (at least two).
+Each scheme is written once, as the 8-entry truth table ``_TABLES[scheme]``
+of the fused label at code ``b0 + 2*b1 + 4*b2`` of the boost, bagging and
+stacking labels.  The ensembles run as a cascade, boost then bagging then
+stacking, each on the rows still open: those whose fused label, by the
+table, still differs over the labels not yet computed.  A closed row fuses
+the same however it is completed, so its missing labels stay 0.  Each
+model labels a row from that row alone, whether it reads the label from its
+threshold-grid table or computes it, and boosting sums its members' votes
+in member order whatever the batch; so the fused labels are those of
+labelling every row.  Voting then turns the per-node labels into a
+ranking: a positive node votes for itself, a negative node votes for
 everyone else.  Ties resolve by lowest load, then lowest node id, and the
 first k nodes of that single ranking are the picks.
 
@@ -57,7 +58,22 @@ class FusionScheme(str, Enum):
         try:
             return cls(str(value).lower())
         except ValueError:
-            raise ValueError(f"unknown fusion scheme {value!r}; expected 'cs' or 'mvs'") from None
+            expected = ", ".join(repr(s.value) for s in cls)
+            raise ValueError(f"unknown fusion scheme {value!r}; expected one of {expected}") from None
+
+
+# the fused label at code b0 + 2*b1 + 4*b2 of the (boost, bagging, stacking) labels
+_TABLES = {
+    FusionScheme.CS: np.array([0, 0, 0, 0, 0, 0, 0, 1]),
+    FusionScheme.MVS: np.array([0, 0, 0, 1, 0, 1, 1, 1]),
+}
+# scheme -> for bagging (bit 1), then stacking (bit 2), which codes of the
+# earlier labels leave the fused label open: those whose completions differ
+_OPEN = {
+    scheme: tuple(np.ptp(table.reshape(-1, 1 << bit), axis=0) > 0 for bit in (1, 2))
+    for scheme, table in _TABLES.items()
+}
+_EVERY_ROW = slice(None)
 
 
 @dataclass(frozen=True)
@@ -72,15 +88,11 @@ class EnsembleBundle:
         return (self.boost, self.bagging, self.stacking)
 
 
-def fuse_batch(labels: np.ndarray, scheme: FusionScheme) -> np.ndarray:
-    """Row-wise fusion of an (N, 3) binary label matrix under a
-    ``FusionScheme``, as 0/1 in the integer dtype of a row sum or product
-    (int64 for every integer matrix up to int64); a scheme's name is parsed
+def fuse_batch(codes: np.ndarray, scheme: FusionScheme) -> np.ndarray:
+    """The (N,) fused labels, 0/1 as int64, of the (N,) label codes
+    ``b0 + 2*b1 + 4*b2`` under a ``FusionScheme``; a scheme's name is parsed
     at the entry points."""
-    if scheme is FusionScheme.CS:
-        return labels.prod(axis=1)
-    votes = np.add.reduce(labels, axis=1)
-    return np.greater_equal(votes, 2, out=votes)  # the comparison written back as 0/1
+    return _TABLES[scheme].take(codes)
 
 
 def tally_votes(fused: np.ndarray) -> np.ndarray:
@@ -154,29 +166,24 @@ def decide_from_features(
     and a ``FusionScheme``; a scheme's name is parsed at the entry points.
 
     Returns ``(fused, picks)``: the (N,) fused labels and the positions of
-    the first k nodes of the one ranking, in ranking order.  The (N, 3)
-    label matrix is column-major, so each ensemble's column and the
-    row-wise fusion over it read contiguous memory, and the cascade's rows
-    are gathered with ``take``.
+    the first k nodes of the one ranking, in ranking order.  One loop serves
+    every scheme: boost's labels start each row's code, then bagging and
+    stacking add theirs at their bit on the rows still open.  A decided row
+    stays decided, so the features are gathered with ``take`` only when the
+    open rows shrank.
     """
-    labels = np.zeros((features.shape[0], 3), dtype=int, order="F")
-    labels[:, 0] = bundle.boost.predict_batch(features)
-    gathered = None  # features.take(rows, axis=0), when already taken
-    if scheme is FusionScheme.CS:
-        rows = labels[:, 0].nonzero()[0]
-        if rows.size:
-            gathered = features.take(rows, axis=0)
-            bagged = bundle.bagging.predict_batch(gathered)
-            labels[rows, 1] = bagged
-            if np.count_nonzero(bagged) < rows.size:
-                rows, gathered = rows[bagged == 1], None
-    else:
-        labels[:, 1] = bundle.bagging.predict_batch(features)
-        labels[:, 2] = labels[:, 0]  # the shared label where boost and bagging agree
-        rows = (labels[:, 0] != labels[:, 1]).nonzero()[0]
-    if rows.size:
-        if gathered is None:
-            gathered = features.take(rows, axis=0)
-        labels[rows, 2] = bundle.stacking.predict_batch(gathered)
-    fused = fuse_batch(labels, scheme)
+    codes = bundle.boost.predict_batch(features).astype(np.intp)  # written in place below
+    open_codes = _OPEN[scheme]
+    rows, pending, gathered = _EVERY_ROW, codes, features  # pending is codes[rows], gathered features[rows]
+    for bit, model in ((1, bundle.bagging), (2, bundle.stacking)):
+        still = open_codes[bit - 1].take(pending)
+        n_open = np.count_nonzero(still)
+        if not n_open:
+            break
+        if n_open < still.size:
+            rows = still.nonzero()[0] if rows is _EVERY_ROW else rows[still]
+            pending, gathered = codes.take(rows), features.take(rows, axis=0)
+        pending += model.predict_batch(gathered) << bit
+        codes[rows] = pending
+    fused = fuse_batch(codes, scheme)
     return fused, rank_nodes(fused, loads, node_ids, k)

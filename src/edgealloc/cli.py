@@ -296,7 +296,9 @@ def _parse_query_json(spec: str) -> Query:
 
 @main.command("allocate")
 @_command
-@click.option("--scheme", type=click.Choice(["cs", "mvs"]), default=None, help="Fusion scheme.")
+@click.option("--scheme", type=click.Choice([s.value for s in FusionScheme], case_sensitive=False), default=None,
+              help="Fusion scheme, in any case: all three ensembles agree, or at least two (default: the "
+              "config's 'fusion').")
 @click.option("--k", type=int, default=1, help="How many nodes to select.")
 @click.option("--query-index", type=int, default=0, help="Index into the scenario's query stream.")
 @click.option("--query-json", type=str, default=None, help="Inline JSON or a path to a query spec: an object with "
@@ -394,7 +396,7 @@ def cmd_bench(cfg: AppConfig, resume) -> None:
     (out_dir / "config.json").write_text(json.dumps(write_record(cfg), sort_keys=True, indent=2), encoding="utf-8")
     cells = grid_cells(
         cfg.scenario,
-        schemes=("cs", "mvs"),
+        schemes=tuple(FusionScheme),
         distributions=cfg.bench.distributions,
         n_values=cfg.bench.n_values,
         seeds=cfg.bench.seeds,

@@ -44,7 +44,6 @@ __all__ = [
     "hamacher_fold",
     "quasi_arithmetic_mean",
     "fuse_similarities",
-    "leave_one_out_accuracy",
     "load_corpus",
     "save_corpus",
 ]
@@ -327,8 +326,7 @@ class ComplexityClassifier:
     only in token order or in which out-of-vocabulary tokens they hold share
     one entry, and a hit returns exactly what scoring would.  Corpus and
     params never change after construction; the memo holds at most
-    ``MEMO_CAP`` entries and then stops inserting.  Scoring with ``exclude``
-    (leave-one-out) bypasses it.
+    ``MEMO_CAP`` entries and then stops inserting.
     """
 
     def __init__(self, corpus: TrainingQueryCorpus, params: ComplexityParams = ComplexityParams()):
@@ -393,22 +391,13 @@ class ComplexityClassifier:
         mism = np.divide(union - inter, union, out=np.zeros_like(inter), where=union > 0)
         return np.stack([distance_to_similarity(mism), jaccard, cosine], axis=1)
 
-    def pairwise_scores(self, key: tuple, exclude: Optional[int] = None) -> np.ndarray:
+    def pairwise_scores(self, key: tuple) -> np.ndarray:
         """Fused similarity with every corpus entry of the statement whose
-        ``_statistic`` is ``key``; entry ``exclude``, if given, scores NaN."""
-        scores = fuse_similarities(self.similarities(key), self.params)
-        if exclude is not None:
-            scores[exclude] = np.nan
-        return scores
+        ``_statistic`` is ``key``."""
+        return fuse_similarities(self.similarities(key), self.params)
 
     def memberships_from_scores(self, scores: np.ndarray) -> ComplexityVector:
-        out = []
-        for mask in self._class_masks:
-            vals = scores[mask]
-            vals = vals[~np.isnan(vals)]
-            if vals.size == 0:
-                raise DataError("a class has no corpus entries after exclusion")
-            out.append(min(1.0, float(quasi_arithmetic_mean(vals, self.params.alpha))))
+        out = [min(1.0, float(quasi_arithmetic_mean(scores[mask], self.params.alpha))) for mask in self._class_masks]
         return ComplexityVector(memberships=tuple(out))
 
     def classify_statement(self, statement: str):
@@ -430,21 +419,3 @@ class ComplexityClassifier:
             return self.corpus.classes[best]
         return None
 
-
-def leave_one_out_accuracy(
-    corpus: TrainingQueryCorpus, params: ComplexityParams = ComplexityParams()
-) -> float:
-    """Fraction of corpus entries whose class is recovered when held out.
-
-    An unresolved entry (best membership below the threshold) counts as
-    incorrect.
-    """
-    clf = ComplexityClassifier(corpus, params)
-    correct = 0
-    for i, (statement, true_class) in enumerate(corpus.entries):
-        scores = clf.pairwise_scores(clf._statistic(statement), exclude=i)
-        vector = clf.memberships_from_scores(scores)
-        resolved = clf.resolve(vector)
-        if resolved is not None and resolved.id == true_class:
-            correct += 1
-    return correct / len(corpus)

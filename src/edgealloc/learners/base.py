@@ -252,9 +252,9 @@ class _CompiledForest:
     its first child sits one slot before it, so a row that reached it stays
     there while deeper trees finish.
     Malformed node dicts raise ``DataError`` here, once, when the model is
-    built: a feature that is not an integer in [0, n_features), a threshold
-    that is not a number (``core.number_array``), a leaf prob that is not
-    one in [0, 1].
+    built: a key beyond a leaf's or a split's, a feature that is not an
+    integer in [0, n_features), a threshold that is not a number
+    (``core.number_array``), a leaf prob that is not one in [0, 1].
     """
 
     def __init__(self, roots: Sequence[dict], n_features: int):
@@ -263,12 +263,12 @@ class _CompiledForest:
         self.n_trees, self.depth = len(roots), 0
         while stack:
             node, slot, level = stack.pop()
-            if isinstance(node, dict) and "prob" in node:
+            if isinstance(node, dict) and node.keys() == {"prob"}:
                 nodes[slot] = (0, np.nan, slot - 1, node["prob"])
                 self.depth = max(self.depth, level)
                 continue
-            if not (isinstance(node, dict) and {"feature", "threshold", "left", "right"} <= node.keys()):
-                raise DataError(f"tree node needs 'prob' or feature/threshold/left/right: {node!r:.200}")
+            if not (isinstance(node, dict) and node.keys() == {"feature", "threshold", "left", "right"}):
+                raise DataError(f"tree node needs 'prob' or feature/threshold/left/right, no other key: {node!r:.200}")
             feature = node["feature"]
             if isinstance(feature, bool) or not isinstance(feature, (int, np.integer)) or not 0 <= feature < n_features:
                 raise DataError(f"tree node feature {feature!r:.200} outside [0, {n_features})")

@@ -7,7 +7,8 @@ its constructor's arguments, the fields its class names in ``FIELDS`` (see
 ``learners.base._Model``): ``_Model.to_dict`` writes it and
 ``model_from_dict`` reads it.  Loading builds each model through its
 constructor, which compiles it (see ``learners.base``), so a malformed
-record raises ``DataError`` at load, never at the first predict.
+record, one with a key its class does not name included, raises
+``DataError`` at load, never at the first predict.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ def _read(d, n_features: int | None, place: str):
     cls = _TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise DataError(f"unknown model type {kind!r}")
+    unknown = [key for key in d if key != "type" and key not in cls.FIELDS]
+    if unknown:
+        raise DataError(f"{kind} model record has unknown keys {unknown!r:.200}")
     try:
         fields = {f: d[f] for f in cls.FIELDS}
     except KeyError as exc:
@@ -94,6 +98,12 @@ def load_bundle(path, n_features: int | None = None) -> tuple:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("models"), dict):
         raise DataError(f"model file {path} must hold a JSON object with a 'models' mapping")
+    unknown = [key for key in payload if key not in ("schema_version", "models", "metadata")]
+    if unknown:
+        raise DataError(f"model file {path} has unknown keys {unknown!r:.200}")
+    metadata = payload.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DataError(f"model file {path} metadata must be a mapping, got {metadata!r:.200}")
     version = payload.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise DataError(
@@ -103,4 +113,4 @@ def load_bundle(path, n_features: int | None = None) -> tuple:
         models = {name: model_from_dict(d, n_features) for name, d in payload["models"].items()}
     except (DataError, RecursionError) as exc:  # RecursionError: records nested too deep
         raise DataError(f"model file {path}: {exc}") from None
-    return models, payload.get("metadata", {})
+    return models, metadata

@@ -102,15 +102,13 @@ def test_fuse_batch_matches_scalar():
     labels = np.array(list(itertools.product((0, 1), repeat=3)))
     for scheme in FusionScheme:
         want = [fuse(*row, scheme=scheme) for row in labels]
-        assert fuse_batch(labels, scheme).tolist() == want
-        # decide_from_features hands it a column-major matrix
-        assert fuse_batch(np.asfortranarray(labels), scheme).tolist() == want
+        assert fuse_batch(labels @ (1, 2, 4), scheme).tolist() == want
 
 
 def test_scheme_parsing():
     assert FusionScheme.parse("CS") is FusionScheme.CS
     assert FusionScheme.parse("mvs") is FusionScheme.MVS
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected one of 'cs', 'mvs'"):
         FusionScheme.parse("both")
 
 
@@ -380,7 +378,15 @@ def test_cascade_matches_full_evaluation(scheme):
         for trial in range(60):
             labels = rng.integers(0, 2, (n, 3))
             got, picks, stubs, loads = cascade(labels, scheme, seed=trial)
-            fused = fuse_batch(labels, scheme)
+            fused = fuse_batch(labels @ (1, 2, 4), scheme)
             assert got.tolist() == fused.tolist()
             assert picks.tolist() == reference_ranking(fused, loads, np.arange(n), 1).tolist()
             assert all(len(shown) > 0 for stub in stubs for shown in stub.shown)
+            # ensemble j sees exactly the rows whose fused label still
+            # differs over the labels not yet computed, by brute force
+            for j, stub in enumerate(stubs):
+                still_open = [
+                    len({fuse(*row[:j], *rest, scheme=scheme) for rest in itertools.product((0, 1), repeat=3 - j)}) > 1
+                    for row in labels.tolist()
+                ]
+                assert sum(stub.shown, []) == loads[still_open].tolist()

@@ -486,19 +486,25 @@ def test_allocate_schemes_can_differ(runner, tmp_path):
         },
     )
 
-    winners, decided_by = {}, {}
-    for scheme in ("cs", "mvs"):
-        result = runner.invoke(
-            main, ["allocate", "--config", str(config), "--scheme", scheme, "--query-index", "0", "--format", "machine"]
-        )
-        assert result.exit_code == 0, result.output
+    def allocate(scheme):
+        """The machine payload and the human lines, each without its timing."""
+        args = ["allocate", "--config", str(config), "--scheme", scheme, "--query-index", "0"]
+        result, human = runner.invoke(main, args + ["--format", "machine"]), runner.invoke(main, args)
+        assert result.exit_code == 0 and human.exit_code == 0, result.output + human.output
         payload = json.loads(result.output)
-        winners[scheme], decided_by[scheme] = payload["selected"], payload["decided_by"]
-        human = runner.invoke(main, ["allocate", "--config", str(config), "--scheme", scheme, "--query-index", "0"])
-        assert f"decided by: {decided_by[scheme]}" in human.output.splitlines()
+        del payload["decision_ms"]
+        return payload, [line for line in human.output.splitlines() if not line.startswith("decision time:")]
+
+    outputs = {scheme: allocate(scheme) for scheme in ("cs", "mvs")}
+    winners = {scheme: payload["selected"] for scheme, (payload, _) in outputs.items()}
+    decided_by = {scheme: payload["decided_by"] for scheme, (payload, _) in outputs.items()}
+    for payload, lines in outputs.values():
+        assert f"decided by: {payload['decided_by']}" in lines
     assert winners["cs"] == [0]  # all-negative fallback: lowest load wins
     assert winners["mvs"] == [1]  # majority keeps the (1,1,0) node
     assert decided_by == {"cs": "no_positive", "mvs": "single_positive"}
+    # a scheme's name is read in any case, as the config's 'fusion' is
+    assert {scheme: allocate(scheme.upper()) for scheme in outputs} == outputs
 
 
 def test_allocate_without_models_exits_3(runner, tmp_path):
@@ -877,6 +883,12 @@ def _model_numbers(node):
 @example(path=("models", "stacking", "meta", "bias"), value="1.0", delete=False)
 @example(path=("models", "stacking", "bases", 3, "sigma", 1), value="1", delete=False)
 @example(path=("models", "stacking", "meta"), value={"type": "constant", "label": True, "n_features": 4}, delete=False)
+@example(path=("bogus",), value=1, delete=False)
+@example(path=("metadata",), value=5, delete=False)
+@example(path=("models", "boost", "stop_reason"), value="round_limit", delete=False)
+@example(path=("models", "stacking", "meta", "bogus"), value=1, delete=False)
+@example(path=PROB_PATH[:-1] + ("bogus",), value=1, delete=False)
+@example(path=PROB_PATH[:-1] + ("feature",), value=0, delete=False)
 @given(st.sampled_from(MODEL_PATHS), json_values, st.booleans())
 def test_model_file_reader_raises_only_data_error(tmp_path, path, value, delete):
     """A model file either raises ``DataError`` naming it or loads from

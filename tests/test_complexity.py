@@ -15,8 +15,8 @@ from edgealloc.complexity import (
     ComplexityParams,
     ComplexityClassifier,
     SIMILARITY_METRICS,
+    ComplexityVector,
     distance_to_similarity,
-    leave_one_out_accuracy,
     fuse_similarities,
     hamacher_fold,
     quasi_arithmetic_mean,
@@ -552,6 +552,26 @@ class RecordingDict(dict):
     def __setitem__(self, key, value):
         self.accesses.append("setitem")
         super().__setitem__(key, value)
+
+
+def leave_one_out_accuracy(corpus, params=ComplexityParams()) -> float:
+    """Fraction of corpus entries whose class is recovered when held out:
+    each entry's own score is dropped before each class's mean, and scoring
+    goes around the memo, whose results count every entry.  An unresolved
+    entry (best membership below the threshold) counts as incorrect."""
+    clf = ComplexityClassifier(corpus, params)
+    labels = np.array([c for _, c in corpus.entries])
+    correct = 0
+    for i, (statement, true_class) in enumerate(corpus.entries):
+        scores = clf.pairwise_scores(clf._statistic(statement))
+        others = np.arange(len(labels)) != i
+        vector = ComplexityVector(tuple(
+            min(1.0, float(quasi_arithmetic_mean(scores[others & (labels == c.id)], params.alpha)))
+            for c in corpus.classes
+        ))
+        resolved = clf.resolve(vector)
+        correct += resolved is not None and resolved.id == true_class
+    return correct / len(corpus)
 
 
 def test_leave_one_out_neither_reads_nor_writes_the_memo(monkeypatch):

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 name a module exports is imported somewhere, every name a package
-``__init__`` re-exports is imported from that package somewhere, and the
-CLI starts without SciPy."""
+``__init__`` re-exports is imported from that package somewhere, every
+top-level function and class is referenced from the source, and the CLI
+starts without SciPy."""
 
 import ast
 import functools
@@ -111,6 +112,33 @@ def reexported(path: Path) -> list:
 def test_every_reexport_is_imported_from_its_package(path):
     names = imported_from_package().get(_package(path), set())
     assert [name for name in reexported(path) if name not in names] == []
+
+
+def _registered_command(node) -> bool:
+    """Whether a definition is a click command: a ``cmd_*`` function with a
+    ``<group>.command(...)`` decorator."""
+    return node.name.startswith("cmd_") and any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
+        for d in node.decorator_list
+    )
+
+
+def test_every_top_level_function_and_class_is_referenced_from_the_source():
+    # code that only the tests use belongs in tests/; click calls the commands
+    defined, referenced = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [
+            (str(path.relative_to(PACKAGE)), node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _registered_command(node)
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert [(path, name) for path, name in defined if name not in referenced] == []
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

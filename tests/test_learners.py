@@ -590,6 +590,17 @@ def _with(record, **changes):
         (_with(LOGISTIC_RECORD, sigma=[1, "1"]), "sigma is not numeric"),
         (_with(NB_RECORD, log_priors=[False, -0.7]), "log_priors is not numeric"),
         ({"type": "constant", "label": True, "n_features": 2}, "label must be 0 or 1"),
+        # a key the record's class does not name is refused, at any depth
+        ({"type": "constant", "label": 1, "n_features": 5, "bogus": 1}, r"unknown keys \['bogus'\]"),
+        ({"type": "adaboost", "members": [NB_RECORD], "alphas": [1.0], "n_features": 2, "stop_reason": "round_limit"},
+         r"unknown keys \['stop_reason'\]"),
+        ({"type": "bagging", "members": [_with(NB_RECORD, kind="x")], "n_features": 2}, r"unknown keys \['kind'\]"),
+        ({"type": "cart_tree", "root": {"prob": 0.5, "bogus": 1}, "n_features": 2}, "no other key"),
+        ({"type": "cart_tree", "root": {"feature": 0, "threshold": 0.5, "left": {"prob": 0.0}, "right": {"prob": 1.0},
+          "bogus": 1}, "n_features": 2}, "no other key"),
+        # a leaf that also holds a split is refused, not read as the leaf
+        ({"type": "cart_tree", "root": {"prob": 0.5, "feature": 0, "threshold": 0.5, "left": {"prob": 0.0},
+          "right": {"prob": 1.0}}, "n_features": 2}, "no other key"),
     ],
 )
 def test_malformed_model_records_raise_data_error_when_loaded(tmp_path, record, message):
@@ -597,6 +608,20 @@ def test_malformed_model_records_raise_data_error_when_loaded(tmp_path, record, 
         model_from_dict(record)
     path = tmp_path / "models.json"
     path.write_text(json.dumps({"schema_version": 1, "models": {"stacking": record}}), encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [({"bogus": 1}, r"unknown keys \['bogus'\]"), ({"metadata": 5}, "metadata must be a mapping")],
+)
+def test_model_file_refuses_unknown_keys_and_non_mapping_metadata(tmp_path, extra, message):
+    path = tmp_path / "models.json"
+    payload = {"schema_version": 1, "models": {"boost": LOGISTIC_RECORD}, "metadata": {"seed": 0}}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert load_bundle(path)[1] == {"seed": 0}
+    path.write_text(json.dumps(dict(payload, **extra)), encoding="utf-8")
     with pytest.raises(DataError, match=message):
         load_bundle(path)
 
