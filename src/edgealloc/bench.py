@@ -218,7 +218,7 @@ def run_cells(
                     results.append(load_run(path, cell.config.n_queries))
                     say(f"cell {label}: already complete, skipped")
                     continue
-                except (DataError, UnicodeDecodeError) as exc:  # an undecodable record is stale too
+                except (DataError, UnicodeDecodeError, OSError) as exc:  # so is an undecodable or unreadable one
                     say(f"cell {label}: {exc}; running again")
         try:
             key = replace(cell.config, n_nodes=1, n_queries=1)

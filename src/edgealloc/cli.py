@@ -1,6 +1,11 @@
 """Command-line entry point: corpus/scenario/training generation, ensemble
 training, single allocations and full benchmark sweeps.
 
+Every command takes ``--config`` and ``--out``, and only the scenario
+overrides it reads: ``gen`` all of ``--seed --n --trace --trace-column``,
+``train`` ``--seed`` and ``bench`` ``--trace --trace-column``.  ``allocate``
+takes none: it scores relevance with the alpha and z ``scenario.json`` holds.
+
 Exit codes: 0 on success; 2 (``ConfigError``) for a config file or option
 that cannot be read or parsed, has an unknown key or a value of the wrong
 type or out of range; 3 (``DataError``) for a missing, unreadable or
@@ -131,41 +136,44 @@ def load_config(path: Optional[str], overrides: Optional[dict] = None) -> AppCon
     return read_config(AppConfig, raw)
 
 
-_COMMON = [
-    click.option("--config", "config_path", type=click.Path(), default=None, help="YAML config file."),
-    click.option("--seed", type=int, default=None, help="Override the scenario seed."),
-    click.option("--n", type=int, default=None, help="Override the node count."),
-    click.option("--trace", type=click.Path(), default=None, help="Utilisation trace file."),
-    click.option("--trace-column", type=str, default=None, help="Trace column name."),
-    click.option("--out", type=click.Path(), default=None, help="Output directory."),
-]
+_CONFIG = click.option("--config", "config_path", type=click.Path(), help="YAML config file.")
+_OUT = click.option("--out", type=click.Path(), help="Output directory.")
+_OVERRIDES = {  # by the ``ScenarioConfig`` field each sets
+    "seed": click.option("--seed", type=int, help="Override the scenario seed."),
+    "n_nodes": click.option("--n", "n_nodes", type=int, help="Override the node count."),
+    "trace_path": click.option("--trace", "trace_path", type=click.Path(), help="Utilisation trace file."),
+    "trace_column": click.option("--trace-column", type=str, help="Trace column name."),
+}
 
 
-def _command(fn):
-    """Add the common options to a command; ``fn`` takes the config they
-    select and the command's own options.  ``ConfigError`` exits 2,
-    ``DataError`` and ``OSError`` 3 and any other failure 4."""
+def _command(*overrides: str):
+    """Add ``--config``, ``--out`` and the overrides of the scenario fields
+    ``overrides`` to a command, which takes the config they select and its own
+    options.  ``ConfigError`` exits 2, ``DataError`` and ``OSError`` 3, others 4."""
 
-    @functools.wraps(fn)
-    def wrapper(config_path, seed, n, trace, trace_column, out, **options):
-        scenario = {"seed": seed, "n_nodes": n, "trace_path": trace, "trace_column": trace_column}
-        try:
-            return fn(load_config(config_path, {"scenario": scenario, "output_dir": out}), **options)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
-        except (DataError, OSError) as exc:  # an OSError's message names its path
-            click.echo(f"data error: {exc}", err=True)
-            sys.exit(3)
-        except click.exceptions.Exit:
-            raise
-        except Exception as exc:
-            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-            sys.exit(4)
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(config_path, out, **options):
+            scenario = {key: options.pop(key) for key in overrides}
+            try:
+                return fn(load_config(config_path, {"scenario": scenario, "output_dir": out}), **options)
+            except ConfigError as exc:
+                click.echo(f"config error: {exc}", err=True)
+                sys.exit(2)
+            except (DataError, OSError) as exc:  # an OSError's message names its path
+                click.echo(f"data error: {exc}", err=True)
+                sys.exit(3)
+            except click.exceptions.Exit:
+                raise
+            except Exception as exc:
+                click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+                sys.exit(4)
 
-    for opt in reversed(_COMMON):
-        wrapper = opt(wrapper)
-    return wrapper
+        for opt in reversed([_CONFIG, *(_OVERRIDES[key] for key in overrides), _OUT]):
+            wrapper = opt(wrapper)
+        return wrapper
+
+    return decorate
 
 
 @click.group()
@@ -222,7 +230,7 @@ def _write_default_trace(cfg: AppConfig) -> Path:
 
 
 @main.command("gen")
-@_command
+@_command("seed", "n_nodes", "trace_path", "trace_column")
 def cmd_gen(cfg: AppConfig) -> None:
     """Generate the corpus, a scenario dump and a labelled training set."""
     out_dir = Path(cfg.output_dir)
@@ -250,7 +258,7 @@ def cmd_gen(cfg: AppConfig) -> None:
 
 
 @main.command("train")
-@_command
+@_command("seed")
 def cmd_train(cfg: AppConfig) -> None:
     """Train the three ensembles on the generated training set."""
     out_dir = Path(cfg.output_dir)
@@ -295,7 +303,7 @@ def _parse_query_json(spec: str) -> Query:
 
 
 @main.command("allocate")
-@_command
+@_command()
 @click.option("--scheme", type=click.Choice([s.value for s in FusionScheme], case_sensitive=False), default=None,
               help="Fusion scheme, in any case: all three ensembles agree, or at least two (default: the "
               "config's 'fusion').")
@@ -309,7 +317,9 @@ def _parse_query_json(spec: str) -> Query:
     help="Output format.",
 )
 def cmd_allocate(cfg: AppConfig, scheme, k, query_index, query_json, fmt) -> None:
-    """Allocate one query against the stored scenario using trained models."""
+    """Allocate one query against the stored scenario using trained models.
+
+    Node relevance uses the alpha and z in scenario.json, not the config's."""
     out_dir = Path(cfg.output_dir)
     scenario_path = out_dir / "scenario.json"
     models_path = out_dir / "models.json"
@@ -341,16 +351,8 @@ def cmd_allocate(cfg: AppConfig, scheme, k, query_index, query_json, fmt) -> Non
         query = scenario.queries[query_index]
 
     fusion = FusionScheme.parse(scheme) if scheme is not None else cfg.fusion
-    decision = ova_allocate(
-        query,
-        scenario.nodes,
-        bundle,
-        fusion,
-        classifier,
-        alpha=cfg.scenario.alpha,
-        z=cfg.scenario.z,
-        k=k,
-    )
+    decision = ova_allocate(query, scenario.nodes, bundle, fusion, classifier,
+                            alpha=scenario.config.alpha, z=scenario.config.z, k=k)
     chosen = list(decision.selected)
     if fmt == "machine":
         click.echo(
@@ -377,7 +379,7 @@ def cmd_allocate(cfg: AppConfig, scheme, k, query_index, query_json, fmt) -> Non
 
 
 @main.command("bench")
-@_command
+@_command("trace_path", "trace_column")
 @click.option("--resume/--no-resume", default=True, help="Skip cells whose output already exists.")
 def cmd_bench(cfg: AppConfig, resume) -> None:
     """Run the full experiment sweep defined by the config's bench grid."""

@@ -310,29 +310,29 @@ class _ThresholdGrid:
     A table holds one value per cell, flat in C order over ``shape``, and
     ``table.take(index(x))`` reads each row's: one gather, where an N-d read
     would index once per axis.  ``rows`` holds one representative per cell
-    in that order, its intervals' upper cuts and NaN for the last (not inf,
-    so an inf cut stays exact); features no split reads are 0.  A forest without splits
-    has one cell.  ``of`` gives None past ``GRID_CELLS_MAX`` cells.
+    in that order: its intervals' upper cuts and NaN for the last (not inf, so
+    an inf cut stays exact), 0 for other features up to the last a node reads.
+    A forest without splits has one cell.  ``of`` gives None past ``GRID_CELLS_MAX`` cells.
     """
 
-    def __init__(self, features: list, cuts: list, n_features: int):
+    def __init__(self, features: list, cuts: list, width: int):
         self.features, self.cuts = features, cuts
         self.shape = tuple(c.size + 1 for c in cuts)
         self._inner_axes = list(zip(features[1:], cuts[1:], self.shape[1:]))  # what ``index`` folds in
-        self.rows = np.zeros((math.prod(self.shape), n_features))
+        self.rows = np.zeros((math.prod(self.shape), width))
         axes = np.meshgrid(*(np.append(c, np.nan) for c in cuts), indexing="ij")
         for f, axis in zip(features, axes):
             self.rows[:, f] = axis.ravel()
 
     @classmethod
-    def of(cls, forest: _CompiledForest, n_features: int) -> Optional["_ThresholdGrid"]:
+    def of(cls, forest: _CompiledForest) -> Optional["_ThresholdGrid"]:
         split = ~np.isnan(forest.thresholds)  # a leaf's threshold is NaN
         features, thresholds = forest.features[split], forest.thresholds[split]
         used = np.unique(features).tolist() or [0]
         cuts = [np.unique(thresholds[features == f]) for f in used]
         if math.prod(c.size + 1 for c in cuts) > GRID_CELLS_MAX:
             return None
-        return cls(used, cuts, n_features)
+        return cls(used, cuts, int(forest.features.max()) + 1)  # not a record's claimed arity
 
     def index(self, x: np.ndarray) -> np.ndarray:
         """The flat C-order cells of the rows of the (n, F) matrix x."""
@@ -632,15 +632,15 @@ class _BaseColumns:
         self._tree_rows = _rows(leaves) if leaves else None
         roots = [models[j].root if isinstance(models[j], TreeModel) else {"prob": models[j].label} for j in leaves]
         self._forest = _CompiledForest(roots, n_features) if roots else None
-        self._grid = _ThresholdGrid.of(self._forest, n_features) if roots else None
+        self._grid = _ThresholdGrid.of(self._forest) if roots else None
         self._tree_table = None  # (T, cells) leaf probabilities
         if self._grid is not None:
             self._tree_table = self._forest.leaf_probs(self._grid.rows)
-        centers = [m.center for m in models if isinstance(m, GaussianNBModel)] or [np.zeros(n_features)]
+        centers = [m.center for m in models if isinstance(m, GaussianNBModel)]
         groups: dict = {}  # center bytes -> (center, positions of its models)
         for j, m in enumerate(models):
-            if j not in leaves:
-                center = m.center if isinstance(m, GaussianNBModel) else centers[0]
+            if j not in leaves:  # a logistic model's weights bear out its arity
+                center = m.center if isinstance(m, GaussianNBModel) else centers[0] if centers else np.zeros(n_features)
                 groups.setdefault(center.tobytes(), (center, []))[1].append(j)
         self._groups = [self._group(models, rows, center) for center, rows in groups.values()]
 
@@ -727,4 +727,3 @@ def train_base(spec: BaseLearnerSpec, data: LabeledDataset, seed: int, sample_we
         return GaussianNBModel.fit(data, sample_weight=sample_weight)
     if spec.kind == "logistic":
         return LogisticModel.fit(data, spec.learning_rate, spec.epochs, sample_weight=sample_weight)
-    raise ValueError(f"unknown learner kind {spec.kind!r}")

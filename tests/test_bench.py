@@ -118,6 +118,23 @@ def test_resume_reruns_a_cell_whose_files_cannot_be_taken_back(tmp_path, monkeyp
     assert again.column("decision_ms").min() > 0
 
 
+def test_resume_runs_on_past_a_record_it_cannot_read(tmp_path):
+    # a record that is a directory cannot be read or replaced: that cell
+    # fails, and the sweep goes on to the next one
+    cells = [BenchCell(replace(BASE, n_nodes=4, n_queries=20), scheme) for scheme in ("cs", "mvs")]
+    (_, first), failures = run_cells(cells, POLICY, setup=SMALL_SETUP, out_dir=tmp_path)
+    assert not failures
+    record = tmp_path / f"run_{cells[0].label()}.json"
+    record.unlink()
+    record.mkdir()
+    messages = []
+    results, failures = run_cells(cells, POLICY, setup=SMALL_SETUP, out_dir=tmp_path, resume=True,
+                                  progress=messages.append)
+    assert [label for label, _ in failures] == [cells[0].label()]
+    assert "running again" in messages[0] and "FAILED" in messages[1] and "skipped" in messages[2]
+    assert picks(results[-1]) == picks(first)
+
+
 def test_resume_reruns_a_run_file_written_under_another_config(tmp_path):
     narrow = BenchCell(replace(BASE, n_nodes=4, n_queries=20), "cs")
     wide = BenchCell(replace(narrow.config, dims=5, alpha=3.0), "cs")

@@ -236,6 +236,33 @@ def test_command_line_options_override_the_config_file(runner, tmp_path):
     assert result.exit_code == 2 and "scenario must be a mapping" in result.output
 
 
+# each command's options, flags by their first name: only the scenario
+# overrides a command reads are offered, and allocate reads none
+COMMAND_OPTIONS = {
+    "gen": ["--config", "--seed", "--n", "--trace", "--trace-column", "--out"],
+    "train": ["--config", "--seed", "--out"],
+    "allocate": ["--config", "--out", "--scheme", "--k", "--query-index", "--query-json", "--format"],
+    "bench": ["--config", "--trace", "--trace-column", "--out", "--resume"],
+}
+
+
+def test_each_command_offers_only_the_options_it_reads():
+    assert {name: [p.opts[0] for p in command.params] for name, command in main.commands.items()} == COMMAND_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("train", "--n"), ("train", "--trace"), ("train", "--trace-column"), ("allocate", "--seed"), ("allocate", "--n"),
+     ("allocate", "--trace"), ("allocate", "--trace-column"), ("bench", "--seed"), ("bench", "--n")],
+)
+def test_an_option_the_command_does_not_read_exits_2(runner, tmp_path, command, option):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")  # an output dir under it fails any command that got to run
+    result = runner.invoke(main, [command, option, "1", "--out", str(blocker / "out")])
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.output and option in result.output
+
+
 def test_bench_records_the_whole_config_and_reads_it_back(runner, tmp_path):
     out_dir = tmp_path / "out"
     config = write_config(
@@ -505,6 +532,29 @@ def test_allocate_schemes_can_differ(runner, tmp_path):
     assert decided_by == {"cs": "no_positive", "mvs": "single_positive"}
     # a scheme's name is read in any case, as the config's 'fusion' is
     assert {scheme: allocate(scheme.upper()) for scheme in outputs} == outputs
+
+
+def test_allocate_scores_relevance_with_the_scenario_alpha_and_z(runner, tmp_path):
+    # at dims 1 alpha cannot matter: a power mean of one value is that value
+    out_dir = tmp_path / "out"
+    scenario = {"n_nodes": 20, "dims": 3, "n_queries": 10, "seed": 5}
+    config = write_config(tmp_path / "config.yaml", out_dir, scenario=scenario)
+    assert runner.invoke(main, ["gen", "--config", str(config)]).exit_code == 0
+    assert runner.invoke(main, ["train", "--config", str(config)]).exit_code == 0
+    other = write_config(tmp_path / "other.yaml", out_dir, scenario=dict(scenario, z=0.2, alpha=-4.0))
+
+    def payloads(path):
+        out = []
+        for index in range(10):
+            args = ["allocate", "--config", str(path), "--query-index", str(index), "--format", "machine"]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            payload = json.loads(result.output)
+            del payload["decision_ms"]
+            out.append(payload)
+        return out
+
+    assert payloads(other) == payloads(config)
 
 
 def test_allocate_without_models_exits_3(runner, tmp_path):

@@ -626,6 +626,26 @@ def test_model_file_refuses_unknown_keys_and_non_mapping_metadata(tmp_path, extr
         load_bundle(path)
 
 
+@pytest.mark.parametrize(
+    "record, expected",
+    [
+        ({"type": "bagging", "members": [{"type": "constant", "label": 1, "n_features": 2**62}], "n_features": 2**62},
+         [1, 1]),
+        ({"type": "adaboost", "alphas": [1.0], "n_features": 2**62, "members": [{"type": "cart_tree", "n_features": 2**62,
+          "root": {"feature": 1, "threshold": 0.5, "left": {"prob": 0.0}, "right": {"prob": 1.0}}}]}, [0, 1]),
+    ],
+    ids=["bagging_of_a_constant", "adaboost_of_a_tree"],
+)
+def test_a_claimed_arity_sizes_no_array(tmp_path, record, expected):
+    # an ensemble of trees and constants allocates by the features its nodes
+    # read, not by the arity its record claims
+    path = tmp_path / "models.json"
+    path.write_text(json.dumps({"schema_version": 1, "models": {"boost": record}}), encoding="utf-8")
+    x = np.array([[0.0, 0.2], [0.0, 0.9]])
+    for model in (model_from_dict(record), load_bundle(path)[0]["boost"]):
+        assert model.predict_batch(x).tolist() == expected
+
+
 def test_ensemble_constructors_refuse_bases_of_another_arity():
     # the reader refuses such records first; a model built directly is checked too
     nb, wide = model_from_dict(NB_RECORD), model_from_dict(_with(LOGISTIC_RECORD, n_features=3, weights=[1.0] * 3,
